@@ -10,6 +10,7 @@ output and are byte-identical across repeated identical invocations.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .exprlang import EvaluationError, ParseError, parse, to_source
@@ -17,9 +18,10 @@ from .eulerweb import (
     CauchyDatum,
     connection_euler_residual,
     euler_residual,
+    euler_sweep,
     generate_linear_web,
 )
-from .geodesy import GridSpec, flex_residual, geodesic_web_report
+from .geodesy import DEFAULT_TOLERANCE, GridSpec, geodesic_web_report, residual_sweep
 from .geometry import ChristoffelField, ThomasParameters
 from .projective import (
     DegenerateWebError,
@@ -39,9 +41,6 @@ from .render import (
     write_csv_grid,
     write_report,
 )
-
-DEFAULT_TOL = 1e-8
-
 
 class _UsageError(Exception):
     pass
@@ -108,6 +107,15 @@ def _parse_rect(text: str) -> Rect:
         raise _UsageError(f"--domain: {exc}") from None
 
 
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite non-negative number, got {text!r}"
+        )
+    return value
+
+
 def _parse_floats(text: str, count: int, what: str):
     pieces = text.split(",")
     if len(pieces) != count:
@@ -136,47 +144,28 @@ def _verdict_exit(args, verdict: str) -> int:
     return 0
 
 
-def _grid_samples(residual_fn, grid: GridSpec):
-    samples = []
-    skipped = []
-    for point in grid.points():
-        try:
-            samples.append(residual_fn(point))
-        except EvaluationError:
-            skipped.append([point[0], point[1]])
-    return samples, skipped
-
-
-def _residual_results(samples, skipped, tol):
-    valid = [s for s in samples if not s.degenerate]
-    if not valid:
+def _grid_stats(series) -> dict:
+    stats = series.stats()
+    if stats is None:
         raise EvaluationError("no valid samples on the requested grid")
-    max_normalized = max(abs(s.normalized) for s in valid)
-    mean_normalized = sum(abs(s.normalized) for s in valid) / len(valid)
-    return {
-        "per_foliation": [
-            {
-                "samples": len(valid),
-                "max_normalized": max_normalized,
-                "mean_normalized": mean_normalized,
-                "degenerate_points": [list(s.point) for s in samples if s.degenerate],
-                "skipped_points": skipped,
-            }
-        ],
-        "verdict": "geodesic" if max_normalized <= tol else "non-geodesic",
-        "max_normalized": max_normalized,
-        "tolerance": tol,
-    }
+    return stats
 
 
 def _cmd_flex(args) -> int:
     f = _parse_expr(args.f, "--f")
     grid = _parse_grid(args.grid)
     zero = ChristoffelField(*([_parse_expr("0", "zero")] * 6))
-    samples, skipped = _grid_samples(lambda p: flex_residual(f, zero, p), grid)
-    results = _residual_results(samples, skipped, args.tol)
+    (series,) = residual_sweep([f], grid, christoffels=zero)
+    stats = _grid_stats(series)
+    max_normalized = stats["max_normalized"]
+    results = {
+        "per_foliation": [stats],
+        "verdict": "geodesic" if max_normalized <= args.tol else "non-geodesic",
+        "max_normalized": max_normalized,
+        "tolerance": args.tol,
+    }
     if args.format == "csv":
-        _emit(args, write_csv_grid(samples))
+        _emit(args, write_csv_grid(series.samples()))
     else:
         report = compose_report(
             "flex",
@@ -420,17 +409,15 @@ def _cmd_euler(args) -> int:
         values = _parse_floats(args.pi, 4, "--pi")
         pi = ThomasParameters(*values)
 
-    def residual(point):
-        if pi is None:
-            return euler_residual(w, point)
-        return connection_euler_residual(w, pi, point)
-
     inputs = {"w": to_source(w), "tolerance": args.tol}
     if pi is not None:
         inputs["pi"] = [pi.p1_22, pi.p1_12, pi.p2_12, pi.p2_11]
     if args.point:
         point = _parse_point(args.point)
-        value = residual(point)
+        if pi is None:
+            value = euler_residual(w, point)
+        else:
+            value = connection_euler_residual(w, pi, point)
         inputs["point"] = list(point)
         verdict = "pass" if abs(value) <= args.tol else "fail"
         results = {"residual": value, "verdict": verdict}
@@ -444,28 +431,18 @@ def _cmd_euler(args) -> int:
     if not args.grid:
         raise _UsageError("euler needs --point or --grid")
     grid = _parse_grid(args.grid)
-    values = []
-    skipped = []
-    for point in grid.points():
-        try:
-            values.append((point, residual(point)))
-        except EvaluationError:
-            skipped.append([point[0], point[1]])
-    if not values:
-        raise EvaluationError("no valid samples on the requested grid")
-    worst = max(abs(v) for _, v in values)
+    series = euler_sweep(w, grid, pi)
+    stats = _grid_stats(series)
+    worst = stats["max_normalized"]
     verdict = "pass" if worst <= args.tol else "fail"
     if args.format == "csv":
-        rows = ["x,y,raw,normalized,degenerate"]
-        for point, v in values:
-            rows.append(f"{point[0]!r},{point[1]!r},{v!r},{v!r},false")
-        _emit(args, "\n".join(rows) + "\n")
+        _emit(args, write_csv_grid(series.samples()))
         return _verdict_exit(args, verdict)
     results = {
         "max_residual": worst,
-        "mean_residual": sum(abs(v) for _, v in values) / len(values),
-        "samples": len(values),
-        "skipped_points": skipped,
+        "mean_residual": stats["mean_normalized"],
+        "samples": stats["samples"],
+        "skipped_points": stats["skipped_points"],
         "verdict": verdict,
     }
     report = compose_report("euler", inputs, grid.as_dict(), results)
@@ -577,7 +554,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p, expect=True):
         p.add_argument("--out", help="write the report to this file instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
         if expect:
             p.add_argument("--expect", help="exit 1 unless the verdict equals this")
 
@@ -656,11 +633,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None
+
+
 def run(argv) -> int:
     """Run the CLI on an argument list and return the exit code."""
-    parser = _build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .exprlang import (
     EvaluationError,
     Expression,
@@ -38,9 +40,18 @@ from .exprlang import (
     to_source,
     variables_of,
 )
+from .geodesy import GridResiduals, GridSpec
 from .geometry import ThomasParameters
 from .render import LeafPolyline, Rect
-from .taylor import TaylorJet, jet_constant, jet_variable, partial_derivative
+from .taylor import (
+    TaylorJet,
+    jet_constant,
+    jet_variable,
+    partial_derivative,
+    cube,
+    table_partial,
+    take_lanes,
+)
 
 DEFAULT_SCAN_COUNT = 400
 
@@ -100,10 +111,22 @@ def euler_residual(w, point) -> float:
     return euler_residual_of_jet(evaluate_jet(as_expression(w), point, 1))
 
 
+def _euler(w, wx, wy):
+    return wx - w * wy
+
+
+def _connection_euler(w, wx, wy, pi: ThomasParameters):
+    cubic = (
+        pi.p2_11 * cube(w)
+        - 3.0 * pi.p2_12 * w * w
+        - 3.0 * pi.p1_12 * w
+        + pi.p1_22
+    )
+    return wy - w * wx - cubic
+
+
 def euler_residual_of_jet(jet: TaylorJet) -> float:
-    wx = partial_derivative(jet, 1, 0)
-    wy = partial_derivative(jet, 0, 1)
-    return wx - jet.value * wy
+    return _euler(jet.value, partial_derivative(jet, 1, 0), partial_derivative(jet, 0, 1))
 
 
 def connection_euler_residual(w, pi: ThomasParameters, point) -> float:
@@ -118,11 +141,31 @@ def connection_euler_residual(w, pi: ThomasParameters, point) -> float:
 
 
 def connection_euler_residual_of_jet(jet: TaylorJet, pi: ThomasParameters) -> float:
-    w = jet.value
-    wx = partial_derivative(jet, 1, 0)
-    wy = partial_derivative(jet, 0, 1)
-    cubic = pi.p2_11 * w**3 - 3.0 * pi.p2_12 * w * w - 3.0 * pi.p1_12 * w + pi.p1_22
-    return wy - w * wx - cubic
+    return _connection_euler(
+        jet.value, partial_derivative(jet, 1, 0), partial_derivative(jet, 0, 1), pi
+    )
+
+
+def euler_sweep(w, grid: GridSpec, pi: ThomasParameters | None = None) -> GridResiduals:
+    """Euler residual of w at every grid point: the flat one, or with
+    `pi` the connection variant.  Each sample equals, bit for bit,
+    :func:`euler_residual` or :func:`connection_euler_residual` there, and
+    is its own normalized value; points where those raise
+    :class:`EvaluationError` are skipped."""
+    w = as_expression(w)
+    out = GridResiduals()
+    with np.errstate(all="ignore"):
+        for block in grid.blocks():
+            table, ok = block.evaluate(w, 1)
+            if table is None:
+                out.add_block(block, ok)
+                continue
+            v, vx, vy = (
+                take_lanes(table_partial(table, i, j), ok) for i, j in ((0, 0), (1, 0), (0, 1))
+            )
+            raw = _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi)
+            out.add_block(block, ok, raw)
+    return out
 
 
 def _characteristic_g(datum: CauchyDatum, point, lam: float) -> float:

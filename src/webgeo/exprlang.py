@@ -29,20 +29,29 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .taylor import (
     MAX_ORDER,
     JetDomainError,
     JetError,
     TaylorJet,
+    check_derivative_index,
+    check_table,
+    constant_table,
     derivative_jet,
     jet_add,
-    jet_constant,
     jet_div,
-    jet_elementary,
+    jet_from_table,
     jet_mul,
     jet_sub,
-    jet_variable,
     partial_derivative,
+    per_lane,
+    table_arith,
+    table_derivative,
+    table_elementary,
+    table_partial,
+    variable_table,
     _check_order,
     _integer_power,
 )
@@ -217,10 +226,21 @@ def _tokenize(text: str):
     return tokens
 
 
+#: Deepest nesting of parentheses, function calls and unary minus signs the
+#: parser accepts; deeper input is a ParseError rather than a RecursionError.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def nest(self, tok):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(tok[2], f"nesting deeper than {MAX_NESTING} levels")
 
     def peek(self):
         return self.tokens[self.pos]
@@ -254,7 +274,10 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
             self.advance()
-            return Unary("neg", self.factor())
+            self.nest(tok)
+            node = Unary("neg", self.factor())
+            self.depth -= 1
+            return node
         return self.power()
 
     def power(self):
@@ -279,15 +302,17 @@ class _Parser:
             if value in ("x", "y"):
                 return Variable(value)
             if value in FUNCTION_NAMES:
-                self.expect("(", f"'(' after function name '{value}'")
+                self.nest(self.expect("(", f"'(' after function name '{value}'"))
                 inner = self.expr()
                 self.expect(")", "closing ')'")
+                self.depth -= 1
                 return Call(value, inner)
             raise ParseError(pos, f"unknown identifier '{value}'")
         if kind == "(":
-            self.advance()
+            self.nest(self.advance())
             inner = self.expr()
             self.expect(")", "closing ')'")
+            self.depth -= 1
             return inner
         raise ParseError(pos, "expected a number, variable, function call, or '('")
 
@@ -364,73 +389,7 @@ def evaluate(e: Expression, point) -> float:
     non-positive numbers, division by zero, non-finite results) raise
     :class:`EvaluationError` naming the offending subexpression.
     """
-    x, y = float(point[0]), float(point[1])
-    return _eval(e, x, y)
-
-
-def _eval(node: Expression, x: float, y: float) -> float:
-    if isinstance(node, Constant):
-        return node.value
-    if isinstance(node, Variable):
-        return x if node.name == "x" else y
-    if isinstance(node, Unary):
-        return -_eval(node.child, x, y)
-    if isinstance(node, Binary):
-        left = _eval(node.left, x, y)
-        if node.op == "^":
-            if not isinstance(node.right, Constant):
-                raise EvaluationError("exponent must be constant", to_source(node))
-            p = node.right.value
-            if p.is_integer():
-                n = int(p)
-                if n < 0 and left == 0.0:
-                    raise EvaluationError("zero raised to a negative power", to_source(node))
-                value = _integer_power(left, n, 1.0)
-            else:
-                if left < 0.0:
-                    raise EvaluationError(
-                        f"fractional power of negative base {left!r}", to_source(node)
-                    )
-                if left == 0.0 and p < 0.0:
-                    raise EvaluationError("zero raised to a negative power", to_source(node))
-                value = left**p
-        else:
-            right = _eval(node.right, x, y)
-            if node.op == "+":
-                value = left + right
-            elif node.op == "-":
-                value = left - right
-            elif node.op == "*":
-                value = left * right
-            elif node.op == "/":
-                if right == 0.0:
-                    raise EvaluationError("division by zero", to_source(node))
-                value = left / right
-            else:
-                raise EvaluationError(f"unknown operator {node.op!r}", to_source(node))
-        if not math.isfinite(value):
-            raise EvaluationError("non-finite result", to_source(node))
-        return value
-    if isinstance(node, Call):
-        u = _eval(node.arg, x, y)
-        if node.func == "sqrt" and u < 0.0:
-            raise EvaluationError(f"sqrt of negative value {u!r}", to_source(node))
-        if node.func == "ln" and u <= 0.0:
-            raise EvaluationError(f"ln of non-positive value {u!r}", to_source(node))
-        try:
-            value = _MATH_FUNCTIONS[node.func](u)
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(str(exc), to_source(node)) from None
-        if not math.isfinite(value):
-            raise EvaluationError("non-finite result", to_source(node))
-        return value
-    if isinstance(node, PartialDerivative):
-        total = node.dx + node.dy
-        if total == 0:
-            return _eval(node.target, x, y)
-        jet = evaluate_jet(node.target, (x, y), min(MAX_ORDER, max(1, total)))
-        return partial_derivative(jet, node.dx, node.dy)
-    raise TypeError(f"not an expression node: {node!r}")
+    return _Walker(float(point[0]), float(point[1])).value(e, None)
 
 
 def evaluate_gradient(e: Expression, point) -> tuple[float, float, float]:
@@ -462,7 +421,7 @@ def _eval_grad(node, x, y):
             if not isinstance(node.right, Constant):
                 raise EvaluationError("exponent must be constant", to_source(node))
             p = node.right.value
-            v = _eval(node, x, y)
+            v = _Walker(x, y).value(node, None)
             if lv == 0.0:
                 # derivative p * lv^(p-1): defined at zero base only for
                 # integer exponents with p = 0 or p >= 1
@@ -540,9 +499,10 @@ def _eval_grad(node, x, y):
 def evaluate_jet(e: Expression, point, order: int) -> TaylorJet:
     """Jet of the formula at `point`, truncated at `order` (1..4)."""
     _check_order(order)
-    x = jet_variable(point, "x", order)
-    y = jet_variable(point, "y", order)
-    return _eval_jet(e, x, y, point, order)
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise JetDomainError("non-finite coefficient produced by coordinate seed")
+    return jet_from_table((x, y), order, _Walker(x, y).jet(e, order, None))
 
 
 def evaluate_jet_with(e: Expression, bindings: dict) -> TaylorJet:
@@ -560,59 +520,243 @@ def evaluate_jet_with(e: Expression, bindings: dict) -> TaylorJet:
     for j in jets[1:]:
         if j.base_point != base or j.order != order:
             raise EvaluationError("bound jets disagree on base point or order")
-    xj = bindings.get("x")
-    yj = bindings.get("y")
-    return _eval_jet(e, xj, yj, base, order, substitution=True)
+    tables = {name: bindings[name].coeffs.tolist() for name in ("x", "y") if name in bindings}
+    walker = _Walker(None, None, tables)
+    return jet_from_table(base, order, walker.jet(e, order, None))
 
 
-def _eval_jet(node, xj, yj, point, order, substitution=False) -> TaylorJet:
+#: The TaylorJet operation of each arithmetic operator.  The walker does
+#: not dispatch through it; perfbench's tracing tests look it up.
+_JET_OPS = {"+": jet_add, "-": jet_sub, "*": jet_mul, "/": jet_div}
+
+_CONTEXT = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow_const"}
+
+
+def _math_lanes(fn, u):
+    """fn at u lane by lane; NaN where `math` raises (the caller's
+    non-finite check then fails that lane, as the float path raises)."""
     try:
+        return per_lane(fn, u)
+    except (ValueError, OverflowError):
+        pass
+
+    def guarded(v):
+        try:
+            return fn(v)
+        except (ValueError, OverflowError):
+            return math.nan
+
+    return per_lane(guarded, u)
+
+
+class _Walker:
+    """The evaluator: one walk of an expression tree, at one point or at a
+    block of points.
+
+    The coordinates `x`, `y` are floats (one point) or lane vectors (a
+    block).  `value` gives the IEEE double value, `jet` the coefficient
+    table of the jet of a given order (see :mod:`webgeo.taylor`).  A domain
+    violation that holds at every point raises :class:`EvaluationError`
+    naming the subexpression; one that holds at some lanes of a block
+    clears them in the boolean mask `ok` (None at a single point) and the
+    walk goes on.  `bindings`, when given, maps variable names to the
+    tables they stand for (substitution), in place of coordinates.
+    """
+
+    def __init__(self, x, y, bindings=None):
+        self.x = x
+        self.y = y
+        self.bindings = bindings
+
+    def target(self, e: Expression, order: int, ok):
+        """Jet table of a derivative node's target."""
+        return self.jet(e, order, ok)
+
+    @staticmethod
+    def fail(bad, ok, node, message, *value):
+        """Clear the lanes where `bad`; raise when it holds at every point."""
+        if isinstance(bad, np.ndarray):
+            ok &= ~bad
+        elif bad:
+            raise EvaluationError(" ".join([message, *map(repr, value)]), to_source(node))
+
+    def value(self, node, ok):
         if isinstance(node, Constant):
-            return jet_constant(point, node.value, order)
+            return node.value
         if isinstance(node, Variable):
-            jet = xj if node.name == "x" else yj
-            if jet is None:
-                raise EvaluationError(f"variable '{node.name}' is not bound")
-            return jet
+            return self.x if node.name == "x" else self.y
         if isinstance(node, Unary):
-            child = _eval_jet(node.child, xj, yj, point, order, substitution)
-            return jet_constant(point, 0.0, order) - child
+            return -self.value(node.child, ok)
         if isinstance(node, Binary):
-            left = _eval_jet(node.left, xj, yj, point, order, substitution)
+            left = self.value(node.left, ok)
             if node.op == "^":
                 if not isinstance(node.right, Constant):
                     raise EvaluationError("exponent must be constant", to_source(node))
-                return jet_elementary("pow_const", left, node.right.value)
-            right = _eval_jet(node.right, xj, yj, point, order, substitution)
-            return _JET_OPS[node.op](left, right)
+                p = node.right.value
+                if p.is_integer():
+                    n = int(p)
+                    if n < 0:
+                        self.fail(left == 0.0, ok, node, "zero raised to a negative power")
+                    value = _integer_power(left, n, 1.0)
+                else:
+                    self.fail(left < 0.0, ok, node, "fractional power of negative base", left)
+                    if p < 0.0:
+                        self.fail(left == 0.0, ok, node, "zero raised to a negative power")
+                    if isinstance(left, np.ndarray):
+                        left = np.where(ok, left, 1.0)
+                    value = per_lane(lambda v: v**p, left)
+            else:
+                right = self.value(node.right, ok)
+                if node.op == "+":
+                    value = left + right
+                elif node.op == "-":
+                    value = left - right
+                elif node.op == "*":
+                    value = left * right
+                elif node.op == "/":
+                    self.fail(right == 0.0, ok, node, "division by zero")
+                    value = left / right
+                else:
+                    raise EvaluationError(f"unknown operator {node.op!r}", to_source(node))
+            if isinstance(value, np.ndarray):
+                ok &= np.isfinite(value)
+            elif not math.isfinite(value):
+                raise EvaluationError("non-finite result", to_source(node))
+            return value
         if isinstance(node, Call):
-            arg = _eval_jet(node.arg, xj, yj, point, order, substitution)
-            return jet_elementary(node.func, arg)
+            u = self.value(node.arg, ok)
+            if node.func == "sqrt":
+                self.fail(u < 0.0, ok, node, "sqrt of negative value", u)
+            if node.func == "ln":
+                self.fail(u <= 0.0, ok, node, "ln of non-positive value", u)
+            fn = _MATH_FUNCTIONS[node.func]
+            if isinstance(u, np.ndarray):
+                value = _math_lanes(fn, np.where(ok, u, 1.0))
+            else:
+                try:
+                    value = fn(u)
+                except (ValueError, OverflowError) as exc:
+                    raise EvaluationError(str(exc), to_source(node)) from None
+            if isinstance(value, np.ndarray):
+                ok &= np.isfinite(value)
+            elif not math.isfinite(value):
+                raise EvaluationError("non-finite result", to_source(node))
+            return value
         if isinstance(node, PartialDerivative):
-            if substitution:
-                raise EvaluationError(
-                    "derivative nodes require coordinate bindings", to_source(node)
-                )
             total = node.dx + node.dy
-            needed = order + total
-            if needed > MAX_ORDER:
-                raise EvaluationError(
-                    f"jet of order {order} of a derivative of order {total} "
-                    f"needs order {needed}, beyond the engine maximum {MAX_ORDER}",
-                    to_source(node),
-                )
-            jet = evaluate_jet(node.target, point, needed)
-            for _ in range(node.dx):
-                jet = derivative_jet(jet, "x")
-            for _ in range(node.dy):
-                jet = derivative_jet(jet, "y")
-            return jet
+            if total == 0:
+                return self.value(node.target, ok)
+            order = min(MAX_ORDER, max(1, total))
+            table = self.target(node.target, order, ok)
+            check_derivative_index(node.dx, node.dy, order)
+            return table_partial(table, node.dx, node.dy)
         raise TypeError(f"not an expression node: {node!r}")
-    except (JetDomainError, JetError) as exc:
-        raise EvaluationError(str(exc), to_source(node)) from None
+
+    def jet(self, node, order: int, ok):
+        try:
+            # Seeds need no check: coordinates and bound jets are finite.
+            if isinstance(node, Constant):
+                if not math.isfinite(node.value):
+                    raise JetDomainError("non-finite coefficient produced by constant seed")
+                return constant_table(node.value, order)
+            if isinstance(node, Variable):
+                if self.bindings is None:
+                    lanes = self.x if node.name == "x" else self.y
+                    return variable_table(lanes, node.name, order)
+                table = self.bindings.get(node.name)
+                if table is None:
+                    raise EvaluationError(f"variable '{node.name}' is not bound")
+                return table
+            if isinstance(node, Unary):
+                child = self.jet(node.child, order, ok)
+                table, context = [[0.0 - v for v in row] for row in child], "sub"
+            elif isinstance(node, Binary):
+                left = self.jet(node.left, order, ok)
+                context = _CONTEXT.get(node.op, node.op)
+                if node.op == "^":
+                    if not isinstance(node.right, Constant):
+                        raise EvaluationError("exponent must be constant", to_source(node))
+                    table = table_elementary("pow_const", left, order, ok, node.right.value)
+                else:
+                    right = self.jet(node.right, order, ok)
+                    table = table_arith(node.op, left, right, order, ok)
+            elif isinstance(node, Call):
+                arg = self.jet(node.arg, order, ok)
+                table, context = table_elementary(node.func, arg, order, ok), node.func
+            elif isinstance(node, PartialDerivative):
+                if self.bindings is not None:
+                    raise EvaluationError(
+                        "derivative nodes require coordinate bindings", to_source(node)
+                    )
+                total = node.dx + node.dy
+                needed = order + total
+                if needed > MAX_ORDER:
+                    raise EvaluationError(
+                        f"jet of order {order} of a derivative of order {total} "
+                        f"needs order {needed}, beyond the engine maximum {MAX_ORDER}",
+                        to_source(node),
+                    )
+                table, context = self.target(node.target, needed, ok), "derivative_jet"
+                for _ in range(node.dx):
+                    table = table_derivative(table, "x", needed)
+                    needed -= 1
+                for _ in range(node.dy):
+                    table = table_derivative(table, "y", needed)
+                    needed -= 1
+            else:
+                raise TypeError(f"not an expression node: {node!r}")
+            check_table(table, ok, context)
+            return table
+        except (JetDomainError, JetError) as exc:
+            raise EvaluationError(str(exc), to_source(node)) from None
 
 
-_JET_OPS = {"+": jet_add, "-": jet_sub, "*": jet_mul, "/": jet_div}
+class Block(_Walker):
+    """A block of points at which expressions are evaluated together.
+
+    ``evaluate(e, order)`` returns ``(result, ok)``: at order 0 the value
+    :func:`evaluate` gives at each point, at orders 1..4 the coefficient
+    table of the jet :func:`evaluate_jet` gives, entry by entry a float
+    (the same at every point) or a lane vector, bitwise equal to the
+    single-point results.  ``ok`` is a boolean lane vector, False where the
+    single-point function raises :class:`EvaluationError`; the result is
+    None when no point is valid.  Results are cached per block, so a field
+    used by several formulas (a surface height under its derivative nodes)
+    is evaluated once.
+    """
+
+    def __init__(self, xs, ys):
+        super().__init__(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float))
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("block coordinates must be finite")
+        self._cache = {}
+
+    def evaluate(self, e: Expression, order: int):
+        key = (id(e), order)
+        hit = self._cache.get(key)
+        if hit is None:
+            ok = np.ones(len(self.x), dtype=bool)
+            result = None
+            with np.errstate(all="ignore"):
+                try:
+                    if order == 0:
+                        result = self.value(e, ok)
+                    else:
+                        _check_order(order)
+                        result = self.jet(e, order, ok)
+                except EvaluationError:
+                    ok[:] = False
+            if not ok.any():
+                result = None
+            hit = self._cache[key] = (e, result, ok)
+        return hit[1], hit[2]
+
+    def target(self, e: Expression, order: int, ok):
+        table, target_ok = self.evaluate(e, order)
+        if table is None:
+            raise EvaluationError("undefined at every point", to_source(e))
+        ok &= target_ok
+        return table
 
 
 def variables_of(e: Expression) -> set[str]:

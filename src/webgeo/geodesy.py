@@ -16,6 +16,11 @@ Residuals are reported both raw and normalized by |grad f|^3: both sides of
 every geodesicity equation are cubic in the gradient, so the normalized
 value is invariant under relabeling f by a gauge function and comparable
 across foliations.
+
+Over a grid, :func:`residual_sweep` evaluates a block of points at a time
+(see :class:`~webgeo.exprlang.Block`), the structure once per block for
+all foliations, and gives every sample the same bits as the single-point
+functions here.
 """
 
 from __future__ import annotations
@@ -23,7 +28,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exprlang import (
+    Block,
     EvaluationError,
     Expression,
     Variable,
@@ -36,13 +44,23 @@ from .geometry import (
     ChristoffelField,
     ThomasParameters,
 )
-from .taylor import TaylorJet, partial_derivative
+from .taylor import TaylorJet, cube, partial_derivative, per_lane, table_partial, take_lanes
 
 DEFAULT_TOLERANCE = 1e-8
 
 #: Gradients below ``DEGENERACY_COEFF * (1 + |x| + |y|)`` mark a sample
 #: degenerate: the foliation has no well-defined leaf direction there.
 DEGENERACY_COEFF = 1e-10
+
+#: Grid points evaluated together by a sweep.  Large enough that numpy
+#: does the work, small enough that a block's temporaries stay small.
+BLOCK_POINTS = 2048
+
+#: Largest grid (nx * ny) a GridSpec accepts.
+MAX_GRID_POINTS = 1_000_000
+
+#: The first and second partial derivatives (fx, fy, fxx, fxy, fyy).
+_SECOND_ORDER = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
 
 
 @dataclass(frozen=True)
@@ -56,26 +74,82 @@ class ResidualSample:
     degenerate: bool
 
 
-def _gradient_threshold(point) -> float:
-    return DEGENERACY_COEFF * (1.0 + abs(point[0]) + abs(point[1]))
+def _gradient_threshold(x, y):
+    return DEGENERACY_COEFF * (1.0 + abs(x) + abs(y))
 
 
 def _make_sample(point, raw: float, fx: float, fy: float) -> ResidualSample:
     point = (float(point[0]), float(point[1]))
     gradient_norm = math.hypot(fx, fy)
-    if gradient_norm <= _gradient_threshold(point):
+    if gradient_norm <= _gradient_threshold(*point):
         return ResidualSample(point, raw, math.nan, gradient_norm, True)
     return ResidualSample(point, raw, raw / gradient_norm**3, gradient_norm, False)
 
 
+# Residual formulas.  Each takes floats (one point) or lane vectors (the
+# valid points of a block) and is the only place its formula is written.
+
+
+def _flex(fx, fy, fxx, fxy, fyy):
+    return fy * fy * fxx - 2.0 * fx * fy * fxy + fx * fx * fyy
+
+
+def _covariant_flex(d, gammas):
+    fx, fy, fxx, fxy, fyy = d
+    g1_11, g1_12, g1_22, g2_11, g2_12, g2_22 = gammas
+    return (
+        fy * fy * (fxx - g1_11 * fx - g2_11 * fy)
+        - 2.0 * fx * fy * (fxy - g1_12 * fx - g2_12 * fy)
+        + fx * fx * (fyy - g1_22 * fx - g2_22 * fy)
+    )
+
+
+def _projective_flex(d, pi):
+    fx, fy = d[0], d[1]
+    p1_22, p1_12, p2_12, p2_11 = pi
+    cubic = (
+        p1_22 * cube(fx)
+        - 3.0 * p1_12 * fx * fx * fy
+        - 3.0 * p2_12 * fx * fy * fy
+        + p2_11 * cube(fy)
+    )
+    return cubic - _flex(*d)
+
+
+def _curvature_denominator(kappa, x, y):
+    return 1.0 + kappa * (x * x + y * y)
+
+
+def _constant_curvature_flex(d, kappa, x, y, denom):
+    fx, fy = d[0], d[1]
+    rhs = 2.0 * kappa * (x * fx + y * fy) * (fx * fx + fy * fy) / denom
+    return _flex(*d) - rhs
+
+
+def _graph_surface_flex(d, z):
+    fx, fy = d[0], d[1]
+    zx, zy, zxx, zxy, zyy = z
+    rhs = (
+        (zx * fx + zy * fy)
+        * (fy * fy * zxx - 2.0 * fx * fy * zxy + fx * fx * zyy)
+        / (1.0 + zx * zx + zy * zy)
+    )
+    return _flex(*d) - rhs
+
+
+def _second_order(jet: TaylorJet):
+    return (
+        partial_derivative(jet, 1, 0),
+        partial_derivative(jet, 0, 1),
+        partial_derivative(jet, 2, 0),
+        partial_derivative(jet, 1, 1),
+        partial_derivative(jet, 0, 2),
+    )
+
+
 def flex_of_jet(jet: TaylorJet) -> float:
     """Flex value from an order >= 2 jet."""
-    fx = partial_derivative(jet, 1, 0)
-    fy = partial_derivative(jet, 0, 1)
-    fxx = partial_derivative(jet, 2, 0)
-    fxy = partial_derivative(jet, 1, 1)
-    fyy = partial_derivative(jet, 0, 2)
-    return fy * fy * fxx - 2.0 * fx * fy * fxy + fx * fx * fyy
+    return _flex(*_second_order(jet))
 
 
 def flex(f, point) -> float:
@@ -90,19 +164,9 @@ def flex_residual(f, gammas: ChristoffelField, point) -> ResidualSample:
     the connection at that point.  Orientation: raw = Flex f minus the
     Christoffel terms.
     """
-    jet = evaluate_jet(as_expression(f), point, 2)
-    fx = partial_derivative(jet, 1, 0)
-    fy = partial_derivative(jet, 0, 1)
-    fxx = partial_derivative(jet, 2, 0)
-    fxy = partial_derivative(jet, 1, 1)
-    fyy = partial_derivative(jet, 0, 2)
-    g1_11, g1_12, g1_22, g2_11, g2_12, g2_22 = gammas.components_at(point)
-    raw = (
-        fy * fy * (fxx - g1_11 * fx - g2_11 * fy)
-        - 2.0 * fx * fy * (fxy - g1_12 * fx - g2_12 * fy)
-        + fx * fx * (fyy - g1_22 * fx - g2_22 * fy)
-    )
-    return _make_sample(point, raw, fx, fy)
+    d = _second_order(evaluate_jet(as_expression(f), point, 2))
+    raw = _covariant_flex(d, gammas.components_at(point))
+    return _make_sample(point, raw, d[0], d[1])
 
 
 def projective_flex_residual(f, pi: ThomasParameters, point) -> ResidualSample:
@@ -113,17 +177,8 @@ def projective_flex_residual(f, pi: ThomasParameters, point) -> ResidualSample:
         raw = P1_22 fx^3 - 3 P1_12 fx^2 fy - 3 P2_12 fx fy^2 + P2_11 fy^3
               - Flex f
     """
-    jet = evaluate_jet(as_expression(f), point, 2)
-    fx = partial_derivative(jet, 1, 0)
-    fy = partial_derivative(jet, 0, 1)
-    cubic = (
-        pi.p1_22 * fx**3
-        - 3.0 * pi.p1_12 * fx * fx * fy
-        - 3.0 * pi.p2_12 * fx * fy * fy
-        + pi.p2_11 * fy**3
-    )
-    raw = cubic - flex_of_jet(jet)
-    return _make_sample(point, raw, fx, fy)
+    d = _second_order(evaluate_jet(as_expression(f), point, 2))
+    return _make_sample(point, _projective_flex(d, pi.as_tuple()), d[0], d[1])
 
 
 def constant_curvature_residual(f, kappa: float, point) -> ResidualSample:
@@ -132,17 +187,13 @@ def constant_curvature_residual(f, kappa: float, point) -> ResidualSample:
         raw = Flex f - 2 kappa (x fx + y fy)(fx^2 + fy^2) / (1 + kappa r^2)
     """
     x, y = float(point[0]), float(point[1])
-    denom = 1.0 + kappa * (x * x + y * y)
+    denom = _curvature_denominator(kappa, x, y)
     if denom <= 0.0:
         raise EvaluationError(
             f"metric singularity: 1 + kappa*(x^2+y^2) = {denom!r} at {(x, y)}"
         )
-    jet = evaluate_jet(as_expression(f), point, 2)
-    fx = partial_derivative(jet, 1, 0)
-    fy = partial_derivative(jet, 0, 1)
-    rhs = 2.0 * kappa * (x * fx + y * fy) * (fx * fx + fy * fy) / denom
-    raw = flex_of_jet(jet) - rhs
-    return _make_sample(point, raw, fx, fy)
+    d = _second_order(evaluate_jet(as_expression(f), point, 2))
+    return _make_sample(point, _constant_curvature_flex(d, kappa, x, y, denom), d[0], d[1])
 
 
 def graph_surface_residual(f, z, point) -> ResidualSample:
@@ -152,22 +203,9 @@ def graph_surface_residual(f, z, point) -> ResidualSample:
                        (fy^2 z_xx - 2 fx fy z_xy + fx^2 z_yy)
                        / (1 + z_x^2 + z_y^2)
     """
-    fjet = evaluate_jet(as_expression(f), point, 2)
-    zjet = evaluate_jet(as_expression(z), point, 2)
-    fx = partial_derivative(fjet, 1, 0)
-    fy = partial_derivative(fjet, 0, 1)
-    zx = partial_derivative(zjet, 1, 0)
-    zy = partial_derivative(zjet, 0, 1)
-    zxx = partial_derivative(zjet, 2, 0)
-    zxy = partial_derivative(zjet, 1, 1)
-    zyy = partial_derivative(zjet, 0, 2)
-    rhs = (
-        (zx * fx + zy * fy)
-        * (fy * fy * zxx - 2.0 * fx * fy * zxy + fx * fx * zyy)
-        / (1.0 + zx * zx + zy * zy)
-    )
-    raw = flex_of_jet(fjet) - rhs
-    return _make_sample(point, raw, fx, fy)
+    d = _second_order(evaluate_jet(as_expression(f), point, 2))
+    z_terms = _second_order(evaluate_jet(as_expression(z), point, 2))
+    return _make_sample(point, _graph_surface_flex(d, z_terms), d[0], d[1])
 
 
 @dataclass(frozen=True)
@@ -182,10 +220,21 @@ class GridSpec:
     ny: int
 
     def __post_init__(self):
+        for name in ("xmin", "xmax", "ymin", "ymax"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"grid bound {name} is not finite: {value!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs nx >= 1 and ny >= 1")
         if self.xmax < self.xmin or self.ymax < self.ymin:
             raise ValueError("grid bounds are reversed")
+        if not (math.isfinite(self.xmax - self.xmin) and math.isfinite(self.ymax - self.ymin)):
+            raise ValueError("grid extent is too large to represent")
+        if self.nx * self.ny > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid has {self.nx * self.ny} points, more than the limit of "
+                f"{MAX_GRID_POINTS}"
+            )
 
     def xs(self) -> list[float]:
         if self.nx == 1:
@@ -205,6 +254,16 @@ class GridSpec:
             for x in self.xs():
                 yield (x, y)
 
+    def blocks(self):
+        """The lattice points in `points()` order, as successive
+        :class:`Block` s of at most BLOCK_POINTS points."""
+        xs, ys = self.xs(), self.ys()
+        px = xs * len(ys)
+        py = [y for y in ys for _ in xs]
+        for start in range(0, len(px), BLOCK_POINTS):
+            stop = start + BLOCK_POINTS
+            yield Block(px[start:stop], py[start:stop])
+
     def as_dict(self) -> dict:
         return {
             "xmin": self.xmin,
@@ -214,6 +273,165 @@ class GridSpec:
             "nx": self.nx,
             "ny": self.ny,
         }
+
+
+class GridResiduals:
+    """Residual samples of one function over a grid, in grid order.
+
+    Parallel lists hold the evaluated points and, for each, the raw and
+    normalized residual, the gradient norm and the degeneracy flag (the
+    fields of :class:`ResidualSample`); `skipped` lists the points where
+    the function or the structure is undefined.
+    """
+
+    def __init__(self):
+        self.points: list[tuple[float, float]] = []
+        self.raw: list[float] = []
+        self.normalized: list[float] = []
+        self.gradient_norm: list[float] = []
+        self.degenerate: list[bool] = []
+        self.skipped: list[list[float]] = []
+
+    def add_block(self, block: Block, ok, raw=None, fx=None, fy=None):
+        """Append one block: `raw` (and the gradient `fx`, `fy`) are lane
+        vectors over the block's valid points, those where `ok`.  Without a
+        gradient the residual is its own normalization (Euler residuals)."""
+        xs, ys = block.x.tolist(), block.y.tolist()
+        self.skipped.extend([x, y] for x, y, good in zip(xs, ys, ok.tolist()) if not good)
+        if raw is None:
+            return
+        x, y = block.x[ok], block.y[ok]
+        self.points.extend(zip(x.tolist(), y.tolist()))
+        self.raw.extend(raw.tolist())
+        if fx is None:
+            self.normalized.extend(raw.tolist())
+            self.gradient_norm.extend([math.nan] * len(raw))
+            self.degenerate.extend([False] * len(raw))
+            return
+        gradient_norm = per_lane(math.hypot, fx, fy)
+        degenerate = gradient_norm <= _gradient_threshold(x, y)
+        normalized = np.full(len(raw), math.nan)
+        keep = ~degenerate
+        normalized[keep] = raw[keep] / cube(gradient_norm[keep])
+        self.normalized.extend(normalized.tolist())
+        self.gradient_norm.extend(gradient_norm.tolist())
+        self.degenerate.extend(degenerate.tolist())
+
+    def samples(self) -> list[ResidualSample]:
+        return [
+            ResidualSample(*fields)
+            for fields in zip(
+                self.points, self.raw, self.normalized, self.gradient_norm, self.degenerate
+            )
+        ]
+
+    def stats(self) -> dict | None:
+        """Report fields over the non-degenerate samples; None when there
+        are none."""
+        valid = [abs(v) for v, bad in zip(self.normalized, self.degenerate) if not bad]
+        if not valid:
+            return None
+        return {
+            "samples": len(valid),
+            "max_normalized": max(valid),
+            "mean_normalized": sum(valid) / len(valid),
+            "degenerate_points": [
+                list(p) for p, bad in zip(self.points, self.degenerate) if bad
+            ],
+            "skipped_points": self.skipped,
+        }
+
+
+def _structure_terms(block: Block, christoffels, thomas, curvature, surface):
+    """The structure's terms at a block, with the mask of points where it is
+    defined, and the residual formula that takes (derivatives, terms)."""
+    ok = np.ones(len(block.x), dtype=bool)
+    if christoffels is not None:
+        terms = []
+        for gamma in (
+            christoffels.gamma1_11,
+            christoffels.gamma1_12,
+            christoffels.gamma1_22,
+            christoffels.gamma2_11,
+            christoffels.gamma2_12,
+            christoffels.gamma2_22,
+        ):
+            value, good = block.evaluate(gamma, 0)
+            ok &= good
+            terms.append(value)
+        return ok, terms, _covariant_flex
+    if thomas is not None:
+        if not callable(thomas):
+            return ok, list(thomas.as_tuple()), _projective_flex
+        values = []
+        for k, point in enumerate(zip(block.x.tolist(), block.y.tolist())):
+            try:
+                values.append(thomas(point).as_tuple())
+            except EvaluationError:
+                ok[k] = False
+                values.append((0.0, 0.0, 0.0, 0.0))
+        return ok, list(np.array(values).T), _projective_flex
+    if curvature is not None:
+        denom = _curvature_denominator(curvature, block.x, block.y)
+        ok &= ~(denom <= 0.0)
+        return ok, [block.x, block.y, denom], (
+            lambda d, t: _constant_curvature_flex(d, curvature, *t)
+        )
+    table, good = block.evaluate(surface, 2)
+    ok &= good
+    terms = [table_partial(table, i, j) for i, j in _SECOND_ORDER] if table else []
+    return ok, terms, _graph_surface_flex
+
+
+def residual_sweep(
+    functions,
+    grid: GridSpec,
+    *,
+    christoffels: ChristoffelField | None = None,
+    thomas=None,
+    curvature: float | None = None,
+    surface=None,
+) -> list[GridResiduals]:
+    """Geodesicity residuals of each function at every grid point, for
+    exactly one structure (the arguments of :func:`geodesic_web_report`).
+
+    Every sample equals, bit for bit, what the single-point residual
+    function gives at that point; the points where it raises
+    :class:`EvaluationError` are skipped.
+    """
+    supplied = [
+        name
+        for name, value in (
+            ("christoffels", christoffels),
+            ("thomas", thomas),
+            ("curvature", curvature),
+            ("surface", surface),
+        )
+        if value is not None
+    ]
+    if len(supplied) != 1:
+        raise ValueError(
+            f"exactly one geometric structure is required, got {supplied or 'none'}"
+        )
+    if surface is not None:
+        surface = as_expression(surface)
+    funcs = [as_expression(f) for f in functions]
+    results = [GridResiduals() for _ in funcs]
+    with np.errstate(all="ignore"):
+        for block in grid.blocks():
+            structure_ok, terms, formula = _structure_terms(
+                block, christoffels, thomas, curvature, surface
+            )
+            for f, out in zip(funcs, results):
+                table, good = block.evaluate(f, 2)
+                ok = good & structure_ok
+                if not ok.any():
+                    out.add_block(block, ok)
+                    continue
+                d = [take_lanes(table_partial(table, i, j), ok) for i, j in _SECOND_ORDER]
+                raw = formula(d, [take_lanes(t, ok) for t in terms])
+                out.add_block(block, ok, raw, d[0], d[1])
+    return results
 
 
 @dataclass(frozen=True)
@@ -277,75 +495,30 @@ def geodesic_web_report(
     funcs = _web_functions(web)
     if not funcs:
         raise ValueError("web has no functions")
-    supplied = [
-        name
-        for name, value in (
-            ("christoffels", christoffels),
-            ("thomas", thomas),
-            ("curvature", curvature),
-            ("surface", surface),
-        )
-        if value is not None
-    ]
-    if len(supplied) != 1:
-        raise ValueError(
-            f"exactly one geometric structure is required, got {supplied or 'none'}"
-        )
-
-    notes: list[str] = []
-    if surface is not None:
-        surface = as_expression(surface)
-        notes.append(GRAPH_SURFACE_GAMMA_NOTE)
-
-    def residual_at(f: Expression, point) -> ResidualSample:
-        if christoffels is not None:
-            return flex_residual(f, christoffels, point)
-        if thomas is not None:
-            pi = thomas(point) if callable(thomas) else thomas
-            return projective_flex_residual(f, pi, point)
-        if curvature is not None:
-            return constant_curvature_residual(f, curvature, point)
-        return graph_surface_residual(f, surface, point)
-
+    sweep = residual_sweep(
+        funcs,
+        grid,
+        christoffels=christoffels,
+        thomas=thomas,
+        curvature=curvature,
+        surface=surface,
+    )
     per_foliation = []
     worst = 0.0
-    for index, f in enumerate(funcs):
-        normalized_values = []
-        degenerate_points = []
-        skipped_points = []
-        for point in grid.points():
-            try:
-                sample = residual_at(f, point)
-            except EvaluationError:
-                skipped_points.append([point[0], point[1]])
-                continue
-            if sample.degenerate:
-                degenerate_points.append([point[0], point[1]])
-                continue
-            normalized_values.append(abs(sample.normalized))
-        if not normalized_values:
+    for index, (f, series) in enumerate(zip(funcs, sweep)):
+        stats = series.stats()
+        if stats is None:
             raise ValueError(
                 f"no valid grid samples for foliation {index + 1} "
                 f"('{to_source(f)}'): all points degenerate or out of domain"
             )
-        max_normalized = max(normalized_values)
-        worst = max(worst, max_normalized)
-        per_foliation.append(
-            {
-                "index": index + 1,
-                "function": to_source(f),
-                "samples": len(normalized_values),
-                "max_normalized": max_normalized,
-                "mean_normalized": sum(normalized_values) / len(normalized_values),
-                "degenerate_points": degenerate_points,
-                "skipped_points": skipped_points,
-            }
-        )
+        worst = max(worst, stats["max_normalized"])
+        per_foliation.append({"index": index + 1, "function": to_source(f), **stats})
 
     return {
         "per_foliation": per_foliation,
         "verdict": "geodesic" if worst <= tolerance else "non-geodesic",
         "max_normalized": worst,
         "tolerance": tolerance,
-        "notes": notes,
+        "notes": [GRAPH_SURFACE_GAMMA_NOTE] if surface is not None else [],
     }

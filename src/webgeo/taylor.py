@@ -15,11 +15,22 @@ functions are computed by composing with the univariate Taylor expansion of
 the outer function at the jet's constant term.  Any operation that would
 produce a NaN or infinite coefficient raises immediately; non-finite values
 are never stored.
+
+The kernels (`mul_table`, `div_table`, `compose_table`, `_integer_power`)
+work on coefficient tables whose entries are floats, for one jet, or lane
+vectors holding one value per point of a block of grid points.  Grid
+commands evaluate blocks: the same float operations run for every point
+at once, and each point gets the bits its single jet would.  Failures are
+per point: where a single jet raises, the block clears that point's lane
+in a validity mask (see "lane tables" below).  Transcendental constant
+terms and Python powers are computed lane by lane with `math` and Python
+floats, whose rounding numpy's vectorized versions do not always match.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,9 +154,7 @@ class TaylorJet:
         return jet_constant(self.base_point, 0.0, self.order) - self
 
     def __pow__(self, exponent):
-        if isinstance(exponent, (int, float)) and float(exponent).is_integer():
-            return _integer_power(self, int(exponent), _one_like(self))
-        return jet_pow_const(self, float(exponent))
+        return jet_elementary("pow_const", self, float(exponent))
 
     def __repr__(self):
         return (
@@ -163,6 +172,10 @@ def _finish(point, order, coeffs, context: str) -> TaylorJet:
     """
     if not np.isfinite(coeffs).all():
         raise JetDomainError(f"non-finite coefficient produced by {context}")
+    return _wrap(point, order, coeffs)
+
+
+def _wrap(point, order, coeffs) -> TaylorJet:
     jet = object.__new__(TaylorJet)
     coeffs.setflags(write=False)
     object.__setattr__(jet, "base_point", point)
@@ -194,10 +207,6 @@ def jet_variable(point, axis, order: int) -> TaylorJet:
     return _finish(point, order, coeffs, "coordinate seed")
 
 
-def _one_like(a: TaylorJet) -> TaylorJet:
-    return jet_constant(a.base_point, 1.0, a.order)
-
-
 def _check_compatible(a: TaylorJet, b: TaylorJet, op: str):
     if a.order != b.order:
         raise JetError(f"{op}: mismatched jet orders {a.order} and {b.order}")
@@ -217,40 +226,33 @@ def jet_sub(a: TaylorJet, b: TaylorJet) -> TaylorJet:
     return _finish(a.base_point, a.order, a.coeffs - b.coeffs, "sub")
 
 
-def jet_mul(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """Truncated Cauchy product of two jets."""
-    _check_compatible(a, b, "mul")
-    n = a.order
-    la = a.coeffs.tolist()
-    lb = b.coeffs.tolist()
+def mul_table(la, lb, n: int):
+    """Truncated Cauchy product of two coefficient tables of order n.
+
+    Entries are floats or lane vectors.  A float entry of `la` equal to
+    zero is skipped; a lane that holds zero adds +0.0 instead, which leaves
+    every accumulated sum unchanged, so each lane gets the same bits as a
+    single-point product.
+    """
     out = [[0.0] * (n + 1) for _ in range(n + 1)]
     for p in range(n + 1):
         row_a = la[p]
         for q in range(n + 1 - p):
             apq = row_a[q]
-            if apq == 0.0:
+            if type(apq) is float and apq == 0.0:
                 continue
             for i in range(p, n + 1):
                 row_b = lb[i - p]
                 row_out = out[i]
                 for j in range(q, n + 1 - i):
                     row_out[j] += apq * row_b[j - q]
-    return _finish(a.base_point, n, np.array(out), "mul")
+    return out
 
 
-def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """Truncated quotient, solved degree by degree.
-
-    A zero constant term in the divisor signals a singular point of the
-    formula being evaluated and raises :class:`JetDomainError`.
-    """
-    _check_compatible(a, b, "div")
-    n = a.order
-    b00 = float(b.coeffs[0, 0])
-    if b00 == 0.0:
-        raise JetDomainError("division by a jet with zero constant term")
-    la = a.coeffs.tolist()
-    lb = b.coeffs.tolist()
+def div_table(la, lb, n: int):
+    """Truncated quotient of two coefficient tables, solved degree by
+    degree.  The divisor's constant term must be nonzero (callers check)."""
+    b00 = lb[0][0]
     out = [[0.0] * (n + 1) for _ in range(n + 1)]
     out[0][0] = la[0][0] / b00
     for d in range(1, n + 1):
@@ -263,8 +265,108 @@ def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
                 for q in range(j + 1):
                     if p == i and q == j:
                         continue
-                    s -= row_out[q] * row_b[j - q]
+                    s = s - row_out[q] * row_b[j - q]
             out[i][j] = s / b00
+    return out
+
+
+def compose_table(h, series, n: int):
+    """Table of g(a) given the univariate Taylor coefficients of g at a's
+    constant term, where `h` is a's table with its constant term zeroed
+    (Horner evaluation)."""
+    acc = [[0.0] * (n + 1) for _ in range(n + 1)]
+    acc[0][0] = series[n]
+    for k in range(n - 1, -1, -1):
+        acc = mul_table(acc, h, n)
+        acc[0][0] = acc[0][0] + series[k]
+    return acc
+
+
+def per_lane(fn, *args):
+    """fn(*args) for floats; for lane vectors, fn called once per lane.
+
+    Lane-by-lane calls keep every lane bitwise equal to the single-point
+    result where numpy's vectorized transcendentals and powers round
+    differently from `math` and Python floats.
+    """
+    if isinstance(args[0], np.ndarray):
+        return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+    return fn(*args)
+
+
+def _cube_float(v: float) -> float:
+    return v**3
+
+
+def cube(v):
+    """v**3 as Python computes it for a float, per lane for a lane vector."""
+    return per_lane(_cube_float, v)
+
+
+def _exp_or_inf(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return math.inf
+
+
+def _series(fn: str, u, n: int, p: float | None = None):
+    """Univariate Taylor coefficients of an elementary function at u, a
+    float or a lane vector inside the function's domain."""
+    if fn == "sqrt":
+        coeffs = [per_lane(math.sqrt, u)]
+        p = 0.5
+    elif fn == "pow_const":
+        coeffs = [per_lane(lambda v: v**p, u)]
+    elif fn == "exp":
+        e = per_lane(_exp_or_inf, u)
+        return [e / _FACTORIAL[k] for k in range(n + 1)]
+    elif fn == "ln":
+        coeffs = [per_lane(math.log, u), 1.0 / u]
+        for k in range(2, n + 1):
+            coeffs.append(-coeffs[-1] * (k - 1) / (k * u))
+        return coeffs[: n + 1]
+    elif fn in ("sin", "cos"):
+        s, c = per_lane(math.sin, u), per_lane(math.cos, u)
+        cycle = (s, c, -s, -c) if fn == "sin" else (c, -s, -c, s)
+        return [cycle[k % 4] / _FACTORIAL[k] for k in range(n + 1)]
+    elif fn == "tan":
+        t = per_lane(math.tan, u)
+        t2 = t * t
+        coeffs = [
+            t,
+            1.0 + t2,
+            t + t * t2,
+            (1.0 + 4.0 * t2 + 3.0 * t2 * t2) / 3.0,
+            (2.0 * t + 5.0 * t * t2 + 3.0 * t * t2 * t2) / 3.0,
+        ]
+        return coeffs[: n + 1]
+    else:
+        raise JetError(f"unknown elementary function {fn!r}")
+    for k in range(1, n + 1):
+        coeffs.append(coeffs[-1] * (p - k + 1) / (k * u))
+    return coeffs
+
+
+def jet_mul(a: TaylorJet, b: TaylorJet) -> TaylorJet:
+    """Truncated Cauchy product of two jets."""
+    _check_compatible(a, b, "mul")
+    n = a.order
+    out = mul_table(a.coeffs.tolist(), b.coeffs.tolist(), n)
+    return _finish(a.base_point, n, np.array(out), "mul")
+
+
+def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
+    """Truncated quotient, solved degree by degree.
+
+    A zero constant term in the divisor signals a singular point of the
+    formula being evaluated and raises :class:`JetDomainError`.
+    """
+    _check_compatible(a, b, "div")
+    n = a.order
+    if float(b.coeffs[0, 0]) == 0.0:
+        raise JetDomainError("division by a jet with zero constant term")
+    out = div_table(a.coeffs.tolist(), b.coeffs.tolist(), n)
     return _finish(a.base_point, n, np.array(out), "div")
 
 
@@ -280,180 +382,54 @@ def jet_arith(operation: str, a: TaylorJet, b: TaylorJet) -> TaylorJet:
     return fn(a, b)
 
 
-def _integer_power(value, n: int, one):
-    """value**n by binary exponentiation.  Works for floats and jets alike,
-    so both evaluation paths share the exact same sequence of float ops."""
+def _integer_power(value, n: int, one, mul=operator.mul, div=operator.truediv):
+    """value**n by binary exponentiation.  Works for floats, jets and
+    coefficient tables alike, so every evaluation path shares the exact
+    same sequence of float ops."""
     if n == 0:
         return one
     if n < 0:
-        return _integer_power(one / value, -n, one)
+        return _integer_power(div(one, value), -n, one, mul, div)
 
     def positive(v, k):
         if k == 1:
             return v
         half = positive(v, k // 2)
-        squared = half * half
-        return squared if k % 2 == 0 else squared * v
+        squared = mul(half, half)
+        return squared if k % 2 == 0 else mul(squared, v)
 
     return positive(value, n)
 
 
-def _compose_univariate(a: TaylorJet, series, context: str) -> TaylorJet:
-    """Jet of g(a) given the univariate Taylor coefficients of g at a's
-    constant term (Horner evaluation in the zero-constant part of a)."""
-    n = a.order
-    h = np.array(a.coeffs)
-    h[0, 0] = 0.0
-    h_jet = _finish(a.base_point, n, h, context)
-    acc = jet_constant(a.base_point, series[n], n)
-    for k in range(n - 1, -1, -1):
-        acc = jet_mul(acc, h_jet)
-        bumped = np.array(acc.coeffs)
-        bumped[0, 0] += series[k]
-        acc = _finish(a.base_point, n, bumped, context)
-    return acc
-
-
-def _series_sqrt(u: float, n: int):
-    if u <= 0.0:
-        raise JetDomainError(f"sqrt of non-positive constant term {u!r}")
-    coeffs = [math.sqrt(u)]
-    p = 0.5
-    for k in range(1, n + 1):
-        coeffs.append(coeffs[-1] * (p - k + 1) / (k * u))
-    return coeffs
-
-
-def _series_exp(u: float, n: int):
-    e = math.exp(u)
-    return [e / _FACTORIAL[k] for k in range(n + 1)]
-
-
-def _series_ln(u: float, n: int):
-    if u <= 0.0:
-        raise JetDomainError(f"ln of non-positive constant term {u!r}")
-    coeffs = [math.log(u), 1.0 / u]
-    for k in range(2, n + 1):
-        coeffs.append(-coeffs[-1] * (k - 1) / (k * u))
-    return coeffs[: n + 1]
-
-
-def _series_sin(u: float, n: int):
-    s, c = math.sin(u), math.cos(u)
-    cycle = (s, c, -s, -c)
-    return [cycle[k % 4] / _FACTORIAL[k] for k in range(n + 1)]
-
-
-def _series_cos(u: float, n: int):
-    s, c = math.sin(u), math.cos(u)
-    cycle = (c, -s, -c, s)
-    return [cycle[k % 4] / _FACTORIAL[k] for k in range(n + 1)]
-
-
-def _series_tan(u: float, n: int):
-    t = math.tan(u)
-    if not math.isfinite(t):
-        raise JetDomainError(f"tan undefined at constant term {u!r}")
-    t2 = t * t
-    coeffs = [
-        t,
-        1.0 + t2,
-        t + t * t2,
-        (1.0 + 4.0 * t2 + 3.0 * t2 * t2) / 3.0,
-        (2.0 * t + 5.0 * t * t2 + 3.0 * t * t2 * t2) / 3.0,
-    ]
-    return coeffs[: n + 1]
-
-
-def _series_pow(u: float, p: float, n: int):
-    if u <= 0.0:
-        raise JetDomainError(
-            f"pow_const with non-integer exponent {p!r} needs a positive "
-            f"constant term, got {u!r}"
-        )
-    coeffs = [u**p]
-    for k in range(1, n + 1):
-        coeffs.append(coeffs[-1] * (p - k + 1) / (k * u))
-    return coeffs
-
-
-def jet_sqrt(a: TaylorJet) -> TaylorJet:
-    return _compose_univariate(a, _series_sqrt(a.value, a.order), "sqrt")
-
-
-def jet_exp(a: TaylorJet) -> TaylorJet:
-    try:
-        series = _series_exp(a.value, a.order)
-    except OverflowError:
-        raise JetDomainError(f"exp overflow at constant term {a.value!r}") from None
-    return _compose_univariate(a, series, "exp")
-
-
-def jet_ln(a: TaylorJet) -> TaylorJet:
-    return _compose_univariate(a, _series_ln(a.value, a.order), "ln")
-
-
-def jet_sin(a: TaylorJet) -> TaylorJet:
-    return _compose_univariate(a, _series_sin(a.value, a.order), "sin")
-
-
-def jet_cos(a: TaylorJet) -> TaylorJet:
-    return _compose_univariate(a, _series_cos(a.value, a.order), "cos")
-
-
-def jet_tan(a: TaylorJet) -> TaylorJet:
-    return _compose_univariate(a, _series_tan(a.value, a.order), "tan")
-
-
-def jet_pow_const(a: TaylorJet, exponent: float) -> TaylorJet:
-    """a raised to a constant real power.
+def jet_elementary(fn: str, a: TaylorJet, exponent: float | None = None) -> TaylorJet:
+    """Apply an elementary function (sqrt, exp, ln, sin, cos, tan), or
+    pow_const with a constant real exponent, to a jet.
 
     Integer exponents go through binary exponentiation (valid wherever the
     jet itself is, including zero constant terms for non-negative powers);
     fractional exponents require a positive constant term.
     """
-    p = float(exponent)
-    if p.is_integer():
-        n = int(p)
-        if n < 0 and a.value == 0.0:
-            raise JetDomainError(
-                "negative power of a jet with zero constant term"
-            )
-        return _integer_power(a, n, _one_like(a))
-    return _compose_univariate(a, _series_pow(a.value, p, a.order), "pow_const")
+    if fn == "pow_const" and exponent is None:
+        raise JetError("pow_const requires an exponent")
+    table = table_elementary(fn, a.coeffs.tolist(), a.order, None, exponent)
+    check_table(table, None, fn)
+    return jet_from_table(a.base_point, a.order, table)
 
 
-_ELEMENTARY = {
-    "sqrt": jet_sqrt,
-    "exp": jet_exp,
-    "ln": jet_ln,
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "tan": jet_tan,
-}
-
-
-def jet_elementary(fn: str, a: TaylorJet, exponent: float | None = None) -> TaylorJet:
-    """Apply an elementary function to a jet by name."""
-    if fn == "pow_const":
-        if exponent is None:
-            raise JetError("pow_const requires an exponent")
-        return jet_pow_const(a, exponent)
-    try:
-        impl = _ELEMENTARY[fn]
-    except KeyError:
-        raise JetError(f"unknown elementary function {fn!r}") from None
-    return impl(a)
+def check_derivative_index(i: int, j: int, order: int):
+    """Raise :class:`JetError` unless d^{i+j}/dx^i dy^j fits a jet of `order`."""
+    if i < 0 or j < 0:
+        raise JetError("derivative multi-index must be non-negative")
+    if i + j > order:
+        raise JetError(
+            f"derivative order {i}+{j} exceeds jet order {order}"
+        )
 
 
 def partial_derivative(a: TaylorJet, i: int, j: int) -> float:
     """The raw partial derivative d^{i+j} f / dx^i dy^j at the base point."""
-    if i < 0 or j < 0:
-        raise JetError("derivative multi-index must be non-negative")
-    if i + j > a.order:
-        raise JetError(
-            f"derivative order {i}+{j} exceeds jet order {a.order}"
-        )
+    if i < 0 or j < 0 or i + j > a.order:
+        check_derivative_index(i, j, a.order)
     return float(a.coeffs[i, j]) * _FACTORIAL[i] * _FACTORIAL[j]
 
 
@@ -461,16 +437,9 @@ def derivative_jet(a: TaylorJet, axis) -> TaylorJet:
     """Jet of the partial derivative of `a` along `axis`, one order lower."""
     if a.order < 2:
         raise JetError("derivative_jet would drop the order below 1")
-    name = _as_axis(axis)
-    n = a.order - 1
-    out = np.zeros((n + 1, n + 1))
-    for i in range(n + 1):
-        for j in range(n + 1 - i):
-            if name == "x":
-                out[i, j] = (i + 1) * a.coeffs[i + 1, j]
-            else:
-                out[i, j] = (j + 1) * a.coeffs[i, j + 1]
-    return _finish(a.base_point, n, out, "derivative_jet")
+    table = table_derivative(a.coeffs.tolist(), axis, a.order)
+    check_table(table, None, "derivative_jet")
+    return jet_from_table(a.base_point, a.order - 1, table)
 
 
 def truncate_jet(a: TaylorJet, order: int) -> TaylorJet:
@@ -484,3 +453,131 @@ def truncate_jet(a: TaylorJet, order: int) -> TaylorJet:
             if i + j > order:
                 out[i, j] = 0.0
     return _finish(a.base_point, order, out, "truncate")
+
+
+# ------------------------------------------------------------ lane tables
+#
+# A block of points is evaluated once for all its points.  A coefficient
+# table is a list of rows whose entries are floats (the same value at every
+# point) or lane vectors (one value per point); row i holds the
+# coefficients of x^i y^j for j = 0..order-i.  Where the single-point path
+# raises, a table operation clears that point's lane in the boolean mask
+# `ok` instead; the lane then holds an arbitrary value that is never read.
+# An operation that fails at every point (a float operand out of domain)
+# raises :class:`JetDomainError` as the single-point path does.
+
+
+def _require(good, ok, message: str, *value):
+    """Clear the lanes of `ok` where `good` is False; raise, naming the
+    offending value, when it is False at every point."""
+    if isinstance(good, np.ndarray):
+        ok &= good
+    elif not good:
+        raise JetDomainError(" ".join([message, *map(repr, value)]))
+
+
+def _is_finite(v):
+    return np.isfinite(v) if isinstance(v, np.ndarray) else math.isfinite(v)
+
+
+def constant_table(value: float, order: int):
+    table = [[0.0] * (order + 1 - i) for i in range(order + 1)]
+    table[0][0] = float(value)
+    return table
+
+
+def variable_table(lanes, axis: str, order: int):
+    """Table of the coordinate function x or y, valued `lanes` at the points."""
+    table = constant_table(0.0, order)
+    table[0][0] = lanes
+    if _as_axis(axis) == "x":
+        table[1][0] = 1.0
+    else:
+        table[0][1] = 1.0
+    return table
+
+
+def check_table(table, ok, context: str):
+    """Clear the lanes holding a non-finite coefficient, as `_finish` raises."""
+    for row in table:
+        for v in row:
+            if isinstance(v, np.ndarray):
+                ok &= np.isfinite(v)
+            elif v - v != 0.0:
+                raise JetDomainError(f"non-finite coefficient produced by {context}")
+
+
+def jet_from_table(point, order: int, table) -> TaylorJet:
+    """The jet at `point` whose table of finite floats is `table`."""
+    rows = [list(row[: order + 1 - i]) + [0.0] * i for i, row in enumerate(table)]
+    return _wrap(point, order, np.array(rows))
+
+
+def table_arith(op: str, a, b, order: int, ok):
+    """a op b for op one of + - * /."""
+    if op == "+":
+        return [[u + v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+    if op == "-":
+        return [[u - v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
+    if op == "*":
+        return mul_table(a, b, order)
+    if op == "/":
+        _require(b[0][0] != 0.0, ok, "division by a jet with zero constant term")
+        return div_table(a, b, order)
+    raise JetError(f"unknown jet operation {op!r}")
+
+
+def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
+    """Table of an elementary function (or pow_const) of a table."""
+    u = a[0][0]
+    p = None
+    if fn == "pow_const":
+        p = float(exponent)
+        if p.is_integer():
+            k = int(p)
+            if k < 0:
+                _require(u != 0.0, ok, "negative power of a jet with zero constant term")
+            return _integer_power(
+                a,
+                k,
+                constant_table(1.0, order),
+                lambda s, t: mul_table(s, t, order),
+                lambda s, t: div_table(s, t, order),
+            )
+    if fn == "pow_const":
+        _require(
+            u > 0.0,
+            ok,
+            f"pow_const with non-integer exponent {p!r} needs a positive constant term, got",
+            u,
+        )
+    elif fn in ("sqrt", "ln"):
+        _require(u > 0.0, ok, f"{fn} of non-positive constant term", u)
+    if isinstance(u, np.ndarray):
+        u = np.where(ok, u, 1.0)
+    series = _series(fn, u, order, p)
+    overflow = "exp overflow" if fn == "exp" else f"{fn} undefined"
+    _require(_is_finite(series[0]), ok, f"{overflow} at constant term", u)
+    h = [list(row) for row in a]
+    h[0][0] = 0.0
+    return compose_table(h, series, order)
+
+
+def table_derivative(table, axis: str, order: int):
+    """Table of the partial derivative along `axis`, one order lower."""
+    m = order - 1
+    if _as_axis(axis) == "x":
+        return [[(i + 1) * table[i + 1][j] for j in range(m + 1 - i)] for i in range(m + 1)]
+    return [[(j + 1) * table[i][j + 1] for j in range(m + 1 - i)] for i in range(m + 1)]
+
+
+def take_lanes(value, ok):
+    """The lanes of `value` where `ok`, as a lane vector (floats broadcast)."""
+    if isinstance(value, np.ndarray):
+        return value[ok]
+    return np.full(int(np.count_nonzero(ok)), value)
+
+
+def table_partial(table, i: int, j: int):
+    """The raw partial derivative d^{i+j}/dx^i dy^j, as `partial_derivative`."""
+    return table[i][j] * _FACTORIAL[i] * _FACTORIAL[j]

@@ -3,10 +3,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from webgeo.cli import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 FLEX_ARGS = ["flex", "--f", "x + sqrt(x^2 - y)", "--grid", "1.5:2.5:0:1:20:20"]
 FIT_ARGS = ["fit", "--web", "x; y; x+y; x*y", "--point", "2,1"]
@@ -67,6 +73,48 @@ def test_usage_error_exits_2(capsys):
     assert run(["nosuchcommand"]) == 2
     assert run([]) == 2
     assert run(["fit", "--web", "x; y; x+y; x*y"]) == 2  # no point/grid
+
+
+@pytest.mark.parametrize("grid", ["nan:1:0:1:3:3", "0:inf:0:1:3:3", "0:1:0:1:1001:1000"])
+def test_bad_grid_exits_2(grid, capsys):
+    assert run(["flex", "--f", "x", "--grid", grid]) == 2
+    err = capsys.readouterr().err
+    assert "--grid" in err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1e-8", "inf", "-inf"])
+def test_bad_tolerance_exits_2(tol, capsys):
+    assert run(["flex", "--f", "x", "--grid", "0:1:0:1:3:3", f"--tol={tol}"]) == 2
+    assert "tolerance must be a finite non-negative number" in capsys.readouterr().err
+
+
+def test_zero_tolerance_is_accepted(capsys):
+    code, report = _run_json(["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "--tol", "0"], capsys)
+    assert code == 0
+    assert report["results"]["tolerance"] == 0.0
+
+
+def _run_alone(argv):
+    """Exit code, stdout and stderr of one run in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = "import sys; from webgeo.cli import run; sys.exit(run(sys.argv[1:]))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_runs_in_one_process_match_runs_alone(capsys):
+    sequence = [
+        FLEX_ARGS,
+        ["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "--format", "xml"],
+        ["euler", "--w", "y/(1 - x)", "--point", "0.5,2"],
+    ]
+    for argv in sequence:
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == _run_alone(argv), argv
+    assert [run(argv) for argv in sequence] == [0, 2, 0]
 
 
 def test_expect_mismatch_exits_1(capsys):

@@ -23,6 +23,7 @@ from webgeo import (
     partial_derivative,
     to_source,
 )
+from webgeo.exprlang import MAX_NESTING
 from conftest import CORPUS, fd_partial, sample_point
 
 
@@ -174,6 +175,22 @@ def test_parser_totality_fuzz(rng):
             parse(text)
         except ParseError:
             pass  # the only acceptable failure mode
+
+
+def test_deep_parentheses_are_a_parse_error():
+    depth = 3000
+    with pytest.raises(ParseError) as err:
+        parse("(" * depth + "x" + ")" * depth)
+    assert err.value.position == MAX_NESTING
+    nested = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse(nested) == Variable("x")
+
+
+def test_deep_unary_minus_is_a_parse_error():
+    with pytest.raises(ParseError) as err:
+        parse("-" * 3000 + "x")
+    assert err.value.position == MAX_NESTING
+    assert evaluate(parse("-" * MAX_NESTING + "x"), (2.0, 0.0)) == 2.0
 
 
 def test_operator_overloading_builds_same_trees():

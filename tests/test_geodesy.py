@@ -26,6 +26,8 @@ from webgeo import (
 )
 from conftest import CORPUS, rel_close, sample_point
 
+from webgeo.geodesy import MAX_GRID_POINTS
+
 FLAT = ChristoffelField(*([Constant(0.0)] * 6))
 
 
@@ -248,3 +250,28 @@ def test_grid_spec_contract():
     assert list(grid.points())[0] == (0.0, 0.0)
     assert list(grid.points())[-1] == (1.0, 2.0)
     assert len(list(grid.points())) == 6
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        (math.nan, 1.0, 0.0, 1.0),
+        (0.0, math.inf, 0.0, 1.0),
+        (0.0, 1.0, -math.inf, 1.0),
+        (0.0, 1.0, 0.0, math.nan),
+        (-1e308, 1e308, 0.0, 1.0),
+    ],
+)
+def test_grid_spec_rejects_non_finite_bounds(bounds):
+    with pytest.raises(ValueError):
+        GridSpec(*bounds, 3, 3)
+
+
+def test_grid_spec_caps_the_point_count():
+    # Construction validates without building the lattice.
+    side = math.isqrt(MAX_GRID_POINTS)
+    GridSpec(0, 1, 0, 1, side, MAX_GRID_POINTS // side)
+    with pytest.raises(ValueError, match="more than the limit"):
+        GridSpec(0, 1, 0, 1, side, MAX_GRID_POINTS // side + 1)
+    with pytest.raises(ValueError, match="more than the limit"):
+        GridSpec(0, 1, 0, 1, 10**9, 10**9)
