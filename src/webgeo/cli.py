@@ -28,10 +28,11 @@ from .projective import (
     FiniteTypeState,
     alpha_beta,
     curvature_along,
-    dweb_geodesic_residuals,
+    dweb_sweep,
     fit_projective_structure,
+    fit_sweep,
     integrate_symmetric_connection,
-    symmetric_conditions_residual,
+    symmetry_sweep,
 )
 from .render import (
     Rect,
@@ -144,6 +145,14 @@ def _verdict_exit(args, verdict: str) -> int:
     return 0
 
 
+def _sequential_sum(values) -> float:
+    """Left-to-right float sum, the same bits on every Python version."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def _grid_stats(series) -> dict:
     stats = series.stats()
     if stats is None:
@@ -241,28 +250,14 @@ def _cmd_fit(args) -> int:
     elif args.grid:
         grid = _parse_grid(args.grid)
         grid_dict = grid.as_dict()
-        sums = [0.0, 0.0, 0.0, 0.0]
-        lows = [float("inf")] * 4
-        highs = [float("-inf")] * 4
-        count = 0
-        skipped = []
-        for point in grid.points():
-            try:
-                pi = fit_projective_structure(web, point)
-            except (DegenerateWebError, EvaluationError):
-                skipped.append([point[0], point[1]])
-                continue
-            for idx, value in enumerate(pi.as_tuple()):
-                sums[idx] += value
-                lows[idx] = min(lows[idx], value)
-                highs[idx] = max(highs[idx], value)
-            count += 1
+        columns, skipped = fit_sweep(web, grid)
+        count = len(columns[0])
         if count == 0:
             raise EvaluationError("web is degenerate on the whole grid")
         names = ("p1_22", "p1_12", "p2_12", "p2_11")
         results = {
-            "pi": {n: sums[i] / count for i, n in enumerate(names)},
-            "max_spread": max(highs[i] - lows[i] for i in range(4)),
+            "pi": {n: _sequential_sum(c) / count for n, c in zip(names, columns)},
+            "max_spread": max(max(c) - min(c) for c in columns),
             "points_used": count,
             "skipped_points": skipped,
         }
@@ -278,30 +273,26 @@ def _cmd_dweb(args) -> int:
     if len(web) < 5:
         raise _UsageError(f"--web: dweb needs at least 5 functions, got {len(web)}")
     grid = _parse_grid(args.grid)
-    worst = 0.0
-    per_function = [
-        {"index": idx + 5, "function": to_source(f), "max_normalized": 0.0, "samples": 0}
-        for idx, f in enumerate(web[4:])
-    ]
-    skipped = []
-    for point in grid.points():
-        try:
-            residuals = dweb_geodesic_residuals(web, point)
-        except (DegenerateWebError, EvaluationError):
-            skipped.append([point[0], point[1]])
-            continue
-        for entry, sample in zip(per_function, residuals):
-            if sample.degenerate:
-                continue
-            entry["samples"] += 1
-            entry["max_normalized"] = max(entry["max_normalized"], abs(sample.normalized))
-            worst = max(worst, abs(sample.normalized))
+    series = dweb_sweep(web, grid)
+    per_function = []
+    for idx, (f, samples) in enumerate(zip(web[4:], series)):
+        valid = [abs(v) for v, bad in zip(samples.normalized, samples.degenerate) if not bad]
+        per_function.append(
+            {
+                "index": idx + 5,
+                "function": to_source(f),
+                # max from 0.0, so a NaN sample counts but never wins
+                "max_normalized": max([0.0, *valid]),
+                "samples": len(valid),
+            }
+        )
     if all(entry["samples"] == 0 for entry in per_function):
         raise EvaluationError("no valid samples on the requested grid")
+    worst = max(entry["max_normalized"] for entry in per_function)
     verdict = "geodesic" if worst <= args.tol else "non-geodesic"
     results = {
         "per_function": per_function,
-        "skipped_points": skipped,
+        "skipped_points": series[0].skipped,
         "max_normalized": worst,
         "verdict": verdict,
         "tolerance": args.tol,
@@ -320,17 +311,9 @@ def _cmd_symcheck(args) -> int:
     f3 = _parse_expr(args.f3, "--f3")
     f4 = _parse_expr(args.f4, "--f4")
     grid = _parse_grid(args.grid)
-    r1_values = []
-    r2_values = []
-    skipped = []
-    for point in grid.points():
-        try:
-            r1, r2 = symmetric_conditions_residual(f3, f4, point)
-        except EvaluationError:
-            skipped.append([point[0], point[1]])
-            continue
-        r1_values.append(abs(r1))
-        r2_values.append(abs(r2))
+    r1, r2, skipped = symmetry_sweep(f3, f4, grid)
+    r1_values = [abs(v) for v in r1]
+    r2_values = [abs(v) for v in r2]
     if not r1_values:
         raise EvaluationError("no valid samples on the requested grid")
     worst = max(max(r1_values), max(r2_values))

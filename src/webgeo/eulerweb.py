@@ -26,6 +26,7 @@ Both residuals are exposed, each in its own convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ from .exprlang import (
     to_source,
     variables_of,
 )
-from .geodesy import GridResiduals, GridSpec
+from .geodesy import GridResiduals, GridSpec, cube
 from .geometry import ThomasParameters
 from .render import LeafPolyline, Rect
 from .taylor import (
@@ -48,9 +49,7 @@ from .taylor import (
     jet_constant,
     jet_variable,
     partial_derivative,
-    cube,
     table_partial,
-    take_lanes,
 )
 
 DEFAULT_SCAN_COUNT = 400
@@ -115,9 +114,9 @@ def _euler(w, wx, wy):
     return wx - w * wy
 
 
-def _connection_euler(w, wx, wy, pi: ThomasParameters):
+def _connection_euler(w, wx, wy, pi: ThomasParameters, ok=None):
     cubic = (
-        pi.p2_11 * cube(w)
+        pi.p2_11 * cube(w, ok)
         - 3.0 * pi.p2_12 * w * w
         - 3.0 * pi.p1_12 * w
         + pi.p1_22
@@ -156,15 +155,14 @@ def euler_sweep(w, grid: GridSpec, pi: ThomasParameters | None = None) -> GridRe
     out = GridResiduals()
     with np.errstate(all="ignore"):
         for block in grid.blocks():
-            table, ok = block.evaluate(w, 1)
+            table, good = block.evaluate(w, 1)
+            ok = good.copy()
             if table is None:
                 out.add_block(block, ok)
                 continue
-            v, vx, vy = (
-                take_lanes(table_partial(table, i, j), ok) for i, j in ((0, 0), (1, 0), (0, 1))
-            )
-            raw = _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi)
-            out.add_block(block, ok, raw)
+            v, vx, vy = (table_partial(table, i, j) for i, j in ((0, 0), (1, 0), (0, 1)))
+            raw = _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi, ok)
+            out.add_block(block, ok, (raw, raw, math.nan, False))
     return out
 
 

@@ -201,7 +201,10 @@ def _tokenize(text: str):
             continue
         if ch.isdigit():
             m = _NUMBER_RE.match(text, i)
-            tokens.append(("num", float(m.group()), i))
+            value = float(m.group())
+            if not math.isfinite(value):
+                raise ParseError(i, f"number {m.group()!r} is out of range")
+            tokens.append(("num", value, i))
             i = m.end()
             continue
         if ch.isalpha() or ch == "_":
@@ -230,8 +233,16 @@ def _tokenize(text: str):
 #: parser accepts; deeper input is a ParseError rather than a RecursionError.
 MAX_NESTING = 100
 
+#: Deepest expression tree the parser builds, counting nodes from the root
+#: to a leaf.  The tree walkers recurse once per level, so a long flat chain
+#: such as ``x+x+...+x`` is a ParseError past this depth rather than a
+#: RecursionError in every later walk.
+MAX_DEPTH = 200
+
 
 class _Parser:
+    """Recursive descent; each rule returns (node, depth of its tree)."""
+
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
@@ -241,6 +252,14 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(tok[2], f"nesting deeper than {MAX_NESTING} levels")
+
+    @staticmethod
+    def deeper(tok, *depths) -> int:
+        """Depth of a node over subtrees of `depths`, built at token `tok`."""
+        depth = 1 + max(depths)
+        if depth > MAX_DEPTH:
+            raise ParseError(tok[2], f"expression tree deeper than {MAX_DEPTH} levels")
+        return depth
 
     def peek(self):
         return self.tokens[self.pos]
@@ -257,56 +276,58 @@ class _Parser:
         return self.advance()
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            op = self.advance()[1]
-            node = Binary(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, right_depth = self.term()
+            node, depth = Binary(tok[1], node, right), self.deeper(tok, depth, right_depth)
+        return node, depth
 
     def term(self):
-        node = self.factor()
+        node, depth = self.factor()
         while self.peek()[0] == "op" and self.peek()[1] in "*/":
-            op = self.advance()[1]
-            node = Binary(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, right_depth = self.factor()
+            node, depth = Binary(tok[1], node, right), self.deeper(tok, depth, right_depth)
+        return node, depth
 
     def factor(self):
         tok = self.peek()
         if tok[0] == "op" and tok[1] == "-":
             self.advance()
             self.nest(tok)
-            node = Unary("neg", self.factor())
+            child, depth = self.factor()
             self.depth -= 1
-            return node
+            return Unary("neg", child), self.deeper(tok, depth)
         return self.power()
 
     def power(self):
-        node = self.atom()
+        node, depth = self.atom()
         if self.peek()[0] == "op" and self.peek()[1] == "^":
             self.advance()
             tok = self.peek()
             if tok[0] != "num":
                 raise ParseError(tok[2], "exponent must be a numeric constant")
             self.advance()
-            return Binary("^", node, Constant(tok[1]))
-        return node
+            return Binary("^", node, Constant(tok[1])), self.deeper(tok, depth)
+        return node, depth
 
     def atom(self):
         tok = self.peek()
         kind, value, pos = tok
         if kind == "num":
             self.advance()
-            return Constant(value)
+            return Constant(value), 1
         if kind == "ident":
             self.advance()
             if value in ("x", "y"):
-                return Variable(value)
+                return Variable(value), 1
             if value in FUNCTION_NAMES:
                 self.nest(self.expect("(", f"'(' after function name '{value}'"))
-                inner = self.expr()
+                inner, depth = self.expr()
                 self.expect(")", "closing ')'")
                 self.depth -= 1
-                return Call(value, inner)
+                return Call(value, inner), self.deeper(tok, depth)
             raise ParseError(pos, f"unknown identifier '{value}'")
         if kind == "(":
             self.nest(self.advance())
@@ -321,12 +342,13 @@ def parse(text: str) -> Expression:
     """Parse a formula string into an expression tree.
 
     Raises :class:`ParseError` (with the byte offset) for every
-    non-grammatical input; no input string crashes the parser.
+    non-grammatical input; no input string crashes the parser.  Numbers
+    must be finite, and trees deeper than MAX_DEPTH levels are rejected.
     """
     if not isinstance(text, str):
         raise ParseError(0, "input must be a string")
     parser = _Parser(_tokenize(text))
-    node = parser.expr()
+    node, _ = parser.expr()
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError(tok[2], f"unexpected trailing input {tok[1]!r}")

@@ -44,7 +44,7 @@ from .geometry import (
     ChristoffelField,
     ThomasParameters,
 )
-from .taylor import TaylorJet, cube, partial_derivative, per_lane, table_partial, take_lanes
+from .taylor import TaylorJet, partial_derivative, per_lane, table_partial, take_lanes
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -78,16 +78,53 @@ def _gradient_threshold(x, y):
     return DEGENERACY_COEFF * (1.0 + abs(x) + abs(y))
 
 
+def _cube_or_nan(v: float) -> float:
+    try:
+        return v**3
+    except OverflowError:
+        return math.nan
+
+
+def cube(v, ok=None):
+    """v**3 as Python computes it for a float, lane by lane for a lane
+    vector.  A cube that overflows fails its point: at one point (`ok`
+    None) it raises :class:`EvaluationError`, in a block it clears the
+    point's lane of `ok`."""
+    if ok is None:
+        try:
+            return v**3
+        except OverflowError:
+            raise EvaluationError(f"cube of {v!r} overflows") from None
+    c = per_lane(_cube_or_nan, v)
+    ok &= ~np.isnan(c) | np.isnan(v)
+    return c
+
+
 def _make_sample(point, raw: float, fx: float, fy: float) -> ResidualSample:
     point = (float(point[0]), float(point[1]))
     gradient_norm = math.hypot(fx, fy)
     if gradient_norm <= _gradient_threshold(*point):
         return ResidualSample(point, raw, math.nan, gradient_norm, True)
-    return ResidualSample(point, raw, raw / gradient_norm**3, gradient_norm, False)
+    return ResidualSample(point, raw, raw / cube(gradient_norm), gradient_norm, False)
 
 
-# Residual formulas.  Each takes floats (one point) or lane vectors (the
-# valid points of a block) and is the only place its formula is written.
+def normalize_lanes(block: Block, ok, raw, fx, fy):
+    """The fields :func:`_make_sample` computes, at every point of a block:
+    (raw, normalized, gradient norm, degenerate) as lane vectors, for the
+    residual `raw` and the gradient (`fx`, `fy`), floats or lane vectors.
+    A cube that overflows clears its lane of `ok`."""
+    n = len(block.x)
+    raw, fx, fy = (np.broadcast_to(v, (n,)) for v in (raw, fx, fy))
+    gradient_norm = per_lane(math.hypot, fx, fy)
+    degenerate = gradient_norm <= _gradient_threshold(block.x, block.y)
+    normalized = np.where(degenerate, math.nan, raw / cube(gradient_norm, ok))
+    return raw, normalized, gradient_norm, degenerate
+
+
+# Residual formulas.  Each takes floats (one point) or lane vectors (a
+# block) and is the only place its formula is written.  Values at the
+# lanes of a block's invalid points are arbitrary; they are computed and
+# never read.
 
 
 def _flex(fx, fy, fxx, fxy, fyy):
@@ -104,14 +141,14 @@ def _covariant_flex(d, gammas):
     )
 
 
-def _projective_flex(d, pi):
+def _projective_flex(d, pi, ok=None):
     fx, fy = d[0], d[1]
     p1_22, p1_12, p2_12, p2_11 = pi
     cubic = (
-        p1_22 * cube(fx)
+        p1_22 * cube(fx, ok)
         - 3.0 * p1_12 * fx * fx * fy
         - 3.0 * p2_12 * fx * fy * fy
-        + p2_11 * cube(fy)
+        + p2_11 * cube(fy, ok)
     )
     return cubic - _flex(*d)
 
@@ -292,30 +329,19 @@ class GridResiduals:
         self.degenerate: list[bool] = []
         self.skipped: list[list[float]] = []
 
-    def add_block(self, block: Block, ok, raw=None, fx=None, fy=None):
-        """Append one block: `raw` (and the gradient `fx`, `fy`) are lane
-        vectors over the block's valid points, those where `ok`.  Without a
-        gradient the residual is its own normalization (Euler residuals)."""
-        xs, ys = block.x.tolist(), block.y.tolist()
-        self.skipped.extend([x, y] for x, y, good in zip(xs, ys, ok.tolist()) if not good)
-        if raw is None:
+    def add_block(self, block: Block, ok, samples=None):
+        """Append one block: the points where `ok` is False are skipped,
+        the others get the fields `samples` = (raw, normalized, gradient
+        norm, degenerate) hold at their lanes (floats stand for every
+        lane)."""
+        self.skipped.extend(skipped_points(block, ok))
+        if samples is None:
             return
-        x, y = block.x[ok], block.y[ok]
-        self.points.extend(zip(x.tolist(), y.tolist()))
-        self.raw.extend(raw.tolist())
-        if fx is None:
-            self.normalized.extend(raw.tolist())
-            self.gradient_norm.extend([math.nan] * len(raw))
-            self.degenerate.extend([False] * len(raw))
-            return
-        gradient_norm = per_lane(math.hypot, fx, fy)
-        degenerate = gradient_norm <= _gradient_threshold(x, y)
-        normalized = np.full(len(raw), math.nan)
-        keep = ~degenerate
-        normalized[keep] = raw[keep] / cube(gradient_norm[keep])
-        self.normalized.extend(normalized.tolist())
-        self.gradient_norm.extend(gradient_norm.tolist())
-        self.degenerate.extend(degenerate.tolist())
+        self.points.extend(zip(block.x[ok].tolist(), block.y[ok].tolist()))
+        for values, field_ in zip(
+            (self.raw, self.normalized, self.gradient_norm, self.degenerate), samples
+        ):
+            values.extend(take_lanes(field_, ok).tolist())
 
     def samples(self) -> list[ResidualSample]:
         return [
@@ -342,9 +368,15 @@ class GridResiduals:
         }
 
 
+def skipped_points(block: Block, ok) -> list[list[float]]:
+    """The points of a block where `ok` is False, as [x, y] lists."""
+    xs, ys = block.x.tolist(), block.y.tolist()
+    return [[x, y] for x, y, good in zip(xs, ys, ok.tolist()) if not good]
+
+
 def _structure_terms(block: Block, christoffels, thomas, curvature, surface):
     """The structure's terms at a block, with the mask of points where it is
-    defined, and the residual formula that takes (derivatives, terms)."""
+    defined, and the residual formula that takes (derivatives, terms, ok)."""
     ok = np.ones(len(block.x), dtype=bool)
     if christoffels is not None:
         terms = []
@@ -359,7 +391,7 @@ def _structure_terms(block: Block, christoffels, thomas, curvature, surface):
             value, good = block.evaluate(gamma, 0)
             ok &= good
             terms.append(value)
-        return ok, terms, _covariant_flex
+        return ok, terms, lambda d, t, _: _covariant_flex(d, t)
     if thomas is not None:
         if not callable(thomas):
             return ok, list(thomas.as_tuple()), _projective_flex
@@ -375,12 +407,12 @@ def _structure_terms(block: Block, christoffels, thomas, curvature, surface):
         denom = _curvature_denominator(curvature, block.x, block.y)
         ok &= ~(denom <= 0.0)
         return ok, [block.x, block.y, denom], (
-            lambda d, t: _constant_curvature_flex(d, curvature, *t)
+            lambda d, t, _: _constant_curvature_flex(d, curvature, *t)
         )
     table, good = block.evaluate(surface, 2)
     ok &= good
     terms = [table_partial(table, i, j) for i, j in _SECOND_ORDER] if table else []
-    return ok, terms, _graph_surface_flex
+    return ok, terms, lambda d, t, _: _graph_surface_flex(d, t)
 
 
 def residual_sweep(
@@ -428,9 +460,9 @@ def residual_sweep(
                 if not ok.any():
                     out.add_block(block, ok)
                     continue
-                d = [take_lanes(table_partial(table, i, j), ok) for i, j in _SECOND_ORDER]
-                raw = formula(d, [take_lanes(t, ok) for t in terms])
-                out.add_block(block, ok, raw, d[0], d[1])
+                d = [table_partial(table, i, j) for i, j in _SECOND_ORDER]
+                raw = formula(d, terms, ok)
+                out.add_block(block, ok, normalize_lanes(block, ok, raw, d[0], d[1]))
     return results
 
 

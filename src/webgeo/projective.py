@@ -24,6 +24,13 @@ hold.  In that case the remaining freedom (sigma = G1_12, tau = G2_12 and
 their first derivatives, constrained by a vanishing curvature trace) forms
 a finite-type system: all second derivatives of sigma and tau are explicit
 in the state, and transporting a state along paths is path independent.
+
+Over a grid, :func:`fit_sweep`, :func:`dweb_sweep` and
+:func:`symmetry_sweep` evaluate a block of points at a time (see
+:class:`~webgeo.exprlang.Block`).  They run the same formulas as the
+single-point functions, on lane vectors instead of floats, so every value
+has the single-point bits; a point where the single-point function raises
+is skipped.
 """
 
 from __future__ import annotations
@@ -35,17 +42,28 @@ import numpy as np
 
 from .exprlang import EvaluationError, as_expression, evaluate_jet, to_source
 from .geodesy import (
+    _SECOND_ORDER,
+    GridResiduals,
+    GridSpec,
     ResidualSample,
     WebPresentation,
+    _flex,
+    _projective_flex,
     flex_of_jet,
+    normalize_lanes,
     projective_flex_residual,
+    skipped_points,
 )
 from .geometry import CurvatureMatrix, ThomasParameters, curvature_components
 from .taylor import (
+    JetDomainError,
+    TableJet,
     TaylorJet,
-    derivative_jet,
+    jet_from_table,
     partial_derivative,
-    truncate_jet,
+    per_lane,
+    table_partial,
+    take_lanes,
 )
 
 #: Pairs with |J(f_i, f_j)| below this times |grad f_i| |grad f_j| are
@@ -70,48 +88,67 @@ def _require_web(web, d: int | None = None, at_least: int | None = None):
     return web
 
 
-def _gradients_and_flexes(web: WebPresentation, point):
+# The formulas below are written once, over floats at one point or over
+# lane vectors at a block of grid points (see :class:`~webgeo.exprlang.Block`).
+# `at` is the point or the Block.  At one point `ok` is None and a failure
+# raises; in a block `ok` is the boolean lane mask, and a failure clears the
+# lanes of the points where the single-point call raises.
+
+
+def _fail(bad, ok, error):
+    """Raise error() where `bad` at one point; clear those lanes of `ok` in
+    a block."""
+    if ok is None:
+        if bad:
+            raise error()
+    else:
+        ok &= np.logical_not(bad)
+
+
+def _table_at(f, at, order: int, ok):
+    """Coefficient table of the jet of f at `at`."""
+    if ok is None:
+        return evaluate_jet(f, at, order).coeffs.tolist()
+    return at.target(f, order, ok)
+
+
+def _gradients_and_flexes(web: WebPresentation, at, ok=None):
     grads = []
     flexes = []
     for f in web.functions:
-        jet = evaluate_jet(f, point, 2)
-        grads.append((partial_derivative(jet, 1, 0), partial_derivative(jet, 0, 1)))
-        flexes.append(flex_of_jet(jet))
+        table = _table_at(f, at, 2, ok)
+        d = [table_partial(table, i, j) for i, j in _SECOND_ORDER]
+        if ok is not None:
+            d = [np.broadcast_to(v, ok.shape) for v in d]
+        grads.append((d[0], d[1]))
+        flexes.append(_flex(*d))
     return grads, flexes
 
 
-def _check_transversality(web: WebPresentation, grads, point):
+def _check_transversality(web: WebPresentation, grads, at, ok):
+    norms = [per_lane(math.hypot, gx, gy) for gx, gy in grads]
     n = len(grads)
     for i in range(n):
         for j in range(i + 1, n):
             (pix, piy), (pjx, pjy) = grads[i], grads[j]
             jac = pix * pjy - piy * pjx
-            scale = math.hypot(pix, piy) * math.hypot(pjx, pjy)
-            if abs(jac) <= JACOBIAN_DEGENERACY_COEFF * scale:
-                raise DegenerateWebError(
-                    f"degenerate web at {tuple(point)}: foliations ({i + 1}, {j + 1}) "
+            _fail(
+                abs(jac) <= JACOBIAN_DEGENERACY_COEFF * (norms[i] * norms[j]),
+                ok,
+                lambda: DegenerateWebError(
+                    f"degenerate web at {tuple(at)}: foliations ({i + 1}, {j + 1}) "
                     f"('{to_source(web.functions[i])}', '{to_source(web.functions[j])}') "
                     f"are tangent (Jacobian {jac!r})"
-                )
+                ),
+            )
 
 
-def fit_projective_structure(web, point) -> ThomasParameters:
-    """Thomas parameters of the projective structure of a 4-web, in closed
-    form.
-
-    The cubic gradient form interpolating the four flex values is assembled
-    by Lagrange interpolation over the gradient directions:
-
-        C(p, q) = sum_i Flex f_i * prod_{k != i} (q_k p - p_k q)
-                                 / prod_{k != i} J(f_i, f_k)
-
-    and the Thomas parameters are read off its coefficients.  Substituting
-    the result back into the geodesicity equation of any of the four
-    functions gives a zero residual to machine precision.
-    """
-    web = _require_web(web, d=4)
-    grads, flexes = _gradients_and_flexes(web, point)
-    _check_transversality(web, grads, point)
+def _fit(web: WebPresentation, at, ok=None):
+    """(p1_22, p1_12, p2_12, p2_11) of a 4-web by the closed form of
+    :func:`fit_projective_structure`; in a block, the lanes where those
+    are not finite are cleared too."""
+    grads, flexes = _gradients_and_flexes(web, at, ok)
+    _check_transversality(web, grads, at, ok)
 
     p1_22 = p1_12 = p2_12 = p2_11 = 0.0
     for i in range(4):
@@ -119,6 +156,14 @@ def fit_projective_structure(web, point) -> ThomasParameters:
         denom = 1.0
         for k in others:
             denom *= grads[i][0] * grads[k][1] - grads[i][1] * grads[k][0]
+        _fail(
+            denom == 0.0,
+            ok,
+            lambda: DegenerateWebError(
+                f"degenerate web at {tuple(at)}: the Jacobians of foliation {i + 1} "
+                "with the others multiply to zero"
+            ),
+        )
         prod_fy = 1.0
         prod_fx = 1.0
         for k in others:
@@ -140,7 +185,65 @@ def fit_projective_structure(web, point) -> ThomasParameters:
         p2_11 -= weight * prod_fx
         p1_12 += weight * sum_x_prod_y / 3.0
         p2_12 -= weight * sum_y_prod_x / 3.0
-    return ThomasParameters(p1_22=p1_22, p1_12=p1_12, p2_12=p2_12, p2_11=p2_11)
+    pi = (p1_22, p1_12, p2_12, p2_11)
+    if ok is not None:
+        for value in pi:
+            ok &= np.isfinite(value)
+    return pi
+
+
+def fit_projective_structure(web, point) -> ThomasParameters:
+    """Thomas parameters of the projective structure of a 4-web, in closed
+    form.
+
+    The cubic gradient form interpolating the four flex values is assembled
+    by Lagrange interpolation over the gradient directions:
+
+        C(p, q) = sum_i Flex f_i * prod_{k != i} (q_k p - p_k q)
+                                 / prod_{k != i} J(f_i, f_k)
+
+    and the Thomas parameters are read off its coefficients.  Substituting
+    the result back into the geodesicity equation of any of the four
+    functions gives a zero residual to machine precision.
+    """
+    return ThomasParameters(*_fit(_require_web(web, d=4), point))
+
+
+def _blocks(grid: GridSpec, kernel):
+    """kernel(block, ok) at each block of the grid, as (block, ok, result);
+    result is None where no point of the block is valid."""
+    for block in grid.blocks():
+        ok = np.ones(len(block.x), dtype=bool)
+        with np.errstate(all="ignore"):
+            try:
+                result = kernel(block, ok)
+            except (EvaluationError, JetDomainError):
+                ok[:] = False
+                result = None
+        yield block, ok, (result if ok.any() else None)
+
+
+def _sweep_columns(grid: GridSpec, kernel, count: int):
+    """(columns, skipped): the `count` values kernel(block, ok) returns, in
+    grid order at the valid points, and the other points."""
+    columns = tuple([] for _ in range(count))
+    skipped = []
+    for block, ok, values in _blocks(grid, kernel):
+        skipped.extend(skipped_points(block, ok))
+        if values is not None:
+            for column, value in zip(columns, values):
+                column.extend(take_lanes(value, ok).tolist())
+    return columns, skipped
+
+
+def fit_sweep(web, grid: GridSpec):
+    """The closed-form fit of a 4-web over a grid, a block of points at a
+    time: (columns, skipped).  `columns` holds the values of p1_22, p1_12,
+    p2_12 and p2_11, in grid order, at the points where
+    :func:`fit_projective_structure` gives them, bit for bit; `skipped`
+    lists the points where it raises."""
+    web = _require_web(web, d=4)
+    return _sweep_columns(grid, lambda block, ok: _fit(web, block, ok), 4)
 
 
 def fit_by_linear_solve(web, point) -> ThomasParameters:
@@ -239,18 +342,45 @@ class AlphaBeta:
         return partial_derivative(self.beta_jet, 0, 2)
 
 
-def _gradient_and_flex_jets(fjet: TaylorJet, order: int):
+def _gradient_and_flex_jets(fjet: TableJet, order: int):
     """(f_x, f_y, Flex f) as jets of `order`, from a jet of f two orders
     higher; the derivative jets are shared between the three outputs."""
-    dx = derivative_jet(fjet, "x")
-    dy = derivative_jet(fjet, "y")
-    fx = truncate_jet(dx, order)
-    fy = truncate_jet(dy, order)
-    fxx = truncate_jet(derivative_jet(dx, "x"), order)
-    fxy = truncate_jet(derivative_jet(dx, "y"), order)
-    fyy = truncate_jet(derivative_jet(dy, "y"), order)
+    dx = fjet.derivative("x")
+    dy = fjet.derivative("y")
+    fx = dx.truncate(order)
+    fy = dy.truncate(order)
+    fxx = dx.derivative("x").truncate(order)
+    fxy = dx.derivative("y").truncate(order)
+    fyy = dy.derivative("y").truncate(order)
     flex = fy * fy * fxx - 2.0 * fx * fy * fxy + fx * fx * fyy
     return fx, fy, flex
+
+
+def _alpha_beta_tables(f3, f4, at, ok=None):
+    """Order-2 jet tables of alpha and beta (see :func:`alpha_beta`)."""
+    j3 = TableJet(_table_at(f3, at, 4, ok), 4, ok)
+    j4 = TableJet(_table_at(f4, at, 4, ok), 4, ok)
+    f3x, f3y, flex3 = _gradient_and_flex_jets(j3, 2)
+    f4x, f4y, flex4 = _gradient_and_flex_jets(j4, 2)
+    delta = f3x * f4y - f3y * f4x
+    _check_alpha_beta_denominators(
+        at, f3x.value, f3y.value, f4x.value, f4y.value, delta.value, ok
+    )
+    term3 = flex3 / (f3x * f3y * delta)
+    term4 = flex4 / (f4x * f4y * delta)
+    alpha_jet = f4y * term3 - f3y * term4
+    beta_jet = f3x * term4 - f4x * term3
+    return alpha_jet.table, beta_jet.table
+
+
+def _alpha_beta_from_tables(point, alpha, beta) -> AlphaBeta:
+    base = (float(point[0]), float(point[1]))
+    return AlphaBeta(
+        alpha=alpha[0][0],
+        beta=beta[0][0],
+        alpha_jet=jet_from_table(base, 2, alpha),
+        beta_jet=jet_from_table(base, 2, beta),
+    )
 
 
 def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
@@ -287,33 +417,30 @@ def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
             beta=-f4x * term3 + f3x * term4,
         )
 
-    j3 = evaluate_jet(f3, point, 4)
-    j4 = evaluate_jet(f4, point, 4)
-    f3x, f3y, flex3 = _gradient_and_flex_jets(j3, jet_order)
-    f4x, f4y, flex4 = _gradient_and_flex_jets(j4, jet_order)
-    delta = f3x * f4y - f3y * f4x
-    _check_alpha_beta_denominators(
-        point, f3x.value, f3y.value, f4x.value, f4y.value, delta.value
-    )
-    term3 = flex3 / (f3x * f3y * delta)
-    term4 = flex4 / (f4x * f4y * delta)
-    alpha_jet = f4y * term3 - f3y * term4
-    beta_jet = f3x * term4 - f4x * term3
-    return AlphaBeta(
-        alpha=alpha_jet.value,
-        beta=beta_jet.value,
-        alpha_jet=alpha_jet,
-        beta_jet=beta_jet,
-    )
+    return _alpha_beta_from_tables(point, *_alpha_beta_tables(f3, f4, point))
 
 
-def _check_alpha_beta_denominators(point, f3x, f3y, f4x, f4y, delta):
+def _check_alpha_beta_denominators(at, f3x, f3y, f4x, f4y, delta, ok=None):
     factors = {"f3_x": f3x, "f3_y": f3y, "f4_x": f4x, "f4_y": f4y, "Delta": delta}
     for name, value in factors.items():
-        if value == 0.0:
-            raise EvaluationError(
-                f"invariant denominators vanish at {tuple(point)}: {name} = 0"
-            )
+        _fail(
+            value == 0.0,
+            ok,
+            lambda: EvaluationError(
+                f"invariant denominators vanish at {tuple(at)}: {name} = 0"
+            ),
+        )
+
+
+def _symmetry_residuals(alpha, beta):
+    """(r1, r2) of :func:`symmetric_conditions_residual` from the order-2
+    jet tables of alpha and beta."""
+    a, b = alpha[0][0], beta[0][0]
+    alpha_x, alpha_xx, alpha_xy = (table_partial(alpha, *ij) for ij in ((1, 0), (2, 0), (1, 1)))
+    beta_y, beta_xy, beta_yy = (table_partial(beta, *ij) for ij in ((0, 1), (1, 1), (0, 2)))
+    r1 = alpha_xx + 2.0 * beta_xy - b * alpha_x - 2.0 * b * beta_y
+    r2 = 2.0 * alpha_xy + beta_yy - 2.0 * a * alpha_x - a * beta_y
+    return r1, r2
 
 
 def symmetric_conditions_residual(f3, f4, point) -> tuple[float, float]:
@@ -325,10 +452,23 @@ def symmetric_conditions_residual(f3, f4, point) -> tuple[float, float]:
     Both vanish exactly when the projective structure of the normalized web
     (x, y, f3, f4) contains an affine symmetric connection at the point.
     """
-    ab = alpha_beta(f3, f4, point, jet_order=2)
-    r1 = ab.alpha_xx + 2.0 * ab.beta_xy - ab.beta * ab.alpha_x - 2.0 * ab.beta * ab.beta_y
-    r2 = 2.0 * ab.alpha_xy + ab.beta_yy - 2.0 * ab.alpha * ab.alpha_x - ab.alpha * ab.beta_y
-    return (r1, r2)
+    return _symmetry_residuals(
+        *_alpha_beta_tables(as_expression(f3), as_expression(f4), point)
+    )
+
+
+def symmetry_sweep(f3, f4, grid: GridSpec):
+    """(r1, r2, skipped): the residuals of :func:`symmetric_conditions_residual`
+    over a grid, a block of points at a time, in grid order at the points
+    where it gives them, bit for bit, and the points where it raises."""
+    f3 = as_expression(f3)
+    f4 = as_expression(f4)
+
+    def kernel(block, ok):
+        return _symmetry_residuals(*_alpha_beta_tables(f3, f4, block, ok))
+
+    (r1, r2), skipped = _sweep_columns(grid, kernel, 2)
+    return r1, r2, skipped
 
 
 def dweb_geodesic_residuals(web, point) -> list[ResidualSample]:
@@ -341,6 +481,31 @@ def dweb_geodesic_residuals(web, point) -> list[ResidualSample]:
     return [
         projective_flex_residual(f, pi, point) for f in web.functions[4:]
     ]
+
+
+def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
+    """The residuals of :func:`dweb_geodesic_residuals` over a grid, a
+    block of points at a time: one series per function f5..fd, each sample
+    bit for bit the single-point one.  A point where that function raises
+    is skipped for every function."""
+    web = _require_web(web, at_least=5)
+    leading = WebPresentation(web.functions[:4])
+    rest = web.functions[4:]
+
+    def kernel(block, ok):
+        pi = _fit(leading, block, ok)
+        samples = []
+        for f in rest:
+            d = [table_partial(block.target(f, 2, ok), i, j) for i, j in _SECOND_ORDER]
+            raw = _projective_flex(d, pi, ok)
+            samples.append(normalize_lanes(block, ok, raw, d[0], d[1]))
+        return samples
+
+    series = [GridResiduals() for _ in rest]
+    for block, ok, samples in _blocks(grid, kernel):
+        for out, fields in zip(series, samples or [None] * len(rest)):
+            out.add_block(block, ok, fields)
+    return series
 
 
 @dataclass(frozen=True)
@@ -476,21 +641,10 @@ def integrate_symmetric_connection(
     monitor = {"max_sym": 0.0}
 
     def ab_at(point) -> AlphaBeta:
-        ab = alpha_beta(f3, f4, point, jet_order=2)
-        r1 = (
-            ab.alpha_xx
-            + 2.0 * ab.beta_xy
-            - ab.beta * ab.alpha_x
-            - 2.0 * ab.beta * ab.beta_y
-        )
-        r2 = (
-            2.0 * ab.alpha_xy
-            + ab.beta_yy
-            - 2.0 * ab.alpha * ab.alpha_x
-            - ab.alpha * ab.beta_y
-        )
+        alpha, beta = _alpha_beta_tables(f3, f4, point)
+        r1, r2 = _symmetry_residuals(alpha, beta)
         monitor["max_sym"] = max(monitor["max_sym"], abs(r1), abs(r2))
-        return ab
+        return _alpha_beta_from_tables(point, alpha, beta)
 
     def field(values: np.ndarray, ab: AlphaBeta, direction):
         state = FiniteTypeState.from_array(values)
@@ -578,9 +732,12 @@ __all__ = [
     "alpha_beta",
     "curvature_along",
     "dweb_geodesic_residuals",
+    "dweb_sweep",
     "finite_type_rhs",
     "fit_by_linear_solve",
     "fit_projective_structure",
+    "fit_sweep",
     "integrate_symmetric_connection",
     "symmetric_conditions_residual",
+    "symmetry_sweep",
 ]

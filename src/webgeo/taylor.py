@@ -25,6 +25,9 @@ per point: where a single jet raises, the block clears that point's lane
 in a validity mask (see "lane tables" below).  Transcendental constant
 terms and Python powers are computed lane by lane with `math` and Python
 floats, whose rounding numpy's vectorized versions do not always match.
+:class:`TableJet` gives a coefficient table the operators of TaylorJet,
+so a jet formula (the order-4 to order-2 chain of the projective
+invariants) is written once and runs at one point or at a block.
 """
 
 from __future__ import annotations
@@ -294,15 +297,6 @@ def per_lane(fn, *args):
     return fn(*args)
 
 
-def _cube_float(v: float) -> float:
-    return v**3
-
-
-def cube(v):
-    """v**3 as Python computes it for a float, per lane for a lane vector."""
-    return per_lane(_cube_float, v)
-
-
 def _exp_or_inf(u: float) -> float:
     try:
         return math.exp(u)
@@ -385,20 +379,22 @@ def jet_arith(operation: str, a: TaylorJet, b: TaylorJet) -> TaylorJet:
 def _integer_power(value, n: int, one, mul=operator.mul, div=operator.truediv):
     """value**n by binary exponentiation.  Works for floats, jets and
     coefficient tables alike, so every evaluation path shares the exact
-    same sequence of float ops."""
+    same sequence of float ops.
+
+    The exponent's bits are read most significant first: square, then
+    multiply by `value` for a one bit.  A loop, so exponents of any size
+    (``x^1e300``) cost one step per bit and no recursion.
+    """
     if n == 0:
         return one
     if n < 0:
-        return _integer_power(div(one, value), -n, one, mul, div)
-
-    def positive(v, k):
-        if k == 1:
-            return v
-        half = positive(v, k // 2)
-        squared = mul(half, half)
-        return squared if k % 2 == 0 else mul(squared, v)
-
-    return positive(value, n)
+        value, n = div(one, value), -n
+    result = value
+    for bit in bin(n)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, value)
+    return result
 
 
 def jet_elementary(fn: str, a: TaylorJet, exponent: float | None = None) -> TaylorJet:
@@ -569,6 +565,66 @@ def table_derivative(table, axis: str, order: int):
     if _as_axis(axis) == "x":
         return [[(i + 1) * table[i + 1][j] for j in range(m + 1 - i)] for i in range(m + 1)]
     return [[(j + 1) * table[i][j + 1] for j in range(m + 1 - i)] for i in range(m + 1)]
+
+
+_CONTEXT = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
+class TableJet:
+    """A jet held as a coefficient table, with the arithmetic of
+    :class:`TaylorJet`.
+
+    Each operator runs the kernel and the finiteness check that the
+    TaylorJet operator runs, on float entries (one point) or lane vectors
+    (a block), so each lane gets the bits of the TaylorJet computation.
+    Where the TaylorJet operator raises :class:`JetDomainError`, this one
+    clears the point's lane in the shared mask `ok`, or raises the same
+    error when `ok` is None (one point).  A number operand stands for a
+    constant jet: ``2.0 * a`` is ``a * constant(2.0)``, as for TaylorJet.
+    """
+
+    __slots__ = ("table", "order", "ok")
+
+    def __init__(self, table, order: int, ok=None):
+        self.table = table
+        self.order = order
+        self.ok = ok
+
+    def _arith(self, op: str, other) -> "TableJet":
+        if not isinstance(other, TableJet):
+            other = TableJet(constant_table(other, self.order), self.order, self.ok)
+        table = table_arith(op, self.table, other.table, self.order, self.ok)
+        check_table(table, self.ok, _CONTEXT[op])
+        return TableJet(table, self.order, self.ok)
+
+    def __add__(self, other):
+        return self._arith("+", other)
+
+    def __sub__(self, other):
+        return self._arith("-", other)
+
+    def __mul__(self, other):
+        return self._arith("*", other)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self._arith("/", other)
+
+    @property
+    def value(self):
+        return self.table[0][0]
+
+    def derivative(self, axis) -> "TableJet":
+        """As :func:`derivative_jet`: the jet of d/d`axis`, one order lower."""
+        table = table_derivative(self.table, axis, self.order)
+        check_table(table, self.ok, "derivative_jet")
+        return TableJet(table, self.order - 1, self.ok)
+
+    def truncate(self, order: int) -> "TableJet":
+        """As :func:`truncate_jet` (its entries are already checked)."""
+        rows = [row[: order + 1 - i] for i, row in enumerate(self.table[: order + 1])]
+        return TableJet(rows, order, self.ok)
 
 
 def take_lanes(value, ok):

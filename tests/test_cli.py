@@ -305,3 +305,73 @@ def test_render_traces_web(tmp_path, capsys):
     assert code == 0
     assert report["results"]["leaves"] == 9
     assert svg_path.read_text().count("<path") == 9
+
+
+# A point where one formula overflows or leaves its domain is skipped and
+# listed; it never aborts a grid command.
+
+EXP_WEB = ["x", "y", "exp(60*x)+exp(60*y)", "x*y+x+2*y"]
+
+
+def test_flex_cube_overflow_fails_the_point(capsys):
+    # |grad f| = 1e200 has no float cube: every point is skipped
+    assert run(["flex", "--f", "1e200*x", "--grid", "0:1:0:1:2:2"]) == 1
+    assert "no valid samples" in capsys.readouterr().err
+
+
+def test_dweb_cube_overflow_skips_the_point(capsys):
+    # f5_x = 60 exp(240) at x = 4 overflows in its cube
+    code, report = _run_json(
+        ["dweb", "--web", "x;y;x+y;x-y;exp(60*x)+y", "--grid", "0.5:4:0.5:1:4:2"], capsys
+    )
+    assert code == 0
+    assert report["results"]["skipped_points"] == [[4.0, 0.5], [4.0, 1.0]]
+    assert report["results"]["per_function"][0]["samples"] == 6
+
+
+def test_symcheck_jet_overflow_skips_the_point(capsys):
+    code, report = _run_json(
+        ["symcheck", "--f3", EXP_WEB[2], "--f4", EXP_WEB[3], "--grid", "0.5:4:0.5:4:3:3"],
+        capsys,
+    )
+    assert code == 0
+    assert report["results"]["skipped_points"] == [[4.0, 4.0]]
+    assert report["results"]["samples"] == 8
+
+
+def test_fit_grid_lists_non_finite_fits(capsys):
+    code, report = _run_json(
+        ["fit", "--web", "; ".join(EXP_WEB), "--grid", "0.5:4:0.5:4:3:3"], capsys
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["points_used"] == 2
+    # (4, 4) gives p1_22 = nan; the others are tangent pairs
+    assert [4.0, 4.0] in results["skipped_points"]
+    assert len(results["skipped_points"]) == 7
+    # the single point keeps its error
+    assert run(["fit", "--web", "; ".join(EXP_WEB), "--point", "4,4"]) == 1
+    assert "Thomas parameter p1_22 is not finite" in capsys.readouterr().err
+
+
+def test_huge_integer_exponent_does_not_recurse(capsys):
+    assert run(["flex", "--f", "x^1e300", "--grid", "0.5:1:0.5:1:2:2"]) == 1
+    assert "no valid samples" in capsys.readouterr().err
+
+
+def test_non_finite_literal_is_a_parse_error(capsys):
+    assert run(["flex", "--f", "x^1e400", "--grid", "0.5:1:0.5:1:2:2"]) == 2
+    assert "out of range" in capsys.readouterr().err
+
+
+def test_deep_flat_chain_is_a_parse_error(capsys):
+    from webgeo.exprlang import MAX_DEPTH
+
+    chain = "+".join(["x"] * 3000)
+    assert run(["flex", "--f", chain, "--grid", "0:1:0:1:2:2"]) == 2
+    assert f"deeper than {MAX_DEPTH} levels" in capsys.readouterr().err
+    # the deepest chain the parser accepts runs through every walker
+    chain = "+".join(["x"] * MAX_DEPTH)
+    assert run(["flex", "--f", chain, "--grid", "0:1:0:1:2:2"]) == 0
+    assert run(["render", "--web", f"{chain}; y", "--domain", "0:1:0:1", "--levels", "1",
+                "--step", "0.05", "--svg", os.devnull]) == 0

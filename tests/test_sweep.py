@@ -1,4 +1,4 @@
-"""The block sweep against the single-point residual functions, bit for bit.
+"""The block sweeps against the single-point functions, bit for bit.
 
 Random formulas lean on domain edges (square roots, logarithms, quotients
 and fractional powers that vanish exactly at grid nodes, tangents next to
@@ -16,6 +16,8 @@ import contextlib
 import io
 import math
 import struct
+
+import pytest
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,14 @@ from webgeo.geodesy import (
     residual_sweep,
 )
 from webgeo.geometry import ChristoffelField, ThomasParameters
+from webgeo.projective import (
+    dweb_geodesic_residuals,
+    dweb_sweep,
+    fit_projective_structure,
+    fit_sweep,
+    symmetric_conditions_residual,
+    symmetry_sweep,
+)
 from webgeo.render import compose_report, write_csv_grid, write_report
 
 SETTINGS = settings(
@@ -381,3 +391,232 @@ def test_geodesic_cli_bytes(data, grid, kind, kappa):
     argv = ["geodesic", f"--web={'; '.join(web)}", f"--christoffel={structure}",
             f"--grid={grid_text(grid)}"]
     assert cli(argv) == expected, argv
+
+
+# ------------------------------------------- web invariants: fit, dweb, symcheck
+
+
+def web_functions(grid: GridSpec, negative_powers: bool = True):
+    """Web functions: lines, parabolas tangent to y = const along a grid
+    column, lines perturbed by a random formula, and random formulas."""
+    lines = st.tuples(
+        st.sampled_from([-1.0, 0.5, 1.0, 2.0]), st.sampled_from([-1.0, 0.5, 1.0, 3.0])
+    ).map(lambda t: Constant(t[0]) * X + Constant(t[1]) * Y)
+    tangent = st.tuples(st.sampled_from(grid.xs()), st.sampled_from([0.25, 1.0])).map(
+        lambda t: Y + Constant(t[1]) * (X - Constant(t[0])) ** 2.0
+    )
+    random = formulas(grid, negative_powers)
+    perturbed = st.tuples(lines, random).map(lambda t: t[0] + Constant(0.1) * t[1])
+    # lines and perturbed lines come up most, so that many points are valid
+    return st.one_of(lines, perturbed, lines, perturbed, tangent, random)
+
+
+def webs(grid: GridSpec, sizes=(4, 7), negative_powers: bool = True):
+    """d-webs (x, y, f3, ..., fd) or, one time in four, webs of d arbitrary
+    functions."""
+    funcs = web_functions(grid, negative_powers)
+    normalized = st.integers(sizes[0] - 2, sizes[1] - 2).flatmap(
+        lambda n: st.lists(funcs, min_size=n, max_size=n, unique_by=to_source).map(
+            lambda fs: [X, Y, *fs]
+        )
+    )
+    free = st.lists(funcs, min_size=sizes[0], max_size=sizes[1], unique_by=to_source)
+    return st.one_of(normalized, normalized, normalized, free)
+
+
+def invariant_pairs(grid: GridSpec, negative_powers: bool = True):
+    """(f3, f4) pairs, some with a vanishing denominator of alpha and beta:
+    f3_x = 0 along a grid column, Delta = 0 everywhere (f4 = 2 f3), or
+    f3_x = y vanishing on a grid row."""
+    funcs = web_functions(grid, negative_powers)
+    zero_fx = st.sampled_from(grid.xs()).map(lambda c: (X - Constant(c)) ** 2.0 + Y)
+    # the x*y term keeps f4 apart from f3 when both draws coincide
+    pairs = st.tuples(funcs, funcs).map(lambda t: (t[0], t[1] + Constant(0.5) * X * Y))
+    return st.one_of(
+        pairs,
+        pairs,
+        st.tuples(zero_fx, funcs),
+        funcs.map(lambda f: (f, Constant(2.0) * f)),
+        st.just((X + Y, X * Y)),
+        st.just((X * Y, X + Y * Y)),
+    )
+
+
+def point_loop(fn, grid: GridSpec):
+    """fn at every grid point: (values, skipped).  Every failure of a point
+    is a ValueError (EvaluationError, JetDomainError, DegenerateWebError,
+    non-finite ThomasParameters)."""
+    values, skipped = [], []
+    for point in grid.points():
+        try:
+            values.append(fn(point))
+        except ValueError:
+            skipped.append([point[0], point[1]])
+    return values, skipped
+
+
+@SETTINGS
+@given(data=st.data(), grid=grids(), block=st.integers(1, 40))
+def test_fit_sweep_matches_fit_projective_structure(data, grid, block):
+    web = data.draw(webs(grid, sizes=(4, 4)))
+    values, skipped = point_loop(lambda p: fit_projective_structure(web, p).as_tuple(), grid)
+    with block_size(block):
+        columns, sweep_skipped = fit_sweep(web, grid)
+    assert sweep_skipped == skipped
+    expected = list(zip(*values)) if values else [(), (), (), ()]
+    assert [[bits(v) for v in c] for c in columns] == [[bits(v) for v in c] for c in expected]
+
+
+@SETTINGS
+@given(data=st.data(), grid=grids(), block=st.integers(1, 40))
+def test_dweb_sweep_matches_dweb_geodesic_residuals(data, grid, block):
+    web = data.draw(webs(grid, sizes=(5, 7)))
+    rows, skipped = point_loop(lambda p: dweb_geodesic_residuals(web, p), grid)
+    with block_size(block):
+        series = dweb_sweep(web, grid)
+    assert len(series) == len(web) - 4
+    for index, out in enumerate(series):
+        assert_same(out, skipped, [row[index] for row in rows])
+
+
+@SETTINGS
+@given(data=st.data(), grid=grids(), block=st.integers(1, 40))
+def test_symmetry_sweep_matches_symmetric_conditions_residual(data, grid, block):
+    f3, f4 = data.draw(invariant_pairs(grid))
+    values, skipped = point_loop(lambda p: symmetric_conditions_residual(f3, f4, p), grid)
+    with block_size(block):
+        r1, r2, sweep_skipped = symmetry_sweep(f3, f4, grid)
+    assert sweep_skipped == skipped
+    assert [bits(v) for v in r1] == [bits(v[0]) for v in values]
+    assert [bits(v) for v in r2] == [bits(v[1]) for v in values]
+
+
+def test_sweeps_see_the_failures_of_every_kind():
+    """The strategies reach every way a point fails: a tangent pair, a
+    Jacobian product that underflows, an out-of-domain formula, a vanishing
+    alpha/beta denominator and an overflow in the jet chain."""
+    grid = GridSpec(0.5, 4.0, 0.0, 4.0, 3, 3)
+    cases = [
+        (["x", "y", "y + (x - 2.25)^2", "x + y"], "tangent"),
+        (["1e-120*x", "1e-120*y", "1e-120*(x+y)", "1e-120*(x-y)"], "multiply to zero"),
+        (["x", "y", "sqrt(x - 2.25)", "x + y"], "sqrt"),
+    ]
+    for sources, reason in cases:
+        web = [parse(s) for s in sources]
+        _, skipped = fit_sweep(web, grid)
+        assert skipped, reason
+        with pytest.raises(ValueError, match=reason):
+            fit_projective_structure(web, tuple(skipped[0]))
+    for f3, f4, reason in (
+        ("x*y", "x + y^2", "f3_x = 0"),
+        ("exp(60*x)+exp(60*y)", "x*y+x+2*y", "non-finite coefficient produced by mul"),
+    ):
+        _, _, skipped = symmetry_sweep(f3, f4, grid)
+        assert skipped, reason
+        with pytest.raises(ValueError, match=reason):
+            symmetric_conditions_residual(f3, f4, tuple(skipped[-1]))
+
+
+def test_cube_overflow_raises_evaluation_error_at_one_point():
+    f = parse("1e200*x")
+    with pytest.raises(EvaluationError, match="overflows"):
+        flex_residual(f, FLAT, (0.5, 0.5))
+    with pytest.raises(EvaluationError, match="overflows"):
+        connection_euler_residual(f, ThomasParameters(1.0, 1.0, 1.0, 1.0), (0.5, 0.5))
+    with pytest.raises(EvaluationError, match="overflows"):
+        dweb_geodesic_residuals(["x", "y", "x+y", "x-y", "exp(60*x)+y"], (4.0, 0.5))
+
+
+def reference_fit(sources, grid):
+    web = [parse(s) for s in sources]
+    values, skipped = point_loop(lambda p: fit_projective_structure(web, p).as_tuple(), grid)
+    if not values:
+        return 1, ""
+    sums = [0.0, 0.0, 0.0, 0.0]
+    lows = [float("inf")] * 4
+    highs = [float("-inf")] * 4
+    for pi in values:
+        for idx, value in enumerate(pi):
+            sums[idx] += value
+            lows[idx] = min(lows[idx], value)
+            highs[idx] = max(highs[idx], value)
+    names = ("p1_22", "p1_12", "p2_12", "p2_11")
+    results = {
+        "pi": {n: sums[i] / len(values) for i, n in enumerate(names)},
+        "max_spread": max(highs[i] - lows[i] for i in range(4)),
+        "points_used": len(values),
+        "skipped_points": skipped,
+    }
+    report = compose_report("fit", {"web": [to_source(f) for f in web]}, grid.as_dict(), results)
+    return 0, write_report(report)
+
+
+def reference_dweb(sources, grid, tol=1e-8):
+    web = [parse(s) for s in sources]
+    rows, skipped = point_loop(lambda p: dweb_geodesic_residuals(web, p), grid)
+    worst = 0.0
+    per_function = [
+        {"index": idx + 5, "function": to_source(f), "max_normalized": 0.0, "samples": 0}
+        for idx, f in enumerate(web[4:])
+    ]
+    for row in rows:
+        for entry, sample in zip(per_function, row):
+            if sample.degenerate:
+                continue
+            entry["samples"] += 1
+            entry["max_normalized"] = max(entry["max_normalized"], abs(sample.normalized))
+            worst = max(worst, abs(sample.normalized))
+    if all(entry["samples"] == 0 for entry in per_function):
+        return 1, ""
+    results = {
+        "per_function": per_function,
+        "skipped_points": skipped,
+        "max_normalized": worst,
+        "verdict": "geodesic" if worst <= tol else "non-geodesic",
+        "tolerance": tol,
+    }
+    report = compose_report(
+        "dweb", {"web": [to_source(f) for f in web], "tolerance": tol}, grid.as_dict(), results
+    )
+    return 0, write_report(report)
+
+
+def reference_symcheck(f3_source, f4_source, grid, tol=1e-8):
+    f3, f4 = parse(f3_source), parse(f4_source)
+    values, skipped = point_loop(lambda p: symmetric_conditions_residual(f3, f4, p), grid)
+    if not values:
+        return 1, ""
+    r1 = [abs(v[0]) for v in values]
+    r2 = [abs(v[1]) for v in values]
+    worst = max(max(r1), max(r2))
+    results = {
+        "r1": {"max": max(r1), "mean": sum(r1) / len(r1)},
+        "r2": {"max": max(r2), "mean": sum(r2) / len(r2)},
+        "samples": len(r1),
+        "skipped_points": skipped,
+        "verdict": "symmetric" if worst <= tol else "non-symmetric",
+        "tolerance": tol,
+    }
+    report = compose_report(
+        "symcheck",
+        {"f3": to_source(f3), "f4": to_source(f4), "tolerance": tol},
+        grid.as_dict(),
+        results,
+    )
+    return 0, write_report(report)
+
+
+@SETTINGS
+@given(data=st.data(), grid=grids())
+def test_fit_dweb_and_symcheck_cli_bytes(data, grid):
+    fit_web = [to_source(f) for f in data.draw(webs(grid, (4, 4), negative_powers=False))]
+    argv = ["fit", f"--web={'; '.join(fit_web)}", f"--grid={grid_text(grid)}"]
+    assert cli(argv) == reference_fit(fit_web, grid), argv
+
+    dweb_web = [to_source(f) for f in data.draw(webs(grid, (5, 7), negative_powers=False))]
+    argv = ["dweb", f"--web={'; '.join(dweb_web)}", f"--grid={grid_text(grid)}"]
+    assert cli(argv) == reference_dweb(dweb_web, grid), argv
+
+    f3, f4 = (to_source(f) for f in data.draw(invariant_pairs(grid, negative_powers=False)))
+    argv = ["symcheck", f"--f3={f3}", f"--f4={f4}", f"--grid={grid_text(grid)}"]
+    assert cli(argv) == reference_symcheck(f3, f4, grid), argv
