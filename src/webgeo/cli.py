@@ -32,6 +32,7 @@ from .projective import (
     fit_projective_structure,
     fit_sweep,
     integrate_symmetric_connection,
+    path_step_count,
     symmetry_sweep,
 )
 from .render import (
@@ -113,6 +114,15 @@ def _tolerance(text: str) -> float:
     if not (math.isfinite(value) and value >= 0.0):
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite non-negative number, got {text!r}"
+        )
+    return value
+
+
+def _step(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"step must be a finite positive number, got {text!r}"
         )
     return value
 
@@ -342,6 +352,10 @@ def _cmd_symintegrate(args) -> int:
     path = _parse_path(args.path)
     initial_values = _parse_floats(args.initial, 6, "--initial")
     initial = FiniteTypeState(*initial_values)
+    try:
+        path_step_count(path, args.step)
+    except ValueError as exc:
+        raise _UsageError(f"--path: {exc}") from None
     result = integrate_symmetric_connection(f3, f4, initial, path, step=args.step)
     ab_end = alpha_beta(f3, f4, result.endpoint, jet_order=2)
     curvature = curvature_along(result.state, ab_end)
@@ -583,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f4", required=True)
     p.add_argument("--initial", required=True, help="sigma,tau,sigma_x,sigma_y,tau_x,tau_y")
     p.add_argument("--path", required=True, help="semicolon-separated x,y points")
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_step, default=1e-3)
     common(p)
     p.set_defaults(handler=_cmd_symintegrate)
 
@@ -608,7 +622,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--web", required=True)
     p.add_argument("--domain", required=True)
     p.add_argument("--levels", type=int, default=5)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=_step, default=1e-3)
     p.add_argument("--svg", required=True)
     common(p, expect=False)
     p.set_defaults(handler=_cmd_render)

@@ -30,17 +30,20 @@ Over a grid, :func:`fit_sweep`, :func:`dweb_sweep` and
 :class:`~webgeo.exprlang.Block`).  They run the same formulas as the
 single-point functions, on lane vectors instead of floats, so every value
 has the single-point bits; a point where the single-point function raises
-is skipped.
+is skipped.  :func:`integrate_symmetric_connection` evaluates the (alpha,
+beta) samples of a path the same way, a block at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 
 import numpy as np
 
-from .exprlang import EvaluationError, as_expression, evaluate_jet, to_source
+from . import geodesy
+from .exprlang import Block, EvaluationError, as_expression, evaluate_jet, to_source
 from .geodesy import (
     _SECOND_ORDER,
     GridResiduals,
@@ -49,6 +52,7 @@ from .geodesy import (
     WebPresentation,
     _flex,
     _projective_flex,
+    cube,
     flex_of_jet,
     normalize_lanes,
     projective_flex_residual,
@@ -209,10 +213,10 @@ def fit_projective_structure(web, point) -> ThomasParameters:
     return ThomasParameters(*_fit(_require_web(web, d=4), point))
 
 
-def _blocks(grid: GridSpec, kernel):
-    """kernel(block, ok) at each block of the grid, as (block, ok, result);
+def _blocks(blocks, kernel):
+    """kernel(block, ok) at each of the blocks, as (block, ok, result);
     result is None where no point of the block is valid."""
-    for block in grid.blocks():
+    for block in blocks:
         ok = np.ones(len(block.x), dtype=bool)
         with np.errstate(all="ignore"):
             try:
@@ -228,7 +232,7 @@ def _sweep_columns(grid: GridSpec, kernel, count: int):
     grid order at the valid points, and the other points."""
     columns = tuple([] for _ in range(count))
     skipped = []
-    for block, ok, values in _blocks(grid, kernel):
+    for block, ok, values in _blocks(grid.blocks(), kernel):
         skipped.extend(skipped_points(block, ok))
         if values is not None:
             for column, value in zip(columns, values):
@@ -254,10 +258,10 @@ def fit_by_linear_solve(web, point) -> ThomasParameters:
     matrix = np.array(
         [
             [
-                fx**3,
+                cube(fx),
                 -3.0 * fx * fx * fy,
                 -3.0 * fx * fy * fy,
-                fy**3,
+                cube(fy),
             ]
             for fx, fy in grads
         ]
@@ -410,8 +414,16 @@ def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
         _check_alpha_beta_denominators(point, f3x, f3y, f4x, f4y, delta)
         flex3 = flex_of_jet(j3)
         flex4 = flex_of_jet(j4)
-        term3 = flex3 / (f3x * f3y * delta)
-        term4 = flex4 / (f4x * f4y * delta)
+        den3 = f3x * f3y * delta
+        den4 = f4x * f4y * delta
+        for name, value in (("f3_x f3_y Delta", den3), ("f4_x f4_y Delta", den4)):
+            if value == 0.0:
+                raise EvaluationError(
+                    f"invariant denominators vanish at {tuple(point)}: "
+                    f"the product {name} underflows to 0"
+                )
+        term3 = flex3 / den3
+        term4 = flex4 / den4
         return AlphaBeta(
             alpha=f4y * term3 - f3y * term4,
             beta=-f4x * term3 + f3x * term4,
@@ -502,7 +514,7 @@ def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
         return samples
 
     series = [GridResiduals() for _ in rest]
-    for block, ok, samples in _blocks(grid, kernel):
+    for block, ok, samples in _blocks(grid.blocks(), kernel):
         for out, fields in zip(series, samples or [None] * len(rest)):
             out.add_block(block, ok, fields)
     return series
@@ -613,6 +625,114 @@ INITIAL_CONSTRAINT_TOLERANCE = 1e-8
 SYMMETRY_WARNING_THRESHOLD = 1e-6
 
 
+#: Largest number of integration steps a transport path may take.
+MAX_PATH_STEPS = 1_000_000
+
+
+def _path_segments(path, step: float):
+    """(points, segments): the path as float points and its segments of
+    positive length as (start, end, length, steps).  Raises ValueError for
+    a step that is not finite and positive, a path of fewer than two points
+    or with a point that is not finite, and a path of more than
+    MAX_PATH_STEPS steps."""
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a finite positive number, got {step!r}")
+    points = [(float(p[0]), float(p[1])) for p in path]
+    if len(points) < 2:
+        raise ValueError("path needs at least two points")
+    for point in points:
+        if not (math.isfinite(point[0]) and math.isfinite(point[1])):
+            raise ValueError(f"path point {point} is not finite")
+    segments = []
+    total = 0
+    for start, end in zip(points[:-1], points[1:]):
+        length = math.hypot(end[0] - start[0], end[1] - start[1])
+        if length == 0.0:
+            continue
+        ratio = length / step
+        n_steps = max(1, math.ceil(ratio)) if ratio <= MAX_PATH_STEPS else MAX_PATH_STEPS + 1
+        total += n_steps
+        if total > MAX_PATH_STEPS:
+            raise ValueError(f"path needs more than {MAX_PATH_STEPS} steps of {step!r}")
+        segments.append((start, end, length, n_steps))
+    return points, segments
+
+
+def path_step_count(path, step: float) -> int:
+    """The number of steps :func:`integrate_symmetric_connection` takes
+    along `path`.  Raises the ValueError it raises for the path and the
+    step, before any evaluation."""
+    return sum(segment[3] for segment in _path_segments(path, step)[1])
+
+
+def _rk4_steps(segments):
+    """(direction, h, mid, end) of each step along the segments, in order."""
+    for (x0, y0), (x1, y1), length, n_steps in segments:
+        direction = ((x1 - x0) / length, (y1 - y0) / length)
+        h = length / n_steps
+        base = (x0, y0)
+        for k in range(n_steps):
+            if k == n_steps - 1:
+                end = (x1, y1)
+            else:
+                end = (x0 + direction[0] * (k + 1) * h, y0 + direction[1] * (k + 1) * h)
+            mid = (base[0] + direction[0] * h / 2.0, base[1] + direction[1] * h / 2.0)
+            yield direction, h, mid, end
+            base = end
+
+
+def _lane_floats(value, n: int) -> list[float]:
+    """A float or a lane vector as n Python floats."""
+    if isinstance(value, np.ndarray):
+        return np.broadcast_to(value, (n,)).tolist()
+    return [float(value)] * n
+
+
+def _lane_tables(table, n: int):
+    """The n per-point tables of a block table, one at a time, with Python
+    float entries."""
+    columns = [[_lane_floats(v, n) for v in row] for row in table]
+    return ([[column[i] for column in row] for row in columns] for i in range(n))
+
+
+def _field_samples(f3, f4, points):
+    """(AlphaBeta, r1, r2) at each of the points, in order, with the
+    symmetry residuals of :func:`symmetric_conditions_residual`.
+
+    The points are evaluated in blocks of at most geodesy.BLOCK_POINTS, one
+    block at a time as the samples are consumed.  Every sample has the bits
+    of the single-point chain; at a point the block clears, the
+    single-point chain runs and raises its error there.
+    """
+    points = iter(points)
+
+    def blocks():
+        while chunk := list(islice(points, geodesy.BLOCK_POINTS)):
+            yield Block(*zip(*chunk))
+
+    def kernel(block, ok):
+        alpha, beta = _alpha_beta_tables(f3, f4, block, ok)
+        return alpha, beta, _symmetry_residuals(alpha, beta)
+
+    for block, ok, result in _blocks(blocks(), kernel):
+        n = len(ok)
+        lanes = [None] * n
+        if result is not None:
+            alpha, beta, (r1, r2) = result
+            lanes = zip(
+                _lane_tables(alpha, n), _lane_tables(beta, n),
+                _lane_floats(r1, n), _lane_floats(r2, n),
+            )
+        points_here = zip(block.x.tolist(), block.y.tolist())
+        for point, good, lane in zip(points_here, ok.tolist(), lanes):
+            if good:
+                a, b, s1, s2 = lane
+            else:
+                a, b = _alpha_beta_tables(f3, f4, point)
+                s1, s2 = _symmetry_residuals(a, b)
+            yield _alpha_beta_from_tables(point, a, b), s1, s2
+
+
 def integrate_symmetric_connection(
     f3,
     f4,
@@ -626,25 +746,28 @@ def integrate_symmetric_connection(
     Along a segment with unit direction (ux, uy) the state evolves by
     ux * d/dx + uy * d/dy, with the second derivatives supplied by
     :func:`finite_type_rhs` from the (alpha, beta) field of the web
-    (x, y, f3, f4).  The trace constraint must hold at the start point; the
-    symmetry conditions are monitored along the way and violations are
-    reported as warnings (transport is then path dependent, not wrong).
+    (x, y, f3, f4).  Each segment takes ceil(length / step) equal steps.
+    The trace constraint must hold at the start point; the symmetry
+    conditions are monitored at every sample and violations are reported
+    as warnings (transport is then path dependent, not wrong).
+
+    The field is sampled at the start point, then at the midpoint and the
+    end of every step, in that order.  The samples depend on the path alone,
+    so they are evaluated a block of geodesy.BLOCK_POINTS points at a time
+    (see :class:`~webgeo.exprlang.Block`) and consumed one block at a time:
+    memory stays bounded whatever the path length, and every value has the
+    bits of the single-point :func:`alpha_beta`.  Errors come in path
+    order: a failure of the field at the start point, then a violated
+    trace constraint, then the first sample along the path where the field
+    fails.
+
+    Raises ValueError, before any evaluation, for a step that is not finite
+    and positive, a path of fewer than two points or with a point that is
+    not finite, and a path of more than MAX_PATH_STEPS steps.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
-    points = [(float(p[0]), float(p[1])) for p in path]
-    if len(points) < 2:
-        raise ValueError("path needs at least two points")
+    points, segments = _path_segments(path, step)
     f3 = as_expression(f3)
     f4 = as_expression(f4)
-
-    monitor = {"max_sym": 0.0}
-
-    def ab_at(point) -> AlphaBeta:
-        alpha, beta = _alpha_beta_tables(f3, f4, point)
-        r1, r2 = _symmetry_residuals(alpha, beta)
-        monitor["max_sym"] = max(monitor["max_sym"], abs(r1), abs(r2))
-        return _alpha_beta_from_tables(point, alpha, beta)
 
     def field(values: np.ndarray, ab: AlphaBeta, direction):
         state = FiniteTypeState.from_array(values)
@@ -653,7 +776,19 @@ def integrate_symmetric_connection(
         ddy = np.array([state.sigma_y, state.tau_y, sxy, syy, txy, tyy])
         return direction[0] * ddx + direction[1] * ddy
 
-    ab_current = ab_at(points[0])
+    sample_points = chain(
+        [points[0]], chain.from_iterable((mid, end) for _, _, mid, end in _rk4_steps(segments))
+    )
+    samples = _field_samples(f3, f4, sample_points)
+    max_sym = 0.0
+
+    def next_sample() -> AlphaBeta:
+        nonlocal max_sym
+        ab, r1, r2 = next(samples)
+        max_sym = max(max_sym, abs(r1), abs(r2))
+        return ab
+
+    ab_current = next_sample()
     c0 = initial.constraint_residual(ab_current.alpha_x, ab_current.beta_y)
     if abs(c0) > INITIAL_CONSTRAINT_TOLERANCE:
         raise ValueError(
@@ -661,47 +796,31 @@ def integrate_symmetric_connection(
             f"at {points[0]}"
         )
 
-    # The classical 4-stage scheme samples the field at the step base, at
-    # the midpoint (twice), and at the step end; the end sample is the next
-    # step's base sample, so each step costs two fresh (alpha, beta) jets.
+    # The end sample of a step is the next step's base sample.
     values = initial.as_array()
-    for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
-        length = math.hypot(x1 - x0, y1 - y0)
-        if length == 0.0:
-            continue
-        direction = ((x1 - x0) / length, (y1 - y0) / length)
-        n_steps = max(1, math.ceil(length / step))
-        h = length / n_steps
-        base = (x0, y0)
-        for k in range(n_steps):
-            if k == n_steps - 1:
-                end = (x1, y1)
-            else:
-                end = (x0 + direction[0] * (k + 1) * h, y0 + direction[1] * (k + 1) * h)
-            mid = (base[0] + direction[0] * h / 2.0, base[1] + direction[1] * h / 2.0)
-            ab_mid = ab_at(mid)
-            ab_end = ab_at(end)
-            k1 = field(values, ab_current, direction)
-            k2 = field(values + 0.5 * h * k1, ab_mid, direction)
-            k3 = field(values + 0.5 * h * k2, ab_mid, direction)
-            k4 = field(values + h * k3, ab_end, direction)
-            values = values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            ab_current = ab_end
-            base = end
+    for direction, h, _, _ in _rk4_steps(segments):
+        ab_mid = next_sample()
+        ab_end = next_sample()
+        k1 = field(values, ab_current, direction)
+        k2 = field(values + 0.5 * h * k1, ab_mid, direction)
+        k3 = field(values + 0.5 * h * k2, ab_mid, direction)
+        k4 = field(values + h * k3, ab_end, direction)
+        values = values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ab_current = ab_end
 
     final_state = FiniteTypeState.from_array(values)
     c_end = final_state.constraint_residual(ab_current.alpha_x, ab_current.beta_y)
     warnings = []
-    if monitor["max_sym"] > SYMMETRY_WARNING_THRESHOLD:
+    if max_sym > SYMMETRY_WARNING_THRESHOLD:
         warnings.append(
             "symmetry conditions violated along the path "
-            f"(max residual {monitor['max_sym']:.3e}); transport is path dependent"
+            f"(max residual {max_sym:.3e}); transport is path dependent"
         )
     return IntegrationResult(
         state=final_state,
         endpoint=points[-1],
         constraint_residual=c_end,
-        max_symmetry_residual=monitor["max_sym"],
+        max_symmetry_residual=max_sym,
         warnings=tuple(warnings),
     )
 
@@ -738,6 +857,7 @@ __all__ = [
     "fit_projective_structure",
     "fit_sweep",
     "integrate_symmetric_connection",
+    "path_step_count",
     "symmetric_conditions_residual",
     "symmetry_sweep",
 ]

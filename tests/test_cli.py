@@ -88,6 +88,34 @@ def test_bad_tolerance_exits_2(tol, capsys):
     assert "tolerance must be a finite non-negative number" in capsys.readouterr().err
 
 
+SYM_PATH_ARGS = ["symintegrate", "--f3", "x+y", "--f4", "x*y", "--initial", "0,0,0,0,0,0"]
+
+
+@pytest.mark.parametrize(
+    "path, step, reason",
+    [
+        ("2.9,0.9; inf,0.9", "0.01", "not finite"),
+        ("2.9,0.9; nan,0.9", "0.01", "not finite"),
+        ("2.9,0.9; 3.1,0.9", "nan", "step must be a finite positive number"),
+        ("2.9,0.9; 3.1,0.9", "inf", "step must be a finite positive number"),
+        ("2.9,0.9; 3.1,0.9", "0", "step must be a finite positive number"),
+        ("2.9,0.9; 3.1,0.9", "-1", "step must be a finite positive number"),
+        # 2e8 steps: rejected before any evaluation
+        ("2.9,0.9; 3.1,0.9", "1e-9", "more than 1000000 steps"),
+    ],
+)
+def test_bad_symintegrate_path_or_step_exits_2(path, step, reason, capsys):
+    assert run([*SYM_PATH_ARGS, "--path", path, f"--step={step}"]) == 2
+    assert reason in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("step", ["nan", "inf", "0", "-0.01"])
+def test_bad_render_step_exits_2(step, capsys):
+    argv = ["render", "--web", "x; y", "--domain", "0:1:0:1", "--svg", os.devnull]
+    assert run([*argv, f"--step={step}"]) == 2
+    assert "step must be a finite positive number" in capsys.readouterr().err
+
+
 def test_zero_tolerance_is_accepted(capsys):
     code, report = _run_json(["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "--tol", "0"], capsys)
     assert code == 0

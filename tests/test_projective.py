@@ -269,6 +269,56 @@ def test_transport_contracts():
         integrate_symmetric_connection("x+y", "x-y", ok, [(0, 0)], step=1e-2)
 
 
+def test_transport_validates_path_and_step_before_evaluating():
+    from webgeo.projective import MAX_PATH_STEPS, path_step_count
+
+    ok = FiniteTypeState(0, 0, 0, 0, 0, 0)
+    # the field is undefined everywhere, so any evaluation would raise
+    # EvaluationError instead of these ValueErrors
+    nowhere = "sqrt(-1 - x^2)"
+    bad = [
+        ([(0, 0), (float("inf"), 0)], 1e-2, "not finite"),
+        ([(0, 0), (float("nan"), 0)], 1e-2, "not finite"),
+        ([(0, 0), (1, 0)], float("nan"), "finite positive"),
+        ([(0, 0), (1, 0)], float("inf"), "finite positive"),
+        ([(0, 0), (1, 0)], -1.0, "finite positive"),
+        ([(0, 0), (1, 0)], 2.0**-20, f"more than {MAX_PATH_STEPS} steps"),
+        ([(0, 0), (1, 0), (2, 0)], 2.0**-19, f"more than {MAX_PATH_STEPS} steps"),
+        ([(-1e308, 0), (1e308, 0)], 1.0, f"more than {MAX_PATH_STEPS} steps"),
+        ([(0, 0), (1, 0)], 1e-320, f"more than {MAX_PATH_STEPS} steps"),
+    ]
+    for path, step, reason in bad:
+        with pytest.raises(ValueError, match=reason):
+            path_step_count(path, step)
+        with pytest.raises(ValueError, match=reason):
+            integrate_symmetric_connection(nowhere, "x", ok, path, step)
+    # zero-length segments take no steps; each other segment at least one
+    assert path_step_count([(0, 0), (0, 0), (1, 0), (1, 0)], 0.25) == 4
+    assert path_step_count([(0, 0), (0, 0)], 0.25) == 0
+    assert path_step_count([(0, 0), (1, 0)], 10.0) == 1
+    assert path_step_count([(0, 0), (1, 0)], 2.0**-19) == 2**19
+    assert path_step_count([(0, 0), (1, 0), (2, 0)], 2.0**-18) == 2**19
+    assert path_step_count([(0, 0), (1e6, 0)], 1.0) == MAX_PATH_STEPS
+    with pytest.raises(ValueError, match=f"more than {MAX_PATH_STEPS} steps"):
+        path_step_count([(0, 0), (1e6, 0), (1e6, 0.5)], 1.0)
+
+
+def test_alpha_beta_denominator_product_underflow_is_an_evaluation_error():
+    # each factor is about 1e-110, their product with Delta underflows
+    f3, f4 = "1e-110*x + 1e-110*y", "x - y"
+    with pytest.raises(EvaluationError, match="f3_x f3_y Delta underflows to 0"):
+        alpha_beta(f3, f4, (1, 1))
+    from webgeo.taylor import JetDomainError
+
+    with pytest.raises(JetDomainError):
+        alpha_beta(f3, f4, (1, 1), jet_order=2)
+
+
+def test_linear_solve_cube_overflow_is_an_evaluation_error():
+    with pytest.raises(EvaluationError, match="overflows"):
+        fit_by_linear_solve(["1e120*x", "y", "x+y", "x-y"], (1, 1))
+
+
 def test_curvature_along_trace():
     ab = alpha_beta(*SYMMETRIC_PAIR, (2.5, 0.5), jet_order=2)
     flat_ab = alpha_beta("x+y", "x-y", (2.5, 0.5), jet_order=2)

@@ -17,6 +17,8 @@ import io
 import math
 import struct
 
+import numpy as np
+
 import pytest
 
 from hypothesis import HealthCheck, given, settings
@@ -44,10 +46,15 @@ from webgeo.geodesy import (
 )
 from webgeo.geometry import ChristoffelField, ThomasParameters
 from webgeo.projective import (
+    SYMMETRY_WARNING_THRESHOLD,
+    FiniteTypeState,
+    alpha_beta,
     dweb_geodesic_residuals,
     dweb_sweep,
+    finite_type_rhs,
     fit_projective_structure,
     fit_sweep,
+    integrate_symmetric_connection,
     symmetric_conditions_residual,
     symmetry_sweep,
 )
@@ -620,3 +627,224 @@ def test_fit_dweb_and_symcheck_cli_bytes(data, grid):
     f3, f4 = (to_source(f) for f in data.draw(invariant_pairs(grid, negative_powers=False)))
     argv = ["symcheck", f"--f3={f3}", f"--f4={f4}", f"--grid={grid_text(grid)}"]
     assert cli(argv) == reference_symcheck(f3, f4, grid), argv
+
+
+# ------------------------------------------------ symintegrate: path transport
+
+
+def reference_transport(f3, f4, initial, path, step):
+    """integrate_symmetric_connection as a loop over the steps that runs
+    alpha_beta and the symmetry residual at every sample:
+    (state, constraint residual, max symmetry residual, warnings)."""
+    points = [(float(p[0]), float(p[1])) for p in path]
+    max_sym = 0.0
+
+    def sample(point):
+        nonlocal max_sym
+        ab = alpha_beta(f3, f4, point, jet_order=2)
+        r1, r2 = symmetric_conditions_residual(f3, f4, point)
+        max_sym = max(max_sym, abs(r1), abs(r2))
+        return ab
+
+    def field(values, ab, direction):
+        state = FiniteTypeState.from_array(values)
+        sxx, sxy, syy, txx, txy, tyy = finite_type_rhs(state, ab)
+        ddx = np.array([state.sigma_x, state.tau_x, sxx, sxy, txx, txy])
+        ddy = np.array([state.sigma_y, state.tau_y, sxy, syy, txy, tyy])
+        return direction[0] * ddx + direction[1] * ddy
+
+    ab_current = sample(points[0])
+    c0 = initial.constraint_residual(ab_current.alpha_x, ab_current.beta_y)
+    if abs(c0) > 1e-8:
+        raise ValueError(
+            f"initial state violates the trace constraint: residual {c0!r} at {points[0]}"
+        )
+    values = initial.as_array()
+    for (x0, y0), (x1, y1) in zip(points[:-1], points[1:]):
+        length = math.hypot(x1 - x0, y1 - y0)
+        if length == 0.0:
+            continue
+        direction = ((x1 - x0) / length, (y1 - y0) / length)
+        n_steps = max(1, math.ceil(length / step))
+        h = length / n_steps
+        base = (x0, y0)
+        for k in range(n_steps):
+            if k == n_steps - 1:
+                end = (x1, y1)
+            else:
+                end = (x0 + direction[0] * (k + 1) * h, y0 + direction[1] * (k + 1) * h)
+            mid = (base[0] + direction[0] * h / 2.0, base[1] + direction[1] * h / 2.0)
+            ab_mid = sample(mid)
+            ab_end = sample(end)
+            k1 = field(values, ab_current, direction)
+            k2 = field(values + 0.5 * h * k1, ab_mid, direction)
+            k3 = field(values + 0.5 * h * k2, ab_mid, direction)
+            k4 = field(values + h * k3, ab_end, direction)
+            values = values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ab_current = ab_end
+            base = end
+    state = FiniteTypeState.from_array(values)
+    warnings = ()
+    if max_sym > SYMMETRY_WARNING_THRESHOLD:
+        warnings = (
+            "symmetry conditions violated along the path "
+            f"(max residual {max_sym:.3e}); transport is path dependent",
+        )
+    c_end = state.constraint_residual(ab_current.alpha_x, ab_current.beta_y)
+    return state, c_end, max_sym, warnings
+
+
+def sample_count(path, step) -> int:
+    """The field samples of a transport: the start, then two per step."""
+    count = 1
+    for (x0, y0), (x1, y1) in zip(path[:-1], path[1:]):
+        length = math.hypot(x1 - x0, y1 - y0)
+        if length > 0.0:
+            count += 2 * max(1, math.ceil(length / step))
+    return count
+
+
+def outcome(fn):
+    """fn()'s result, or the type and text of the exception it raises."""
+    try:
+        return fn()
+    except Exception as exc:  # compared by type and text
+        return type(exc), str(exc)
+
+
+def assert_transport_matches(f3, f4, initial, path, step, block):
+    # random fields can drive the state to inf and nan on both sides
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = outcome(lambda: reference_transport(f3, f4, initial, path, step))
+        with block_size(block):
+            got = outcome(lambda: integrate_symmetric_connection(f3, f4, initial, path, step))
+    if isinstance(expected, tuple) and isinstance(expected[0], type):
+        assert got == expected
+        return
+    state, c_end, max_sym, warnings = expected
+    assert [bits(v) for v in got.state.as_array().tolist()] == [
+        bits(v) for v in state.as_array().tolist()
+    ]
+    assert bits(got.constraint_residual) == bits(c_end)
+    assert bits(got.max_symmetry_residual) == bits(max_sym)
+    assert got.warnings == warnings
+    assert got.endpoint == (float(path[-1][0]), float(path[-1][1]))
+    return got
+
+
+def constrained_state(f3, f4, point, values):
+    """A state that meets the trace constraint at `point` (or `values` as
+    given where alpha_beta raises there)."""
+    s, t, sy, tx, ty = values
+    try:
+        ab = alpha_beta(f3, f4, point, jet_order=2)
+    except ValueError:
+        return FiniteTypeState(s, t, 0.0, sy, tx, ty)
+    return FiniteTypeState(s, t, ty - (ab.alpha_x - ab.beta_y) / 3.0, sy, tx, ty)
+
+
+def transport_pairs(grid: GridSpec):
+    """(f3, f4) pairs for paths over the grid: random pairs, pairs where
+    f3_x vanishes along a grid column, and the symmetric pair (x+y, xy),
+    whose alpha/beta denominators vanish on the axes and the diagonal, as
+    given or perturbed by a random formula."""
+    funcs = web_functions(grid)
+    pairs = st.tuples(funcs, funcs).map(lambda t: (t[0], t[1] + Constant(0.5) * X * Y))
+    zero_fx = st.tuples(st.sampled_from(grid.xs()), funcs).map(
+        lambda t: ((X - Constant(t[0])) ** 2.0 + Y, t[1])
+    )
+    perturbed = formulas(grid).map(lambda f: (X + Y, X * Y + Constant(0.1) * f))
+    return st.one_of(pairs, st.just((X + Y, X * Y)), perturbed, zero_fx)
+
+
+@settings(SETTINGS, max_examples=80)
+@given(
+    data=st.data(),
+    grid=grids(),
+    closed=st.booleans(),
+    step=st.sampled_from([0.1, 0.25, 0.4, 0.75, 2.0]),
+    violate=st.sampled_from([False] * 7 + [True]),
+)
+def test_transport_matches_per_step_reference(data, grid, closed, step, violate):
+    f3, f4 = data.draw(transport_pairs(grid))
+    # path corners on the grid lines, where the domain edges lie, and
+    # beyond them; most paths start off the lines, and so fail part-way if
+    # at all
+    xs = [grid.xmin + 1.5, *grid.xs(), grid.xmin - 0.75]
+    ys = [grid.ymin + 1.0, *grid.ys(), grid.ymin - 0.5]
+    corners = st.tuples(st.sampled_from(xs), st.sampled_from(ys))
+    path = data.draw(st.lists(corners, min_size=2, max_size=4))
+    dx, dy = data.draw(st.sampled_from([(0.0123, 0.0071), (0.0123, 0.0071), (0.0, 0.0)]))
+    path[0] = (path[0][0] + dx, path[0][1] + dy)
+    if closed:
+        path.append(path[0])
+    values = data.draw(st.tuples(*[st.sampled_from([-0.3, 0.0, 0.1, 0.25])] * 5))
+    initial = constrained_state(f3, f4, path[0], values)
+    if violate:
+        initial = FiniteTypeState.from_array(initial.as_array() + [0, 0, 1, 0, 0, 0])
+    samples = sample_count(path, step)
+    block = data.draw(st.integers(1, max(1, min(40, samples - 1))))
+    assert_transport_matches(f3, f4, initial, path, step, block)
+
+
+def test_transport_fails_part_way_like_the_reference():
+    """A sqrt or ln domain edge and a vanishing f3_y crossed after the start:
+    the error of the first failing sample, for every block size."""
+    cases = [
+        ("x+y", "x*y + sqrt(3 - x)", [(2.9, 0.5), (3.2, 0.5)], 0.01, "sqrt of non-positive"),
+        ("x+y", "x*y + ln(3 - x)", [(2.9, 0.5), (3.2, 0.5)], 0.01, "ln of non-positive"),
+        ("x*y", "x - y^2", [(0.5, 0.5), (-0.5, 0.5)], 0.25, "f3_y = 0"),
+        ("x*y", "x - y^2", [(0.5, 0.5), (0.5, 0.9), (-0.5, 0.9)], 0.01, "f3_y = 0"),
+    ]
+    for f3, f4, path, step, reason in cases:
+        initial = constrained_state(parse(f3), parse(f4), path[0], (0.1, -0.2, 0.3, 0.05, 0.0))
+        expected = outcome(lambda: reference_transport(f3, f4, initial, path, step))
+        assert issubclass(expected[0], ValueError)
+        assert reason in expected[1]
+        for block in (1, 2, 7, 64, 2048):
+            assert_transport_matches(f3, f4, initial, path, step, block)
+
+
+def test_transport_matches_reference_on_a_closed_loop():
+    f3, f4 = "x+y", "x*y + x^3"
+    path = [(1.9, 0.4), (2.1, 0.4), (2.1, 0.6), (1.9, 0.6), (1.9, 0.4), (1.9, 0.4)]
+    initial = constrained_state(parse(f3), parse(f4), path[0], (0.2, -0.1, 0.33, -0.21, 0.15))
+    for block in (3, 100):
+        got = assert_transport_matches(f3, f4, initial, path, 0.01, block)
+        assert got.warnings  # the perturbed web is not symmetric
+
+
+def test_transport_evaluates_one_block_of_samples_at_a_time(monkeypatch):
+    from webgeo import projective
+
+    sizes = []
+
+    class CountingBlock(projective.Block):
+        def __init__(self, xs, ys):
+            super().__init__(xs, ys)
+            sizes.append(len(self.x))
+
+    monkeypatch.setattr(projective, "Block", CountingBlock)
+    path = [(2.9, 0.9), (3.1, 0.9), (3.1, 0.9), (3.1, 1.1)]
+    initial = constrained_state(parse("x+y"), parse("x*y"), path[0], (0.2, -0.1, 0.33, -0.21, 0.15))
+    for block in (5, 2048):
+        sizes.clear()
+        assert_transport_matches("x+y", "x*y", initial, path, 0.01, block)
+        samples = sample_count(path, 0.01)
+        assert sum(sizes) == samples
+        assert sizes == [min(block, samples - k) for k in range(0, samples, block)]
+
+
+def test_rk4_error_shrinks_sixteen_fold_when_the_step_halves():
+    f3, f4 = "x+y", "x*y + x^3"
+    path = [(2.0, 0.5), (2.5, 0.5)]
+    initial = constrained_state(parse(f3), parse(f4), path[0], (0.4, -0.3, 0.5, -0.6, 0.3))
+
+    def end_state(steps):
+        result = integrate_symmetric_connection(f3, f4, initial, path, 0.5 / steps)
+        return result.state.as_array()
+
+    reference = end_state(1024)
+    errors = [float(np.abs(end_state(n) - reference).max()) for n in (8, 16, 32)]
+    for coarse, fine in zip(errors[:-1], errors[1:]):
+        assert 0.9 * 16.0 <= coarse / fine <= 1.1 * 16.0, errors
