@@ -26,7 +26,6 @@ from .geometry import ChristoffelField, ThomasParameters
 from .projective import (
     DegenerateWebError,
     FiniteTypeState,
-    alpha_beta,
     curvature_along,
     dweb_sweep,
     fit_projective_structure,
@@ -77,14 +76,22 @@ def _parse_grid(text: str) -> GridSpec:
         raise _UsageError(f"--grid: {exc}") from None
 
 
-def _parse_point(text: str):
+def _finite(text: str, what: str) -> float:
+    """The finite number `text` spells; a usage error otherwise."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise _UsageError(f"{what}: {exc}") from None
+    if not math.isfinite(value):
+        raise _UsageError(f"{what}: {text.strip()!r} is not finite")
+    return value
+
+
+def _parse_point(text: str, what: str = "--point"):
     pieces = text.split(",")
     if len(pieces) != 2:
-        raise _UsageError(f"--point: expected x,y, got {text!r}")
-    try:
-        return (float(pieces[0]), float(pieces[1]))
-    except ValueError as exc:
-        raise _UsageError(f"--point: {exc}") from None
+        raise _UsageError(f"{what}: expected x,y, got {text!r}")
+    return (_finite(pieces[0], what), _finite(pieces[1], what))
 
 
 def _parse_path(text: str):
@@ -93,7 +100,7 @@ def _parse_path(text: str):
         chunk = chunk.strip()
         if not chunk:
             raise _UsageError("--path: empty point entry")
-        points.append(_parse_point(chunk))
+        points.append(_parse_point(chunk, "--path"))
     if len(points) < 2:
         raise _UsageError("--path: need at least two points")
     return points
@@ -104,7 +111,7 @@ def _parse_rect(text: str) -> Rect:
     if len(pieces) != 4:
         raise _UsageError(f"--domain: expected xmin:xmax:ymin:ymax, got {text!r}")
     try:
-        return Rect(*(float(p) for p in pieces))
+        return Rect(*(_finite(p, "--domain") for p in pieces))
     except ValueError as exc:
         raise _UsageError(f"--domain: {exc}") from None
 
@@ -131,10 +138,7 @@ def _parse_floats(text: str, count: int, what: str):
     pieces = text.split(",")
     if len(pieces) != count:
         raise _UsageError(f"{what}: expected {count} comma-separated numbers")
-    try:
-        return [float(p) for p in pieces]
-    except ValueError as exc:
-        raise _UsageError(f"{what}: {exc}") from None
+    return [_finite(p, what) for p in pieces]
 
 
 def _emit(args, text: str):
@@ -198,7 +202,7 @@ def _cmd_flex(args) -> int:
 
 def _parse_structure(text: str):
     if text.startswith("constcurv:"):
-        return {"curvature": float(text.split(":", 1)[1])}
+        return {"curvature": _finite(text.split(":", 1)[1], "--christoffel constcurv")}
     if text.startswith("graph:"):
         return {"surface": _parse_expr(text.split(":", 1)[1], "--christoffel graph")}
     if text.startswith("custom:"):
@@ -357,8 +361,7 @@ def _cmd_symintegrate(args) -> int:
     except ValueError as exc:
         raise _UsageError(f"--path: {exc}") from None
     result = integrate_symmetric_connection(f3, f4, initial, path, step=args.step)
-    ab_end = alpha_beta(f3, f4, result.endpoint, jet_order=2)
-    curvature = curvature_along(result.state, ab_end)
+    curvature = curvature_along(result.state, result.endpoint_alpha_beta)
     verdict = "pass" if abs(result.constraint_residual) <= args.tol else "fail"
     end = result.state
     results = {
@@ -454,10 +457,7 @@ def _cmd_lingen(args) -> int:
     interval_pieces = args.lam.split(":")
     if len(interval_pieces) != 2:
         raise _UsageError(f"--lambda: expected lo:hi, got {args.lam!r}")
-    try:
-        interval = (float(interval_pieces[0]), float(interval_pieces[1]))
-    except ValueError as exc:
-        raise _UsageError(f"--lambda: {exc}") from None
+    interval = tuple(_finite(p, "--lambda") for p in interval_pieces)
     data = []
     for source in sources:
         expr = _parse_expr(source, "--data")

@@ -298,7 +298,7 @@ class CharacteristicSolution:
             g_jet = yj + w0_jet * xj - lam_jet
             lam_jet = lam_jet - g_jet * (1.0 / gprime)
         residual = yj + evaluate_jet_with(self.datum.w0, {"y": lam_jet}) * xj - lam_jet
-        worst = float(abs(residual.coeffs).max())
+        worst = max(abs(v) for row in residual.table for v in row)
         if worst > 1e-9 * (1.0 + abs(lam)):
             raise ValueError(
                 f"characteristic jet failed to converge at {tuple(point)} "

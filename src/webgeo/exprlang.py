@@ -20,7 +20,9 @@ Parsed expressions are immutable trees that evaluate both over plain floats
 (:func:`evaluate_jet`), with identical constant terms: the float path and
 the jet constant-term path share the same arithmetic, so
 ``evaluate(e, p) == partial_derivative(evaluate_jet(e, p, k), 0, 0)``
-holds exactly.
+holds exactly.  One walker does both, on the coefficient tables of
+:mod:`webgeo.taylor`, at one point or at a :class:`Block` of points;
+:func:`evaluate_jet` hands the table it builds to the jet it returns.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from .taylor import (
     derivative_jet,
     jet_add,
     jet_div,
-    jet_from_table,
     jet_mul,
     jet_sub,
     partial_derivative,
@@ -54,6 +55,8 @@ from .taylor import (
     variable_table,
     _check_order,
     _integer_power,
+    _jet,
+    _power_or_inf,
 )
 
 FUNCTION_NAMES = ("sqrt", "exp", "ln", "sin", "cos", "tan")
@@ -524,7 +527,7 @@ def evaluate_jet(e: Expression, point, order: int) -> TaylorJet:
     x, y = float(point[0]), float(point[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise JetDomainError("non-finite coefficient produced by coordinate seed")
-    return jet_from_table((x, y), order, _Walker(x, y).jet(e, order, None))
+    return _jet(_Walker(x, y).jet(e, order, None), order, (x, y))
 
 
 def evaluate_jet_with(e: Expression, bindings: dict) -> TaylorJet:
@@ -542,13 +545,12 @@ def evaluate_jet_with(e: Expression, bindings: dict) -> TaylorJet:
     for j in jets[1:]:
         if j.base_point != base or j.order != order:
             raise EvaluationError("bound jets disagree on base point or order")
-    tables = {name: bindings[name].coeffs.tolist() for name in ("x", "y") if name in bindings}
-    walker = _Walker(None, None, tables)
-    return jet_from_table(base, order, walker.jet(e, order, None))
+    tables = {name: bindings[name].table for name in ("x", "y") if name in bindings}
+    return _jet(_Walker(None, None, tables).jet(e, order, None), order, base)
 
 
-#: The TaylorJet operation of each arithmetic operator.  The walker does
-#: not dispatch through it; perfbench's tracing tests look it up.
+#: The jet function of each arithmetic operator.  The walker does not
+#: dispatch through it; perfbench's tracing tests look it up.
 _JET_OPS = {"+": jet_add, "-": jet_sub, "*": jet_mul, "/": jet_div}
 
 _CONTEXT = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow_const"}
@@ -626,7 +628,7 @@ class _Walker:
                         self.fail(left == 0.0, ok, node, "zero raised to a negative power")
                     if isinstance(left, np.ndarray):
                         left = np.where(ok, left, 1.0)
-                    value = per_lane(lambda v: v**p, left)
+                    value = per_lane(lambda v: _power_or_inf(v, p), left)
             else:
                 right = self.value(node.right, ok)
                 if node.op == "+":

@@ -44,7 +44,7 @@ from .geometry import (
     ChristoffelField,
     ThomasParameters,
 )
-from .taylor import TaylorJet, partial_derivative, per_lane, table_partial, take_lanes
+from .taylor import TaylorJet, check_derivative_index, per_lane, table_partial, take_lanes
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -153,6 +153,11 @@ def _projective_flex(d, pi, ok=None):
     return cubic - _flex(*d)
 
 
+def _check_curvature(kappa):
+    if not math.isfinite(kappa):
+        raise ValueError(f"curvature must be a finite number, got {kappa!r}")
+
+
 def _curvature_denominator(kappa, x, y):
     return 1.0 + kappa * (x * x + y * y)
 
@@ -174,24 +179,24 @@ def _graph_surface_flex(d, z):
     return _flex(*d) - rhs
 
 
-def _second_order(jet: TaylorJet):
-    return (
-        partial_derivative(jet, 1, 0),
-        partial_derivative(jet, 0, 1),
-        partial_derivative(jet, 2, 0),
-        partial_derivative(jet, 1, 1),
-        partial_derivative(jet, 0, 2),
-    )
+def _second_order(table):
+    """(fx, fy, fxx, fxy, fyy) from the table of an order >= 2 jet."""
+    return [table_partial(table, i, j) for i, j in _SECOND_ORDER]
+
+
+def _second_order_at(f, point):
+    return _second_order(evaluate_jet(as_expression(f), point, 2).table)
 
 
 def flex_of_jet(jet: TaylorJet) -> float:
     """Flex value from an order >= 2 jet."""
-    return _flex(*_second_order(jet))
+    check_derivative_index(2, 0, jet.order)
+    return _flex(*_second_order(jet.table))
 
 
 def flex(f, point) -> float:
     """Flex of the function at a point (zero for all straight level sets)."""
-    return flex_of_jet(evaluate_jet(as_expression(f), point, 2))
+    return _flex(*_second_order_at(f, point))
 
 
 def flex_residual(f, gammas: ChristoffelField, point) -> ResidualSample:
@@ -201,7 +206,7 @@ def flex_residual(f, gammas: ChristoffelField, point) -> ResidualSample:
     the connection at that point.  Orientation: raw = Flex f minus the
     Christoffel terms.
     """
-    d = _second_order(evaluate_jet(as_expression(f), point, 2))
+    d = _second_order_at(f, point)
     raw = _covariant_flex(d, gammas.components_at(point))
     return _make_sample(point, raw, d[0], d[1])
 
@@ -214,7 +219,7 @@ def projective_flex_residual(f, pi: ThomasParameters, point) -> ResidualSample:
         raw = P1_22 fx^3 - 3 P1_12 fx^2 fy - 3 P2_12 fx fy^2 + P2_11 fy^3
               - Flex f
     """
-    d = _second_order(evaluate_jet(as_expression(f), point, 2))
+    d = _second_order_at(f, point)
     return _make_sample(point, _projective_flex(d, pi.as_tuple()), d[0], d[1])
 
 
@@ -222,14 +227,17 @@ def constant_curvature_residual(f, kappa: float, point) -> ResidualSample:
     """Geodesicity residual on the constant-curvature model surface:
 
         raw = Flex f - 2 kappa (x fx + y fy)(fx^2 + fy^2) / (1 + kappa r^2)
+
+    Raises ValueError for a kappa that is not finite.
     """
+    _check_curvature(kappa)
     x, y = float(point[0]), float(point[1])
     denom = _curvature_denominator(kappa, x, y)
     if denom <= 0.0:
         raise EvaluationError(
             f"metric singularity: 1 + kappa*(x^2+y^2) = {denom!r} at {(x, y)}"
         )
-    d = _second_order(evaluate_jet(as_expression(f), point, 2))
+    d = _second_order_at(f, point)
     return _make_sample(point, _constant_curvature_flex(d, kappa, x, y, denom), d[0], d[1])
 
 
@@ -240,8 +248,8 @@ def graph_surface_residual(f, z, point) -> ResidualSample:
                        (fy^2 z_xx - 2 fx fy z_xy + fx^2 z_yy)
                        / (1 + z_x^2 + z_y^2)
     """
-    d = _second_order(evaluate_jet(as_expression(f), point, 2))
-    z_terms = _second_order(evaluate_jet(as_expression(z), point, 2))
+    d = _second_order_at(f, point)
+    z_terms = _second_order_at(z, point)
     return _make_sample(point, _graph_surface_flex(d, z_terms), d[0], d[1])
 
 
@@ -411,7 +419,7 @@ def _structure_terms(block: Block, christoffels, thomas, curvature, surface):
         )
     table, good = block.evaluate(surface, 2)
     ok &= good
-    terms = [table_partial(table, i, j) for i, j in _SECOND_ORDER] if table else []
+    terms = _second_order(table) if table else []
     return ok, terms, lambda d, t, _: _graph_surface_flex(d, t)
 
 
@@ -429,7 +437,8 @@ def residual_sweep(
 
     Every sample equals, bit for bit, what the single-point residual
     function gives at that point; the points where it raises
-    :class:`EvaluationError` are skipped.
+    :class:`EvaluationError` are skipped.  Raises ValueError for a
+    curvature that is not finite.
     """
     supplied = [
         name
@@ -445,6 +454,8 @@ def residual_sweep(
         raise ValueError(
             f"exactly one geometric structure is required, got {supplied or 'none'}"
         )
+    if curvature is not None:
+        _check_curvature(curvature)
     if surface is not None:
         surface = as_expression(surface)
     funcs = [as_expression(f) for f in functions]
@@ -460,7 +471,7 @@ def residual_sweep(
                 if not ok.any():
                     out.add_block(block, ok)
                     continue
-                d = [table_partial(table, i, j) for i, j in _SECOND_ORDER]
+                d = _second_order(table)
                 raw = formula(d, terms, ok)
                 out.add_block(block, ok, normalize_lanes(block, ok, raw, d[0], d[1]))
     return results

@@ -45,13 +45,13 @@ import numpy as np
 from . import geodesy
 from .exprlang import Block, EvaluationError, as_expression, evaluate_jet, to_source
 from .geodesy import (
-    _SECOND_ORDER,
     GridResiduals,
     GridSpec,
     ResidualSample,
     WebPresentation,
     _flex,
     _projective_flex,
+    _second_order,
     cube,
     flex_of_jet,
     normalize_lanes,
@@ -59,16 +59,7 @@ from .geodesy import (
     skipped_points,
 )
 from .geometry import CurvatureMatrix, ThomasParameters, curvature_components
-from .taylor import (
-    JetDomainError,
-    TableJet,
-    TaylorJet,
-    jet_from_table,
-    partial_derivative,
-    per_lane,
-    table_partial,
-    take_lanes,
-)
+from .taylor import JetDomainError, TaylorJet, _jet, partial_derivative, per_lane, take_lanes
 
 #: Pairs with |J(f_i, f_j)| below this times |grad f_i| |grad f_j| are
 #: treated as tangent (degenerate) directions.
@@ -109,19 +100,18 @@ def _fail(bad, ok, error):
         ok &= np.logical_not(bad)
 
 
-def _table_at(f, at, order: int, ok):
-    """Coefficient table of the jet of f at `at`."""
+def _jet_at(f, at, order: int, ok) -> TaylorJet:
+    """The jet of f at `at`."""
     if ok is None:
-        return evaluate_jet(f, at, order).coeffs.tolist()
-    return at.target(f, order, ok)
+        return evaluate_jet(f, at, order)
+    return _jet(at.target(f, order, ok), order, at, ok)
 
 
 def _gradients_and_flexes(web: WebPresentation, at, ok=None):
     grads = []
     flexes = []
     for f in web.functions:
-        table = _table_at(f, at, 2, ok)
-        d = [table_partial(table, i, j) for i, j in _SECOND_ORDER]
+        d = _second_order(_jet_at(f, at, 2, ok).table)
         if ok is not None:
             d = [np.broadcast_to(v, ok.shape) for v in d]
         grads.append((d[0], d[1]))
@@ -346,7 +336,7 @@ class AlphaBeta:
         return partial_derivative(self.beta_jet, 0, 2)
 
 
-def _gradient_and_flex_jets(fjet: TableJet, order: int):
+def _gradient_and_flex_jets(fjet: TaylorJet, order: int):
     """(f_x, f_y, Flex f) as jets of `order`, from a jet of f two orders
     higher; the derivative jets are shared between the three outputs."""
     dx = fjet.derivative("x")
@@ -360,10 +350,10 @@ def _gradient_and_flex_jets(fjet: TableJet, order: int):
     return fx, fy, flex
 
 
-def _alpha_beta_tables(f3, f4, at, ok=None):
-    """Order-2 jet tables of alpha and beta (see :func:`alpha_beta`)."""
-    j3 = TableJet(_table_at(f3, at, 4, ok), 4, ok)
-    j4 = TableJet(_table_at(f4, at, 4, ok), 4, ok)
+def _alpha_beta_jets(f3, f4, at, ok=None):
+    """Order-2 jets of alpha and beta (see :func:`alpha_beta`)."""
+    j3 = _jet_at(f3, at, 4, ok)
+    j4 = _jet_at(f4, at, 4, ok)
     f3x, f3y, flex3 = _gradient_and_flex_jets(j3, 2)
     f4x, f4y, flex4 = _gradient_and_flex_jets(j4, 2)
     delta = f3x * f4y - f3y * f4x
@@ -372,19 +362,7 @@ def _alpha_beta_tables(f3, f4, at, ok=None):
     )
     term3 = flex3 / (f3x * f3y * delta)
     term4 = flex4 / (f4x * f4y * delta)
-    alpha_jet = f4y * term3 - f3y * term4
-    beta_jet = f3x * term4 - f4x * term3
-    return alpha_jet.table, beta_jet.table
-
-
-def _alpha_beta_from_tables(point, alpha, beta) -> AlphaBeta:
-    base = (float(point[0]), float(point[1]))
-    return AlphaBeta(
-        alpha=alpha[0][0],
-        beta=beta[0][0],
-        alpha_jet=jet_from_table(base, 2, alpha),
-        beta_jet=jet_from_table(base, 2, beta),
-    )
+    return f4y * term3 - f3y * term4, f3x * term4 - f4x * term3
 
 
 def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
@@ -429,7 +407,8 @@ def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
             beta=-f4x * term3 + f3x * term4,
         )
 
-    return _alpha_beta_from_tables(point, *_alpha_beta_tables(f3, f4, point))
+    alpha, beta = _alpha_beta_jets(f3, f4, point)
+    return AlphaBeta(alpha.value, beta.value, alpha, beta)
 
 
 def _check_alpha_beta_denominators(at, f3x, f3y, f4x, f4y, delta, ok=None):
@@ -444,12 +423,14 @@ def _check_alpha_beta_denominators(at, f3x, f3y, f4x, f4y, delta, ok=None):
         )
 
 
-def _symmetry_residuals(alpha, beta):
+def _symmetry_residuals(alpha: TaylorJet, beta: TaylorJet):
     """(r1, r2) of :func:`symmetric_conditions_residual` from the order-2
-    jet tables of alpha and beta."""
-    a, b = alpha[0][0], beta[0][0]
-    alpha_x, alpha_xx, alpha_xy = (table_partial(alpha, *ij) for ij in ((1, 0), (2, 0), (1, 1)))
-    beta_y, beta_xy, beta_yy = (table_partial(beta, *ij) for ij in ((0, 1), (1, 1), (0, 2)))
+    jets of alpha and beta."""
+    a, b = alpha.value, beta.value
+    alpha_x, alpha_xx, alpha_xy = (
+        partial_derivative(alpha, *ij) for ij in ((1, 0), (2, 0), (1, 1))
+    )
+    beta_y, beta_xy, beta_yy = (partial_derivative(beta, *ij) for ij in ((0, 1), (1, 1), (0, 2)))
     r1 = alpha_xx + 2.0 * beta_xy - b * alpha_x - 2.0 * b * beta_y
     r2 = 2.0 * alpha_xy + beta_yy - 2.0 * a * alpha_x - a * beta_y
     return r1, r2
@@ -464,9 +445,7 @@ def symmetric_conditions_residual(f3, f4, point) -> tuple[float, float]:
     Both vanish exactly when the projective structure of the normalized web
     (x, y, f3, f4) contains an affine symmetric connection at the point.
     """
-    return _symmetry_residuals(
-        *_alpha_beta_tables(as_expression(f3), as_expression(f4), point)
-    )
+    return _symmetry_residuals(*_alpha_beta_jets(as_expression(f3), as_expression(f4), point))
 
 
 def symmetry_sweep(f3, f4, grid: GridSpec):
@@ -477,7 +456,7 @@ def symmetry_sweep(f3, f4, grid: GridSpec):
     f4 = as_expression(f4)
 
     def kernel(block, ok):
-        return _symmetry_residuals(*_alpha_beta_tables(f3, f4, block, ok))
+        return _symmetry_residuals(*_alpha_beta_jets(f3, f4, block, ok))
 
     (r1, r2), skipped = _sweep_columns(grid, kernel, 2)
     return r1, r2, skipped
@@ -508,7 +487,7 @@ def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
         pi = _fit(leading, block, ok)
         samples = []
         for f in rest:
-            d = [table_partial(block.target(f, 2, ok), i, j) for i, j in _SECOND_ORDER]
+            d = _second_order(block.target(f, 2, ok))
             raw = _projective_flex(d, pi, ok)
             samples.append(normalize_lanes(block, ok, raw, d[0], d[1]))
         return samples
@@ -608,10 +587,12 @@ def finite_type_rhs(state: FiniteTypeState, ab: AlphaBeta):
 
 @dataclass(frozen=True)
 class IntegrationResult:
-    """Endpoint of a finite-type transport, with constraint diagnostics."""
+    """Endpoint of a finite-type transport, with constraint diagnostics and
+    the (alpha, beta) field sample at the endpoint."""
 
     state: FiniteTypeState
     endpoint: tuple[float, float]
+    endpoint_alpha_beta: AlphaBeta
     constraint_residual: float
     max_symmetry_residual: float
     warnings: tuple[str, ...]
@@ -711,26 +692,27 @@ def _field_samples(f3, f4, points):
             yield Block(*zip(*chunk))
 
     def kernel(block, ok):
-        alpha, beta = _alpha_beta_tables(f3, f4, block, ok)
-        return alpha, beta, _symmetry_residuals(alpha, beta)
+        alpha, beta = _alpha_beta_jets(f3, f4, block, ok)
+        return alpha.table, beta.table, _symmetry_residuals(alpha, beta)
 
     for block, ok, result in _blocks(blocks(), kernel):
         n = len(ok)
         lanes = [None] * n
         if result is not None:
-            alpha, beta, (r1, r2) = result
+            alpha_table, beta_table, (r1, r2) = result
             lanes = zip(
-                _lane_tables(alpha, n), _lane_tables(beta, n),
+                _lane_tables(alpha_table, n), _lane_tables(beta_table, n),
                 _lane_floats(r1, n), _lane_floats(r2, n),
             )
         points_here = zip(block.x.tolist(), block.y.tolist())
         for point, good, lane in zip(points_here, ok.tolist(), lanes):
             if good:
                 a, b, s1, s2 = lane
+                alpha, beta = _jet(a, 2, point), _jet(b, 2, point)
             else:
-                a, b = _alpha_beta_tables(f3, f4, point)
-                s1, s2 = _symmetry_residuals(a, b)
-            yield _alpha_beta_from_tables(point, a, b), s1, s2
+                alpha, beta = _alpha_beta_jets(f3, f4, point)
+                s1, s2 = _symmetry_residuals(alpha, beta)
+            yield AlphaBeta(alpha.value, beta.value, alpha, beta), s1, s2
 
 
 def integrate_symmetric_connection(
@@ -761,10 +743,14 @@ def integrate_symmetric_connection(
     trace constraint, then the first sample along the path where the field
     fails.
 
-    Raises ValueError, before any evaluation, for a step that is not finite
-    and positive, a path of fewer than two points or with a point that is
-    not finite, and a path of more than MAX_PATH_STEPS steps.
+    Raises ValueError, before any evaluation, for an initial state that is
+    not finite, a step that is not finite and positive, a path of fewer
+    than two points or with a point that is not finite, and a path of more
+    than MAX_PATH_STEPS steps.
     """
+    values = initial.as_array()
+    if not np.isfinite(values).all():
+        raise ValueError(f"initial state is not finite: {initial}")
     points, segments = _path_segments(path, step)
     f3 = as_expression(f3)
     f4 = as_expression(f4)
@@ -797,7 +783,6 @@ def integrate_symmetric_connection(
         )
 
     # The end sample of a step is the next step's base sample.
-    values = initial.as_array()
     for direction, h, _, _ in _rk4_steps(segments):
         ab_mid = next_sample()
         ab_end = next_sample()
@@ -819,6 +804,7 @@ def integrate_symmetric_connection(
     return IntegrationResult(
         state=final_state,
         endpoint=points[-1],
+        endpoint_alpha_beta=ab_current,
         constraint_residual=c_end,
         max_symmetry_residual=max_sym,
         warnings=tuple(warnings),

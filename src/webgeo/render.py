@@ -99,9 +99,10 @@ def trace_level_curve(
     The polyline runs in both directions from the seed until it leaves the
     rectangle, closes a loop (the seed is then appended again so closed
     leaves end where they start), or reaches `max_points` per direction.
+    Raises ValueError for a step that is not finite and positive.
     """
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step!r}")
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a finite positive number, got {step!r}")
     f = as_expression(f)
     seed = (float(seed[0]), float(seed[1]))
     if not domain.contains(seed):

@@ -16,25 +16,25 @@ the outer function at the jet's constant term.  Any operation that would
 produce a NaN or infinite coefficient raises immediately; non-finite values
 are never stored.
 
-The kernels (`mul_table`, `div_table`, `compose_table`, `_integer_power`)
-work on coefficient tables whose entries are floats, for one jet, or lane
-vectors holding one value per point of a block of grid points.  Grid
-commands evaluate blocks: the same float operations run for every point
-at once, and each point gets the bits its single jet would.  Failures are
-per point: where a single jet raises, the block clears that point's lane
-in a validity mask (see "lane tables" below).  Transcendental constant
-terms and Python powers are computed lane by lane with `math` and Python
-floats, whose rounding numpy's vectorized versions do not always match.
-:class:`TableJet` gives a coefficient table the operators of TaylorJet,
-so a jet formula (the order-4 to order-2 chain of the projective
-invariants) is written once and runs at one point or at a block.
+A jet holds its coefficients as a table (see "lane tables" below) whose
+entries are floats, for a jet at one point, or lane vectors holding one
+value per point of a block of grid points.  The kernels (`mul_table`,
+`div_table`, `compose_table`, `_integer_power`) work on such tables, and
+each TaylorJet operator runs them once for a point or for a block: the
+same float operations run for every point at once, and each point gets
+the bits its own jet would.  Failures are per point: where a jet at a
+point raises, a jet at a block clears that point's lane in a validity mask.
+Transcendental constant terms and Python powers are computed lane by lane
+with `math` and Python floats, whose rounding numpy's vectorized versions
+do not always match.  So a jet formula (the order-4 to order-2 chain of
+the projective invariants) is written once and runs at a point or at a
+block.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,27 +67,41 @@ def _check_order(order: int) -> int:
     return order
 
 
-@dataclass(frozen=True, eq=False)
 class TaylorJet:
-    """Immutable truncated Taylor expansion at a point of the plane.
+    """Immutable truncated Taylor expansion at a point of the plane, or at
+    every point of a block of grid points.
 
     Attributes:
-      base_point: the expansion point (x0, y0).
+      table: the coefficient table (see "lane tables" below); row i holds
+        the normalized coefficients of x^i y^j for j = 0..order-i, floats
+        at a point, floats or lane vectors at a block.  No operation
+        changes a table it is given.
       order: truncation order, between 1 and 4.
-      coeffs: square array of shape (order+1, order+1); entry [i, j] holds
-        the normalized coefficient for x^i y^j, entries with i + j > order
-        are zero.
+      base_point: the expansion point (x0, y0), or the
+        :class:`~webgeo.exprlang.Block` whose points the lanes hold.
+      ok: None at a point; at a block, the boolean lane mask that the jets
+        of one computation share.
+
+    The operators (+ - * / between jets or with a number, ``**`` a
+    constant, :meth:`derivative`, :meth:`truncate`) run the table kernels
+    and check that every coefficient is finite.  At a point a failure
+    raises :class:`JetDomainError`; at a block it clears the failing
+    lanes of `ok` instead (and raises when it holds at every point), and
+    each lane gets the bits of the point computation.  A number operand
+    stands for a constant jet: ``2.0 * a`` is ``a * constant(2.0)``.
     """
 
-    base_point: tuple[float, float]
-    order: int
-    coeffs: np.ndarray
+    __slots__ = ("table", "order", "base_point", "ok")
 
-    def __post_init__(self):
-        _check_order(self.order)
-        point = (float(self.base_point[0]), float(self.base_point[1]))
-        arr = np.array(self.coeffs, dtype=float)
-        n = self.order
+    def __new__(cls, base_point, order: int, coeffs):
+        """The jet at `base_point` with the coefficients of the square
+        array `coeffs`, of shape (order+1, order+1): entry [i, j] holds
+        the coefficient of x^i y^j, and entries with i + j > order must be
+        zero."""
+        _check_order(order)
+        point = (float(base_point[0]), float(base_point[1]))
+        arr = np.array(coeffs, dtype=float)
+        n = order
         if arr.shape != (n + 1, n + 1):
             raise JetError(
                 f"coefficient table must have shape {(n + 1, n + 1)}, got {arr.shape}"
@@ -98,9 +112,29 @@ class TaylorJet:
                     raise JetError("coefficients beyond the truncation order must be zero")
         if not np.isfinite(arr).all():
             raise JetDomainError("jet holds a non-finite coefficient")
+        return _jet([row[: n + 1 - i] for i, row in enumerate(arr.tolist())], n, point)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}: TaylorJet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}: TaylorJet is immutable")
+
+    def __reduce__(self):
+        return (_jet, (self.table, self.order, self.base_point, self.ok))
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """A fresh read-only array of shape (order+1, order+1) holding
+        c[i][j] at [i, j] and zero where i + j > order (a jet at a point)."""
+        if self.ok is not None:
+            raise JetError("a jet over a block of points has no coefficient array")
+        n = self.order
+        arr = np.zeros((n + 1, n + 1))
+        for i, row in enumerate(self.table):
+            arr[i, : n + 1 - i] = row[: n + 1 - i]
         arr.setflags(write=False)
-        object.__setattr__(self, "base_point", point)
-        object.__setattr__(self, "coeffs", arr)
+        return arr
 
     @property
     def n_coefficients(self) -> int:
@@ -111,53 +145,70 @@ class TaylorJet:
         """Normalized coefficient c[i][j]."""
         if i < 0 or j < 0 or i + j > self.order:
             raise JetError(f"coefficient ({i},{j}) outside jet of order {self.order}")
-        return float(self.coeffs[i, j])
+        return float(self.table[i][j])
 
     @property
-    def value(self) -> float:
-        """Value of the underlying function at the base point."""
-        return float(self.coeffs[0, 0])
+    def value(self):
+        """Value of the underlying function at the base point (a lane
+        vector at a block)."""
+        return self.table[0][0]
 
     def _coerce(self, other):
         if isinstance(other, TaylorJet):
             return other
         if isinstance(other, (int, float)):
-            return jet_constant(self.base_point, float(other), self.order)
+            return _constant(other, self.order, self.base_point, self.ok)
         return NotImplemented
 
     def __add__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else jet_add(self, other)
+        return NotImplemented if other is NotImplemented else _arith("+", self, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else jet_sub(self, other)
+        return NotImplemented if other is NotImplemented else _arith("-", self, other)
 
     def __rsub__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else jet_sub(other, self)
+        return NotImplemented if other is NotImplemented else _arith("-", other, self)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else jet_mul(self, other)
+        return NotImplemented if other is NotImplemented else _arith("*", self, other)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else jet_div(self, other)
+        return NotImplemented if other is NotImplemented else _arith("/", self, other)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
-        return NotImplemented if other is NotImplemented else jet_div(other, self)
+        return NotImplemented if other is NotImplemented else _arith("/", other, self)
 
     def __neg__(self):
-        return jet_constant(self.base_point, 0.0, self.order) - self
+        return _arith("-", self._coerce(0.0), self)
 
     def __pow__(self, exponent):
         return jet_elementary("pow_const", self, float(exponent))
+
+    def derivative(self, axis) -> "TaylorJet":
+        """Jet of the partial derivative along `axis`, one order lower."""
+        if self.order < 2:
+            raise JetError("derivative_jet would drop the order below 1")
+        table = table_derivative(self.table, axis, self.order)
+        check_table(table, self.ok, "derivative_jet")
+        return _jet(table, self.order - 1, self.base_point, self.ok)
+
+    def truncate(self, order: int) -> "TaylorJet":
+        """Copy truncated to a lower (or equal) order."""
+        _check_order(order)
+        if order > self.order:
+            raise JetError(f"cannot raise jet order from {self.order} to {order}")
+        rows = [row[: order + 1 - i] for i, row in enumerate(self.table[: order + 1])]
+        return _jet(rows, order, self.base_point, self.ok)
 
     def __repr__(self):
         return (
@@ -166,34 +217,33 @@ class TaylorJet:
         )
 
 
-def _finish(point, order, coeffs, context: str) -> TaylorJet:
-    """Internal constructor for arithmetic results.
-
-    The coefficient layout is trusted (correct shape, zero truncation tail),
-    so only the finiteness guard runs; full validation stays in the public
-    constructor.
-    """
-    if not np.isfinite(coeffs).all():
-        raise JetDomainError(f"non-finite coefficient produced by {context}")
-    return _wrap(point, order, coeffs)
+# The slots' own setters, which the immutable class's __setattr__ does not
+# reach.
+_SET_TABLE, _SET_ORDER, _SET_BASE, _SET_OK = (
+    TaylorJet.__dict__[name].__set__ for name in TaylorJet.__slots__
+)
 
 
-def _wrap(point, order, coeffs) -> TaylorJet:
+def _jet(table, order: int, base_point, ok=None) -> TaylorJet:
+    """The jet of a table that an operation made (see TaylorJet)."""
     jet = object.__new__(TaylorJet)
-    coeffs.setflags(write=False)
-    object.__setattr__(jet, "base_point", point)
-    object.__setattr__(jet, "order", order)
-    object.__setattr__(jet, "coeffs", coeffs)
+    _SET_TABLE(jet, table)
+    _SET_ORDER(jet, order)
+    _SET_BASE(jet, base_point)
+    _SET_OK(jet, ok)
     return jet
+
+
+def _constant(value, order: int, base_point, ok=None) -> TaylorJet:
+    table = constant_table(value, order)
+    check_table(table, None, "constant seed")
+    return _jet(table, order, base_point, ok)
 
 
 def jet_constant(point, value: float, order: int) -> TaylorJet:
     """Jet of the constant function `value`."""
     _check_order(order)
-    point = (float(point[0]), float(point[1]))
-    coeffs = np.zeros((order + 1, order + 1))
-    coeffs[0, 0] = float(value)
-    return _finish(point, order, coeffs, "constant seed")
+    return _constant(value, order, (float(point[0]), float(point[1])))
 
 
 def jet_variable(point, axis, order: int) -> TaylorJet:
@@ -201,32 +251,34 @@ def jet_variable(point, axis, order: int) -> TaylorJet:
     _check_order(order)
     name = _as_axis(axis)
     point = (float(point[0]), float(point[1]))
-    coeffs = np.zeros((order + 1, order + 1))
-    coeffs[0, 0] = point[0] if name == "x" else point[1]
-    if name == "x":
-        coeffs[1, 0] = 1.0
-    else:
-        coeffs[0, 1] = 1.0
-    return _finish(point, order, coeffs, "coordinate seed")
+    table = variable_table(point[0] if name == "x" else point[1], name, order)
+    check_table(table, None, "coordinate seed")
+    return _jet(table, order, point)
 
 
-def _check_compatible(a: TaylorJet, b: TaylorJet, op: str):
+_CONTEXT = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
+
+
+def _arith(op: str, a: TaylorJet, b: TaylorJet) -> TaylorJet:
+    """a op b for op one of + - * /: the arithmetic of every jet."""
+    context = _CONTEXT[op]
     if a.order != b.order:
-        raise JetError(f"{op}: mismatched jet orders {a.order} and {b.order}")
+        raise JetError(f"{context}: mismatched jet orders {a.order} and {b.order}")
     if a.base_point != b.base_point:
         raise JetError(
-            f"{op}: mismatched base points {a.base_point} and {b.base_point}"
+            f"{context}: mismatched base points {a.base_point} and {b.base_point}"
         )
+    table = table_arith(op, a.table, b.table, a.order, a.ok)
+    check_table(table, a.ok, context)
+    return _jet(table, a.order, a.base_point, a.ok)
 
 
 def jet_add(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    _check_compatible(a, b, "add")
-    return _finish(a.base_point, a.order, a.coeffs + b.coeffs, "add")
+    return _arith("+", a, b)
 
 
 def jet_sub(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    _check_compatible(a, b, "sub")
-    return _finish(a.base_point, a.order, a.coeffs - b.coeffs, "sub")
+    return _arith("-", a, b)
 
 
 def mul_table(la, lb, n: int):
@@ -237,7 +289,7 @@ def mul_table(la, lb, n: int):
     every accumulated sum unchanged, so each lane gets the same bits as a
     single-point product.
     """
-    out = [[0.0] * (n + 1) for _ in range(n + 1)]
+    out = [[0.0] * (n + 1 - i) for i in range(n + 1)]
     for p in range(n + 1):
         row_a = la[p]
         for q in range(n + 1 - p):
@@ -256,7 +308,7 @@ def div_table(la, lb, n: int):
     """Truncated quotient of two coefficient tables, solved degree by
     degree.  The divisor's constant term must be nonzero (callers check)."""
     b00 = lb[0][0]
-    out = [[0.0] * (n + 1) for _ in range(n + 1)]
+    out = [[0.0] * (n + 1 - i) for i in range(n + 1)]
     out[0][0] = la[0][0] / b00
     for d in range(1, n + 1):
         for i in range(d + 1):
@@ -277,7 +329,7 @@ def compose_table(h, series, n: int):
     """Table of g(a) given the univariate Taylor coefficients of g at a's
     constant term, where `h` is a's table with its constant term zeroed
     (Horner evaluation)."""
-    acc = [[0.0] * (n + 1) for _ in range(n + 1)]
+    acc = [[0.0] * (n + 1 - i) for i in range(n + 1)]
     acc[0][0] = series[n]
     for k in range(n - 1, -1, -1):
         acc = mul_table(acc, h, n)
@@ -304,6 +356,15 @@ def _exp_or_inf(u: float) -> float:
         return math.inf
 
 
+def _power_or_inf(v: float, p: float) -> float:
+    """v**p for a float v inside the power's domain, or inf where Python
+    raises OverflowError, so the caller's finiteness check fails it."""
+    try:
+        return v**p
+    except OverflowError:
+        return math.inf
+
+
 def _series(fn: str, u, n: int, p: float | None = None):
     """Univariate Taylor coefficients of an elementary function at u, a
     float or a lane vector inside the function's domain."""
@@ -311,7 +372,7 @@ def _series(fn: str, u, n: int, p: float | None = None):
         coeffs = [per_lane(math.sqrt, u)]
         p = 0.5
     elif fn == "pow_const":
-        coeffs = [per_lane(lambda v: v**p, u)]
+        coeffs = [per_lane(lambda v: _power_or_inf(v, p), u)]
     elif fn == "exp":
         e = per_lane(_exp_or_inf, u)
         return [e / _FACTORIAL[k] for k in range(n + 1)]
@@ -344,10 +405,7 @@ def _series(fn: str, u, n: int, p: float | None = None):
 
 def jet_mul(a: TaylorJet, b: TaylorJet) -> TaylorJet:
     """Truncated Cauchy product of two jets."""
-    _check_compatible(a, b, "mul")
-    n = a.order
-    out = mul_table(a.coeffs.tolist(), b.coeffs.tolist(), n)
-    return _finish(a.base_point, n, np.array(out), "mul")
+    return _arith("*", a, b)
 
 
 def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
@@ -356,12 +414,7 @@ def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
     A zero constant term in the divisor signals a singular point of the
     formula being evaluated and raises :class:`JetDomainError`.
     """
-    _check_compatible(a, b, "div")
-    n = a.order
-    if float(b.coeffs[0, 0]) == 0.0:
-        raise JetDomainError("division by a jet with zero constant term")
-    out = div_table(a.coeffs.tolist(), b.coeffs.tolist(), n)
-    return _finish(a.base_point, n, np.array(out), "div")
+    return _arith("/", a, b)
 
 
 _ARITH = {"add": jet_add, "sub": jet_sub, "mul": jet_mul, "div": jet_div}
@@ -407,9 +460,9 @@ def jet_elementary(fn: str, a: TaylorJet, exponent: float | None = None) -> Tayl
     """
     if fn == "pow_const" and exponent is None:
         raise JetError("pow_const requires an exponent")
-    table = table_elementary(fn, a.coeffs.tolist(), a.order, None, exponent)
-    check_table(table, None, fn)
-    return jet_from_table(a.base_point, a.order, table)
+    table = table_elementary(fn, a.table, a.order, a.ok, exponent)
+    check_table(table, a.ok, fn)
+    return _jet(table, a.order, a.base_point, a.ok)
 
 
 def check_derivative_index(i: int, j: int, order: int):
@@ -426,29 +479,17 @@ def partial_derivative(a: TaylorJet, i: int, j: int) -> float:
     """The raw partial derivative d^{i+j} f / dx^i dy^j at the base point."""
     if i < 0 or j < 0 or i + j > a.order:
         check_derivative_index(i, j, a.order)
-    return float(a.coeffs[i, j]) * _FACTORIAL[i] * _FACTORIAL[j]
+    return table_partial(a.table, i, j)
 
 
 def derivative_jet(a: TaylorJet, axis) -> TaylorJet:
     """Jet of the partial derivative of `a` along `axis`, one order lower."""
-    if a.order < 2:
-        raise JetError("derivative_jet would drop the order below 1")
-    table = table_derivative(a.coeffs.tolist(), axis, a.order)
-    check_table(table, None, "derivative_jet")
-    return jet_from_table(a.base_point, a.order - 1, table)
+    return a.derivative(axis)
 
 
 def truncate_jet(a: TaylorJet, order: int) -> TaylorJet:
     """Copy of `a` truncated to a lower (or equal) order."""
-    _check_order(order)
-    if order > a.order:
-        raise JetError(f"cannot raise jet order from {a.order} to {order}")
-    out = np.array(a.coeffs[: order + 1, : order + 1])
-    for i in range(order + 1):
-        for j in range(order + 1):
-            if i + j > order:
-                out[i, j] = 0.0
-    return _finish(a.base_point, order, out, "truncate")
+    return a.truncate(order)
 
 
 # ------------------------------------------------------------ lane tables
@@ -494,19 +535,14 @@ def variable_table(lanes, axis: str, order: int):
 
 
 def check_table(table, ok, context: str):
-    """Clear the lanes holding a non-finite coefficient, as `_finish` raises."""
+    """Clear the lanes holding a non-finite coefficient; raise when a float
+    entry is not finite."""
     for row in table:
         for v in row:
             if isinstance(v, np.ndarray):
                 ok &= np.isfinite(v)
             elif v - v != 0.0:
                 raise JetDomainError(f"non-finite coefficient produced by {context}")
-
-
-def jet_from_table(point, order: int, table) -> TaylorJet:
-    """The jet at `point` whose table of finite floats is `table`."""
-    rows = [list(row[: order + 1 - i]) + [0.0] * i for i, row in enumerate(table)]
-    return _wrap(point, order, np.array(rows))
 
 
 def table_arith(op: str, a, b, order: int, ok):
@@ -565,66 +601,6 @@ def table_derivative(table, axis: str, order: int):
     if _as_axis(axis) == "x":
         return [[(i + 1) * table[i + 1][j] for j in range(m + 1 - i)] for i in range(m + 1)]
     return [[(j + 1) * table[i][j + 1] for j in range(m + 1 - i)] for i in range(m + 1)]
-
-
-_CONTEXT = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
-
-
-class TableJet:
-    """A jet held as a coefficient table, with the arithmetic of
-    :class:`TaylorJet`.
-
-    Each operator runs the kernel and the finiteness check that the
-    TaylorJet operator runs, on float entries (one point) or lane vectors
-    (a block), so each lane gets the bits of the TaylorJet computation.
-    Where the TaylorJet operator raises :class:`JetDomainError`, this one
-    clears the point's lane in the shared mask `ok`, or raises the same
-    error when `ok` is None (one point).  A number operand stands for a
-    constant jet: ``2.0 * a`` is ``a * constant(2.0)``, as for TaylorJet.
-    """
-
-    __slots__ = ("table", "order", "ok")
-
-    def __init__(self, table, order: int, ok=None):
-        self.table = table
-        self.order = order
-        self.ok = ok
-
-    def _arith(self, op: str, other) -> "TableJet":
-        if not isinstance(other, TableJet):
-            other = TableJet(constant_table(other, self.order), self.order, self.ok)
-        table = table_arith(op, self.table, other.table, self.order, self.ok)
-        check_table(table, self.ok, _CONTEXT[op])
-        return TableJet(table, self.order, self.ok)
-
-    def __add__(self, other):
-        return self._arith("+", other)
-
-    def __sub__(self, other):
-        return self._arith("-", other)
-
-    def __mul__(self, other):
-        return self._arith("*", other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return self._arith("/", other)
-
-    @property
-    def value(self):
-        return self.table[0][0]
-
-    def derivative(self, axis) -> "TableJet":
-        """As :func:`derivative_jet`: the jet of d/d`axis`, one order lower."""
-        table = table_derivative(self.table, axis, self.order)
-        check_table(table, self.ok, "derivative_jet")
-        return TableJet(table, self.order - 1, self.ok)
-
-    def truncate(self, order: int) -> "TableJet":
-        """As :func:`truncate_jet` (its entries are already checked)."""
-        rows = [row[: order + 1 - i] for i, row in enumerate(self.table[: order + 1])]
-        return TableJet(rows, order, self.ok)
 
 
 def take_lanes(value, ok):

@@ -403,3 +403,63 @@ def test_deep_flat_chain_is_a_parse_error(capsys):
     assert run(["flex", "--f", chain, "--grid", "0:1:0:1:2:2"]) == 0
     assert run(["render", "--web", f"{chain}; y", "--domain", "0:1:0:1", "--levels", "1",
                 "--step", "0.05", "--svg", os.devnull]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fit", "--web", "x;y;x+y;x*y", "--point", "nan,1"],
+        ["euler", "--w", "y/(1-x)", "--point=inf,2"],
+        ["euler", "--w", "y/(1-x)", "--pi", "nan,0,0,0", "--point", "0.5,2"],
+        ["symintegrate", "--f3", "x+y", "--f4", "x*y", "--initial", "0,0,nan,0,0,0",
+         "--path", "2.9,0.9; 3.1,0.9", "--step", "0.01"],
+        ["render", "--web", "x; y", "--domain", "0:inf:0:1", "--svg", os.devnull],
+        ["lingen", "--data=-2*sqrt(-y)", "--lambda=-inf:-0.04", "--domain=-2:2:-4:2"],
+    ]
+    + [
+        ["geodesic", "--web", "x;y", "--christoffel", f"constcurv:{kappa}",
+         "--grid", "0.1:1:0.1:1:3:3", "--expect", "geodesic"]
+        for kappa in ("nan", "inf", "-inf")
+    ],
+)
+def test_non_finite_numbers_exit_2(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "is not finite" in err and "Traceback" not in err
+
+
+def test_unreadable_curvature_exits_2(capsys):
+    argv = ["geodesic", "--web", "x;y", "--christoffel", "constcurv:abc",
+            "--grid", "0.1:1:0.1:1:3:3"]
+    assert run(argv) == 2
+    assert "--christoffel constcurv: could not convert" in capsys.readouterr().err
+
+
+def test_symintegrate_reuses_the_endpoint_sample(monkeypatch, capsys):
+    import webgeo.cli
+
+    def again(*args, **kwargs):
+        raise AssertionError("alpha_beta evaluated again at the endpoint")
+
+    monkeypatch.setattr(webgeo.cli, "alpha_beta", again, raising=False)
+    assert run([*SYM_PATH_ARGS, "--path", "2.9,0.9; 3.1,0.9", "--step", "0.05"]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flex", "--f", "(1e250*x)^1.5", "--grid", "0.5:1:0.5:1:2:2"],
+        ["fit", "--web", "x;y;x+y;(1e250*x)^1.5", "--point", "1,1"],
+    ],
+)
+def test_overflowing_fractional_power_fails_the_point(argv, capsys):
+    assert run(argv) == 1
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_overflowing_fractional_power_skips_the_leaf(capsys):
+    argv = ["render", "--web", "(1e250*x)^1.5; y", "--domain", "0:1:0:1", "--levels", "1",
+            "--step", "0.05", "--svg", os.devnull]
+    assert run(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["warnings"] == ["no leaves traced for '((1e+250 * x))^1.5'"]

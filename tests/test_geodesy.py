@@ -275,3 +275,17 @@ def test_grid_spec_caps_the_point_count():
         GridSpec(0, 1, 0, 1, side, MAX_GRID_POINTS // side + 1)
     with pytest.raises(ValueError, match="more than the limit"):
         GridSpec(0, 1, 0, 1, 10**9, 10**9)
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_non_finite_curvature_is_rejected(kappa):
+    from webgeo import geodesic_web_report
+    from webgeo.geodesy import residual_sweep
+
+    grid = GridSpec(0.1, 1.0, 0.1, 1.0, 3, 3)
+    with pytest.raises(ValueError, match="curvature must be a finite number"):
+        constant_curvature_residual("x", kappa, (0.5, 0.5))
+    with pytest.raises(ValueError, match="curvature must be a finite number"):
+        residual_sweep(["x", "y"], grid, curvature=kappa)
+    with pytest.raises(ValueError, match="curvature must be a finite number"):
+        geodesic_web_report(["x", "y"], grid, curvature=kappa)

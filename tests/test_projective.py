@@ -332,3 +332,26 @@ def test_curvature_along_trace():
 
     bad = FiniteTypeState(0.3, 0.1, 0.2, -0.4, 0.9, 0.7)
     assert abs(curvature_along(bad, ab).trace) > 1e-3
+
+
+def test_transport_rejects_a_non_finite_initial_state_before_evaluating():
+    path = [(2.9, 0.9), (3.1, 0.9)]
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        initial = FiniteTypeState(0, 0, bad, 0, 0, 0)
+        # the field is undefined everywhere: evaluating it would raise
+        # EvaluationError ("sqrt ...") instead
+        with pytest.raises(ValueError, match="initial state is not finite"):
+            integrate_symmetric_connection("sqrt(-1 - x^2)", "x", initial, path, 1e-2)
+
+
+@pytest.mark.parametrize("path", [[(2.9, 0.9), (3.1, 0.9), (3.1, 1.1)], [(3.0, 1.0), (3.0, 1.0)]])
+def test_transport_returns_the_field_sample_at_its_endpoint(path):
+    initial = FiniteTypeState(0.2, -0.1, 0.15, 0.33, -0.21, 0.15)
+    result = integrate_symmetric_connection(*SYMMETRIC_PAIR, initial, path, step=0.05)
+    at_end = alpha_beta(*SYMMETRIC_PAIR, result.endpoint, jet_order=2)
+    sample = result.endpoint_alpha_beta
+    assert sample.alpha_jet.base_point == at_end.alpha_jet.base_point == path[-1]
+    assert (sample.alpha, sample.beta) == (at_end.alpha, at_end.beta)
+    assert sample.alpha_jet.coeffs.tolist() == at_end.alpha_jet.coeffs.tolist()
+    assert sample.beta_jet.coeffs.tolist() == at_end.beta_jet.coeffs.tolist()
+    assert curvature_along(result.state, sample) == curvature_along(result.state, at_end)

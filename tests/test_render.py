@@ -160,3 +160,9 @@ def test_rect_contract():
         Rect(1, 0, 0, 1)
     with pytest.raises(ValueError):
         LeafPolyline(0, 0.0, [])
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, math.nan, math.inf])
+def test_trace_step_must_be_finite_and_positive(step):
+    with pytest.raises(ValueError, match="step must be a finite positive number"):
+        trace_level_curve("x+y", (0.5, 0.5), Rect(0, 1, 0, 1), step=step)
