@@ -15,20 +15,28 @@ which keeps jet composition closed-form; a non-constant exponent is a parse
 error, not an evaluation error.  Identifiers are case-sensitive and only the
 two variables and the six function names are legal.
 
-Parsed expressions are immutable trees that evaluate both over plain floats
-(:func:`evaluate`) and over :class:`~webgeo.taylor.TaylorJet` values
-(:func:`evaluate_jet`), with identical constant terms: the float path and
-the jet constant-term path share the same arithmetic, so
+Parsed expressions are immutable trees that evaluate over plain floats
+(:func:`evaluate`, :func:`evaluate_gradient`) and over
+:class:`~webgeo.taylor.TaylorJet` values (:func:`evaluate_jet`), with
+identical constant terms: the float path and the jet constant-term path
+share the same arithmetic, so
 ``evaluate(e, p) == partial_derivative(evaluate_jet(e, p, k), 0, 0)``
-holds exactly.  One walker does both, on the coefficient tables of
-:mod:`webgeo.taylor`, at one point or at a :class:`Block` of points;
-:func:`evaluate_jet` hands the table it builds to the jet it returns.
+holds exactly.
+
+Values and gradients at a point run straight-line Python code that
+:class:`_Compiler` makes from the tree on first use and caches on the node,
+so a formula traced or scanned at thousands of points is turned into code
+once.  Jets, at one point or at a :class:`Block` of points, and values at a
+block come from one tree walker, :class:`_Walker`, on the coefficient
+tables of :mod:`webgeo.taylor`; :func:`evaluate_jet` hands the table it
+builds to the jet it returns.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,6 +87,10 @@ class EvaluationError(ValueError):
         if subexpression is not None:
             message = f"{message} in '{subexpression}'"
         super().__init__(message)
+
+
+#: Node attributes that cache compiled point functions (see _compile).
+_CODE_CACHES = ("_value_code", "_gradient_code")
 
 
 class _Node:
@@ -136,6 +148,13 @@ class _Node:
 
     def __str__(self):
         return to_source(self)
+
+    _value_code = None
+    _gradient_code = None
+
+    def __getstate__(self):
+        """State for copy and pickle: the fields, without compiled code."""
+        return {k: v for k, v in self.__dict__.items() if k not in _CODE_CACHES}
 
 
 @dataclass(frozen=True)
@@ -410,115 +429,374 @@ _MATH_FUNCTIONS = {
 def evaluate(e: Expression, point) -> float:
     """IEEE double evaluation of the formula at (x, y).
 
-    Domain violations (square roots of negative numbers, logs of
-    non-positive numbers, division by zero, non-finite results) raise
-    :class:`EvaluationError` naming the offending subexpression.
+    Runs the compiled value function of `e` (see :class:`_Compiler`), made
+    on first use.  The checks run in post-order, and the first to fail
+    raises :class:`EvaluationError` naming its subexpression: "division by
+    zero", "sqrt of negative value", "ln of non-positive value", a power
+    outside its domain, an error of `math` with its own message, or
+    "non-finite result" of an operator or function.
     """
-    return _Walker(float(point[0]), float(point[1])).value(e, None)
+    function = getattr(e, "_value_code", None) or _compile(e, False)
+    return function(float(point[0]), float(point[1]))
 
 
 def evaluate_gradient(e: Expression, point) -> tuple[float, float, float]:
     """(value, df/dx, df/dy) at a point, by scalar forward propagation.
 
     Equivalent to an order-1 jet but allocation free; inner loop of the
-    level-curve tracer.
+    level-curve tracer.  Runs the compiled gradient function of `e`, made
+    on first use.  The checks run in post-order, and the first to fail
+    raises :class:`EvaluationError` naming its subexpression: "division by
+    zero", "sqrt of non-positive value", "ln of non-positive value", "exp
+    overflow", an error of `math` with its own message; at a power, first
+    every check :func:`evaluate` makes on the power's subtree (so
+    "non-finite result" of an intermediate value), then "gradient of power
+    undefined at zero base"; and last "non-finite gradient" of the whole
+    formula.  Values and derivatives outside powers are not checked for
+    finiteness.
     """
-    x, y = float(point[0]), float(point[1])
-    v, gx, gy = _eval_grad(e, x, y)
-    if not (math.isfinite(gx) and math.isfinite(gy)):
-        raise EvaluationError("non-finite gradient", to_source(e))
-    return v, gx, gy
+    function = getattr(e, "_gradient_code", None) or _compile(e, True)
+    return function(float(point[0]), float(point[1]))
 
 
-def _eval_grad(node, x, y):
-    if isinstance(node, Constant):
-        return node.value, 0.0, 0.0
-    if isinstance(node, Variable):
-        if node.name == "x":
-            return x, 1.0, 0.0
-        return y, 0.0, 1.0
-    if isinstance(node, Unary):
-        v, gx, gy = _eval_grad(node.child, x, y)
-        return -v, -gx, -gy
-    if isinstance(node, Binary):
-        lv, lx, ly = _eval_grad(node.left, x, y)
-        if node.op == "^":
-            if not isinstance(node.right, Constant):
-                raise EvaluationError("exponent must be constant", to_source(node))
-            p = node.right.value
-            v = _Walker(x, y).value(node, None)
-            if lv == 0.0:
-                # derivative p * lv^(p-1): defined at zero base only for
-                # integer exponents with p = 0 or p >= 1
-                if p.is_integer() and p >= 0.0:
-                    scale = 1.0 if p == 1.0 else 0.0
-                else:
-                    raise EvaluationError(
-                        "gradient of power undefined at zero base", to_source(node)
-                    )
-            else:
-                scale = p * v / lv
-            return v, scale * lx, scale * ly
-        rv, rx, ry = _eval_grad(node.right, x, y)
-        if node.op == "+":
-            return lv + rv, lx + rx, ly + ry
-        if node.op == "-":
-            return lv - rv, lx - rx, ly - ry
-        if node.op == "*":
-            return lv * rv, lx * rv + lv * rx, ly * rv + lv * ry
-        if node.op == "/":
-            if rv == 0.0:
-                raise EvaluationError("division by zero", to_source(node))
-            v = lv / rv
-            return v, (lx - v * rx) / rv, (ly - v * ry) / rv
-        raise EvaluationError(f"unknown operator {node.op!r}", to_source(node))
-    if isinstance(node, Call):
-        u, ux, uy = _eval_grad(node.arg, x, y)
-        if node.func == "sqrt":
-            if u <= 0.0:
-                raise EvaluationError(f"sqrt of non-positive value {u!r}", to_source(node))
-            v = math.sqrt(u)
-            scale = 0.5 / v
-        elif node.func == "exp":
-            try:
-                v = math.exp(u)
-            except OverflowError:
-                raise EvaluationError("exp overflow", to_source(node)) from None
-            scale = v
-        elif node.func == "ln":
-            if u <= 0.0:
-                raise EvaluationError(f"ln of non-positive value {u!r}", to_source(node))
-            v = math.log(u)
-            scale = 1.0 / u
-        elif node.func == "sin":
-            v = math.sin(u)
-            scale = math.cos(u)
-        elif node.func == "cos":
-            v = math.cos(u)
-            scale = -math.sin(u)
-        else:
-            v = math.tan(u)
-            scale = 1.0 + v * v
-        return v, scale * ux, scale * uy
-    if isinstance(node, PartialDerivative):
-        needed = node.dx + node.dy + 1
-        if needed > MAX_ORDER:
-            raise EvaluationError(
-                f"gradient of a derivative of order {node.dx + node.dy} needs "
-                f"order {needed}, beyond the engine maximum {MAX_ORDER}",
-                to_source(node),
-            )
-        base = evaluate_jet(node.target, (x, y), needed)
-        for _ in range(node.dx):
-            base = derivative_jet(base, "x")
-        for _ in range(node.dy):
-            base = derivative_jet(base, "y")
-        return (
-            base.value,
-            partial_derivative(base, 1, 0),
-            partial_derivative(base, 0, 1),
+def _compile(e, gradient: bool):
+    """The value or gradient function of `e`, compiled and cached on the
+    node, so that it lives exactly as long as the expression."""
+    function = _Compiler(gradient).function(e)
+    if isinstance(e, _Node):
+        object.__setattr__(e, "_gradient_code" if gradient else "_value_code", function)
+    return function
+
+
+def _source_of(ref) -> str:
+    """Formula text of a node held by weak reference (for error messages)."""
+    return to_source(ref())
+
+
+def _partial_value(ref, x: float, y: float):
+    return _Walker(x, y).partial(ref(), None)
+
+
+def _partial_gradient(ref, x: float, y: float):
+    """(value, d/dx, d/dy) of a derivative node, from a jet of its target."""
+    node = ref()
+    needed = node.dx + node.dy + 1
+    if needed > MAX_ORDER:
+        raise EvaluationError(
+            f"gradient of a derivative of order {node.dx + node.dy} needs "
+            f"order {needed}, beyond the engine maximum {MAX_ORDER}",
+            to_source(node),
         )
-    raise TypeError(f"not an expression node: {node!r}")
+    base = evaluate_jet(node.target, (x, y), needed)
+    for _ in range(node.dx):
+        base = derivative_jet(base, "x")
+    for _ in range(node.dy):
+        base = derivative_jet(base, "y")
+    return base.value, partial_derivative(base, 1, 0), partial_derivative(base, 0, 1)
+
+
+#: The names a compiled function's source uses besides the coordinates
+#: `x`, `y` and the names the compiler makes.
+_HELPERS = {
+    "_E": EvaluationError,
+    "_src": _source_of,
+    "_finite": math.isfinite,
+    "_ipow": _integer_power,
+    "_fpow": _power_or_inf,
+    "_pdv": _partial_value,
+    "_pdg": _partial_gradient,
+    **{"_" + name: fn for name, fn in _MATH_FUNCTIONS.items()},
+}
+#: The source text of each function and operator: the compiler looks the
+#: tree's names up here and writes its own strings, never the tree's.
+_CALLS = {name: "_" + name for name in _MATH_FUNCTIONS}
+_ARITHMETIC = {"+": "+", "-": "-", "*": "*", "/": "/"}
+
+
+class _Unreachable(Exception):
+    """The code emitted so far always raises; nothing after it would run."""
+
+
+class _Compiler:
+    """Straight-line Python code for an expression at one point: forward
+    mode by source transformation (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., ch. 6).
+
+    ``function(e)`` compiles the function of (x, y) that returns the value
+    of `e` (value mode) or its (value, d/dx, d/dy) (gradient mode).  The
+    code makes the float operations and the checks of a tree walk in the
+    walk's order; a node object met twice is computed once.  `value` and
+    `gradient` emit a node's code and return the Python expressions (local
+    names or float literals) that hold its results.
+
+    No formula text enters the source.  Constants, functions, and weak
+    references to the nodes that errors name go in through the function's
+    namespace; a strong reference would keep the expression alive through
+    the function cached on it.  Formula text is made only when an error is
+    raised.
+    """
+
+    def __init__(self, gradient: bool):
+        self.gradient_mode = gradient
+        self.lines = []
+        self.namespace = dict(_HELPERS)
+        self.count = 0
+        self.refs = {}
+        self.values = {}
+        self.gradients = {}
+        self.reusable = {}
+
+    def function(self, e):
+        try:
+            if self.gradient_mode:
+                v, gx, gy = self.gradient(e)
+                self.check(f"not (_finite({gx}) and _finite({gy}))", e, "'non-finite gradient'")
+                self.lines.append(f"return {v}, {gx}, {gy}")
+            else:
+                self.lines.append(f"return {self.value(e)}")
+        except _Unreachable:
+            pass
+        source = "def point(x, y):\n" + "".join(f"    {line}\n" for line in self.lines)
+        exec(compile(source, "<exprlang point function>", "exec"), self.namespace)
+        return self.namespace.pop("point")
+
+    # ------------------------------------------------------------ emission
+
+    def local(self) -> str:
+        self.count += 1
+        return f"v{self.count}"
+
+    def bind(self, obj) -> str:
+        """A new namespace name for `obj`."""
+        self.count += 1
+        name = f"k{self.count}"
+        self.namespace[name] = obj
+        return name
+
+    def ref(self, node) -> str:
+        """The namespace name of a weak reference to `node`."""
+        name = self.refs.get(id(node))
+        if name is None:
+            name = self.refs[id(node)] = self.bind(weakref.ref(node))
+        return name
+
+    def check(self, test: str, node, message: str):
+        """Raise EvaluationError(message) naming `node` where `test` holds."""
+        self.lines.append(f"if {test}: raise _E({message}, _src({self.ref(node)}))")
+
+    def fail(self, node, message: str):
+        """Raise EvaluationError(message) naming `node`; stop emitting."""
+        self.check("True", node, message)
+        raise _Unreachable
+
+    def raise_error(self, error: type, argument):
+        """Raise error(argument), as the walk does for a malformed node."""
+        self.lines.append(f"raise {self.bind(error)}({self.bind(argument)})")
+        raise _Unreachable
+
+    def call(self, node, assignments: str, message: str = "str(exc)"):
+        """`assignments` (calls of `math`), their errors as EvaluationError."""
+        self.lines.append(f"try: {assignments}")
+        self.lines.append(
+            "except (ValueError, OverflowError) as exc: "
+            f"raise _E({message}, _src({self.ref(node)})) from None"
+        )
+
+    def finite(self, v: str, node):
+        self.check(f"not _finite({v})", node, "'non-finite result'")
+
+    # --------------------------------------------------------------- value
+
+    def value(self, node) -> str:
+        """The value of `node` as :func:`evaluate` computes it.
+
+        In gradient mode, a node whose gradient code already ran (inside a
+        power's base) has its value computed; of the walk's checks, only the
+        finiteness of its operators and functions is still to be made.
+        """
+        key = id(node)
+        v = self.values.get(key)
+        if v is None:
+            gradient = self.gradients.get(key)
+            if gradient is not None and self.reuses(node):
+                for child in _operands(node):
+                    self.value(child)
+                v = gradient[0]
+                if isinstance(node, (Binary, Call)):
+                    self.finite(v, node)
+            else:
+                v = self.walk_value(node)
+            self.values[key] = v
+        return v
+
+    def reuses(self, node) -> bool:
+        """Whether the gradient code computes the value of every node under
+        `node` as the value walk does, with the walk's checks implied: no
+        derivative node (the two take jets of different orders) and no call
+        of an unknown function (the walk raises KeyError there)."""
+        key = id(node)
+        result = self.reusable.get(key)
+        if result is None:
+            if isinstance(node, PartialDerivative):
+                result = False
+            elif isinstance(node, Call) and node.func not in _CALLS:
+                result = False
+            else:
+                result = all(self.reuses(child) for child in _operands(node))
+            self.reusable[key] = result
+        return result
+
+    def walk_value(self, node) -> str:
+        if isinstance(node, Constant):
+            return self.bind(node.value)
+        if isinstance(node, Variable):
+            return "x" if node.name == "x" else "y"
+        if isinstance(node, Unary):
+            child = self.value(node.child)
+            v = self.local()
+            self.lines.append(f"{v} = -{child}")
+            return v
+        if isinstance(node, Binary):
+            left = self.value(node.left)
+            if node.op == "^":
+                return self.power(node, left)
+            right = self.value(node.right)
+            op = _ARITHMETIC.get(node.op)
+            if op is None:
+                self.fail(node, self.bind(f"unknown operator {node.op!r}"))
+            if op == "/":
+                self.check(f"{right} == 0.0", node, "'division by zero'")
+            v = self.local()
+            self.lines.append(f"{v} = {left} {op} {right}")
+            self.finite(v, node)
+            return v
+        if isinstance(node, Call):
+            u = self.value(node.arg)
+            if node.func == "sqrt":
+                self.check(f"{u} < 0.0", node, f"'sqrt of negative value ' + repr({u})")
+            if node.func == "ln":
+                self.check(f"{u} <= 0.0", node, f"'ln of non-positive value ' + repr({u})")
+            fn = _CALLS.get(node.func)
+            if fn is None:
+                self.raise_error(KeyError, node.func)
+            v = self.local()
+            self.call(node, f"{v} = {fn}({u})")
+            self.finite(v, node)
+            return v
+        if isinstance(node, PartialDerivative):
+            if node.dx + node.dy == 0:
+                return self.value(node.target)
+            v = self.local()
+            self.lines.append(f"{v} = _pdv({self.ref(node)}, x, y)")
+            return v
+        self.raise_error(TypeError, f"not an expression node: {node!r}")
+
+    def power(self, node, left: str) -> str:
+        """The value walk's power node, its base valued `left`."""
+        if not isinstance(node.right, Constant):
+            self.fail(node, "'exponent must be constant'")
+        p = node.right.value
+        v = self.local()
+        if p.is_integer():
+            n = int(p)
+            if n < 0:
+                self.check(f"{left} == 0.0", node, "'zero raised to a negative power'")
+            self.lines.append(f"{v} = _ipow({left}, {self.bind(n)}, 1.0)")
+        else:
+            self.check(
+                f"{left} < 0.0", node, f"'fractional power of negative base ' + repr({left})"
+            )
+            if p < 0.0:
+                self.check(f"{left} == 0.0", node, "'zero raised to a negative power'")
+            self.lines.append(f"{v} = _fpow({left}, {self.bind(p)})")
+        self.finite(v, node)
+        return v
+
+    # ------------------------------------------------------------ gradient
+
+    def gradient(self, node) -> tuple[str, str, str]:
+        """(value, d/dx, d/dy) of `node` as forward propagation gives them."""
+        key = id(node)
+        names = self.gradients.get(key)
+        if names is None:
+            names = self.gradients[key] = self.propagate(node)
+        return names
+
+    def propagate(self, node) -> tuple[str, str, str]:
+        if isinstance(node, Constant):
+            return self.bind(node.value), "0.0", "0.0"
+        if isinstance(node, Variable):
+            return ("x", "1.0", "0.0") if node.name == "x" else ("y", "0.0", "1.0")
+        v, gx, gy = self.local(), self.local(), self.local()
+        emit = self.lines.append
+        if isinstance(node, Unary):
+            c, cx, cy = self.gradient(node.child)
+            emit(f"{v} = -{c}; {gx} = -{cx}; {gy} = -{cy}")
+        elif isinstance(node, Binary):
+            a, ax, ay = self.gradient(node.left)
+            if node.op == "^":
+                if not isinstance(node.right, Constant):
+                    self.fail(node, "'exponent must be constant'")
+                # The value is the value walk's, which makes its checks on
+                # the whole base again.
+                v = self.values[id(node)] = self.power(node, self.value(node.left))
+                p, s = node.right.value, self.local()
+                if p.is_integer() and p >= 0.0:
+                    # d(a^p) = p a^(p-1) da is defined at a = 0 only here
+                    at_zero = "1.0" if p == 1.0 else "0.0"
+                    emit(f"{s} = {at_zero} if {a} == 0.0 else {self.bind(p)} * {v} / {a}")
+                else:
+                    self.check(f"{a} == 0.0", node, "'gradient of power undefined at zero base'")
+                    emit(f"{s} = {self.bind(p)} * {v} / {a}")
+                emit(f"{gx} = {s} * {ax}; {gy} = {s} * {ay}")
+                return v, gx, gy
+            b, bx, by = self.gradient(node.right)
+            op = _ARITHMETIC.get(node.op)
+            if op in ("+", "-"):
+                emit(f"{v} = {a} {op} {b}; {gx} = {ax} {op} {bx}; {gy} = {ay} {op} {by}")
+            elif op == "*":
+                emit(f"{v} = {a} * {b}")
+                emit(f"{gx} = {ax} * {b} + {a} * {bx}; {gy} = {ay} * {b} + {a} * {by}")
+            elif op == "/":
+                self.check(f"{b} == 0.0", node, "'division by zero'")
+                emit(f"{v} = {a} / {b}")
+                emit(f"{gx} = ({ax} - {v} * {bx}) / {b}; {gy} = ({ay} - {v} * {by}) / {b}")
+            else:
+                self.fail(node, self.bind(f"unknown operator {node.op!r}"))
+        elif isinstance(node, Call):
+            u, ux, uy = self.gradient(node.arg)
+            s = self.local()
+            if node.func == "sqrt":
+                self.check(f"{u} <= 0.0", node, f"'sqrt of non-positive value ' + repr({u})")
+                self.call(node, f"{v} = _sqrt({u}); {s} = 0.5 / {v}")
+            elif node.func == "exp":
+                self.call(node, f"{v} = _exp({u}); {s} = {v}", "'exp overflow'")
+            elif node.func == "ln":
+                self.check(f"{u} <= 0.0", node, f"'ln of non-positive value ' + repr({u})")
+                self.call(node, f"{v} = _ln({u}); {s} = 1.0 / {u}")
+            elif node.func == "sin":
+                self.call(node, f"{v} = _sin({u}); {s} = _cos({u})")
+            elif node.func == "cos":
+                self.call(node, f"{v} = _cos({u}); {s} = -_sin({u})")
+            else:
+                self.call(node, f"{v} = _tan({u}); {s} = 1.0 + {v} * {v}")
+            emit(f"{gx} = {s} * {ux}; {gy} = {s} * {uy}")
+        elif isinstance(node, PartialDerivative):
+            emit(f"{v}, {gx}, {gy} = _pdg({self.ref(node)}, x, y)")
+        else:
+            self.raise_error(TypeError, f"not an expression node: {node!r}")
+        return v, gx, gy
+
+
+def _operands(node) -> tuple:
+    """The children whose values the value walk computes."""
+    if isinstance(node, Unary):
+        return (node.child,)
+    if isinstance(node, Binary):
+        return (node.left,) if node.op == "^" else (node.left, node.right)
+    if isinstance(node, Call):
+        return (node.arg,)
+    return ()
 
 
 def evaluate_jet(e: Expression, point, order: int) -> TaylorJet:
@@ -574,17 +852,19 @@ def _math_lanes(fn, u):
 
 
 class _Walker:
-    """The evaluator: one walk of an expression tree, at one point or at a
-    block of points.
+    """The tree walk: jets at one point or at a block of points, and values
+    at a block.
 
     The coordinates `x`, `y` are floats (one point) or lane vectors (a
-    block).  `value` gives the IEEE double value, `jet` the coefficient
-    table of the jet of a given order (see :mod:`webgeo.taylor`).  A domain
-    violation that holds at every point raises :class:`EvaluationError`
-    naming the subexpression; one that holds at some lanes of a block
-    clears them in the boolean mask `ok` (None at a single point) and the
-    walk goes on.  `bindings`, when given, maps variable names to the
-    tables they stand for (substitution), in place of coordinates.
+    block).  `jet` gives the coefficient table of the jet of a given order
+    (see :mod:`webgeo.taylor`), `value` the IEEE double value at a block
+    (values and gradients at one point run compiled code; see
+    :class:`_Compiler`).  A domain violation that holds at every point
+    raises :class:`EvaluationError` naming the subexpression; one that
+    holds at some lanes of a block clears them in the boolean mask `ok`
+    (None at a single point) and the walk goes on.  `bindings`, when given,
+    maps variable names to the tables they stand for (substitution), in
+    place of coordinates.
     """
 
     def __init__(self, x, y, bindings=None):
@@ -598,7 +878,8 @@ class _Walker:
 
     @staticmethod
     def fail(bad, ok, node, message, *value):
-        """Clear the lanes where `bad`; raise when it holds at every point."""
+        """Clear the lanes where `bad`; raise when it holds at every point
+        (a subexpression without variables)."""
         if isinstance(bad, np.ndarray):
             ok &= ~bad
         elif bad:
@@ -642,10 +923,7 @@ class _Walker:
                     value = left / right
                 else:
                     raise EvaluationError(f"unknown operator {node.op!r}", to_source(node))
-            if isinstance(value, np.ndarray):
-                ok &= np.isfinite(value)
-            elif not math.isfinite(value):
-                raise EvaluationError("non-finite result", to_source(node))
+            self.fail(~np.isfinite(value), ok, node, "non-finite result")
             return value
         if isinstance(node, Call):
             u = self.value(node.arg, ok)
@@ -653,28 +931,24 @@ class _Walker:
                 self.fail(u < 0.0, ok, node, "sqrt of negative value", u)
             if node.func == "ln":
                 self.fail(u <= 0.0, ok, node, "ln of non-positive value", u)
-            fn = _MATH_FUNCTIONS[node.func]
             if isinstance(u, np.ndarray):
-                value = _math_lanes(fn, np.where(ok, u, 1.0))
-            else:
-                try:
-                    value = fn(u)
-                except (ValueError, OverflowError) as exc:
-                    raise EvaluationError(str(exc), to_source(node)) from None
-            if isinstance(value, np.ndarray):
-                ok &= np.isfinite(value)
-            elif not math.isfinite(value):
-                raise EvaluationError("non-finite result", to_source(node))
+                u = np.where(ok, u, 1.0)
+            value = _math_lanes(_MATH_FUNCTIONS[node.func], u)
+            self.fail(~np.isfinite(value), ok, node, "non-finite result")
             return value
         if isinstance(node, PartialDerivative):
-            total = node.dx + node.dy
-            if total == 0:
+            if node.dx + node.dy == 0:
                 return self.value(node.target, ok)
-            order = min(MAX_ORDER, max(1, total))
-            table = self.target(node.target, order, ok)
-            check_derivative_index(node.dx, node.dy, order)
-            return table_partial(table, node.dx, node.dy)
+            return self.partial(node, ok)
         raise TypeError(f"not an expression node: {node!r}")
+
+    def partial(self, node: PartialDerivative, ok):
+        """Value of a derivative node of positive order, from a jet of its
+        target."""
+        order = min(MAX_ORDER, max(1, node.dx + node.dy))
+        table = self.target(node.target, order, ok)
+        check_derivative_index(node.dx, node.dy, order)
+        return table_partial(table, node.dx, node.dy)
 
     def jet(self, node, order: int, ok):
         try:

@@ -547,7 +547,6 @@ def geodesic_web_report(
         surface=surface,
     )
     per_foliation = []
-    worst = 0.0
     for index, (f, series) in enumerate(zip(funcs, sweep)):
         stats = series.stats()
         if stats is None:
@@ -555,8 +554,10 @@ def geodesic_web_report(
                 f"no valid grid samples for foliation {index + 1} "
                 f"('{to_source(f)}'): all points degenerate or out of domain"
             )
-        worst = max(worst, stats["max_normalized"])
         per_foliation.append({"index": index + 1, "function": to_source(f), **stats})
+    # A NaN maximum fails the verdict; max() would fold it away.
+    maxima = [entry["max_normalized"] for entry in per_foliation]
+    worst = math.nan if any(map(math.isnan, maxima)) else max([0.0, *maxima])
 
     return {
         "per_foliation": per_foliation,

@@ -36,7 +36,7 @@ _PALETTE = (
 
 @dataclass(frozen=True)
 class Rect:
-    """Axis-aligned clip rectangle."""
+    """Axis-aligned clip rectangle with finite bounds."""
 
     xmin: float
     xmax: float
@@ -46,6 +46,8 @@ class Rect:
     def __post_init__(self):
         if not (self.xmax > self.xmin and self.ymax > self.ymin):
             raise ValueError("rectangle must have positive extent")
+        if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
+            raise ValueError("rectangle bounds must be finite")
 
     def contains(self, point) -> bool:
         x, y = point

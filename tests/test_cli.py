@@ -463,3 +463,18 @@ def test_overflowing_fractional_power_skips_the_leaf(capsys):
     assert run(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["warnings"] == ["no leaves traced for '((1e+250 * x))^1.5'"]
+
+
+def test_geodesic_nan_maximum_fails_the_verdict(capsys):
+    # Foliation 1's jets overflow (1e308 times factorials), so its maximum
+    # normalized residual is NaN; the top-level maximum must not fold it away.
+    code, report = _run_json(
+        ["geodesic", "--web", "x + y + 1e308*x^2 - 1e308*y^2; y",
+         "--christoffel", "constcurv:0", "--grid", "0:0.1:0:0.1:2:2", "--expect", "geodesic"],
+        capsys,
+    )
+    results = report["results"]
+    assert results["per_foliation"][0]["max_normalized"] == "nan"
+    assert results["max_normalized"] == "nan"
+    assert results["verdict"] == "non-geodesic"
+    assert code == 1

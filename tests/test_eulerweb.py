@@ -227,3 +227,9 @@ def test_generate_reports_domain_incompatibility():
     foliation = sample.foliations[0]
     assert foliation.leaves == ()
     assert foliation.warnings
+
+
+@pytest.mark.parametrize("interval", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf)])
+def test_cauchy_datum_interval_must_be_finite(interval):
+    with pytest.raises(ValueError, match="must be finite"):
+        CauchyDatum("y", interval)

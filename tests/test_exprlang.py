@@ -1,10 +1,19 @@
-"""Parser grammar, evaluation, jet evaluation, and printer round-trips."""
+"""Parser grammar, evaluation, jet evaluation, printer round-trips, and the
+compiled point functions against the tree walks they replaced."""
 
 from __future__ import annotations
 
+import copy
+import gc
+import math
+import pickle
 import string
+import struct
+import weakref
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from webgeo import (
     Binary,
@@ -16,6 +25,7 @@ from webgeo import (
     Unary,
     Variable,
     evaluate,
+    evaluate_gradient,
     evaluate_jet,
     evaluate_jet_with,
     jet_variable,
@@ -23,7 +33,8 @@ from webgeo import (
     partial_derivative,
     to_source,
 )
-from webgeo.exprlang import MAX_NESTING
+from webgeo.exprlang import MAX_NESTING, X, Y
+from webgeo.taylor import MAX_ORDER, _integer_power, _power_or_inf, derivative_jet
 from conftest import CORPUS, fd_partial, sample_point
 
 
@@ -236,3 +247,271 @@ def test_domain_error_names_subexpression():
     with pytest.raises(EvaluationError) as err:
         evaluate(parse("1 + sqrt(x - 10)"), (0, 0))
     assert "sqrt" in str(err.value)
+
+
+# ------------------------------------------------- compiled point functions
+#
+# `evaluate` and `evaluate_gradient` run straight-line code compiled once
+# per expression.  The references below are the tree walks they replaced,
+# kept here as the oracle: the compiled code must give the same value and
+# gradient bits, and the same exception type and text, on every input.  One
+# difference is intended: the old gradient walk let `math` errors escape
+# bare (`sin` of an overflowed argument raised ValueError), where the
+# reference and the compiled code raise EvaluationError as the value walk
+# does.
+
+_MATH = {"sqrt": math.sqrt, "exp": math.exp, "ln": math.log,
+         "sin": math.sin, "cos": math.cos, "tan": math.tan}
+
+
+def reference_value(node, x, y):
+    """The value walk: post-order, every operator and function checked."""
+    if isinstance(node, Constant):
+        return node.value
+    if isinstance(node, Variable):
+        return x if node.name == "x" else y
+    if isinstance(node, Unary):
+        return -reference_value(node.child, x, y)
+    if isinstance(node, Binary):
+        left = reference_value(node.left, x, y)
+        if node.op == "^":
+            if not isinstance(node.right, Constant):
+                raise EvaluationError("exponent must be constant", to_source(node))
+            p = node.right.value
+            if p.is_integer():
+                if p < 0 and left == 0.0:
+                    raise EvaluationError("zero raised to a negative power", to_source(node))
+                value = _integer_power(left, int(p), 1.0)
+            else:
+                if left < 0.0:
+                    raise EvaluationError(
+                        f"fractional power of negative base {left!r}", to_source(node)
+                    )
+                if p < 0.0 and left == 0.0:
+                    raise EvaluationError("zero raised to a negative power", to_source(node))
+                value = _power_or_inf(left, p)
+        else:
+            right = reference_value(node.right, x, y)
+            if node.op == "+":
+                value = left + right
+            elif node.op == "-":
+                value = left - right
+            elif node.op == "*":
+                value = left * right
+            else:
+                if right == 0.0:
+                    raise EvaluationError("division by zero", to_source(node))
+                value = left / right
+        if not math.isfinite(value):
+            raise EvaluationError("non-finite result", to_source(node))
+        return value
+    if isinstance(node, Call):
+        u = reference_value(node.arg, x, y)
+        if node.func == "sqrt" and u < 0.0:
+            raise EvaluationError(f"sqrt of negative value {u!r}", to_source(node))
+        if node.func == "ln" and u <= 0.0:
+            raise EvaluationError(f"ln of non-positive value {u!r}", to_source(node))
+        try:
+            value = _MATH[node.func](u)
+        except (ValueError, OverflowError) as exc:
+            raise EvaluationError(str(exc), to_source(node)) from None
+        if not math.isfinite(value):
+            raise EvaluationError("non-finite result", to_source(node))
+        return value
+    total = node.dx + node.dy
+    if total == 0:
+        return reference_value(node.target, x, y)
+    order = min(MAX_ORDER, max(1, total))
+    return partial_derivative(evaluate_jet(node.target, (x, y), order), node.dx, node.dy)
+
+
+def _reference_propagate(node, x, y):
+    if isinstance(node, Constant):
+        return node.value, 0.0, 0.0
+    if isinstance(node, Variable):
+        return (x, 1.0, 0.0) if node.name == "x" else (y, 0.0, 1.0)
+    if isinstance(node, Unary):
+        v, gx, gy = _reference_propagate(node.child, x, y)
+        return -v, -gx, -gy
+    if isinstance(node, Binary):
+        lv, lx, ly = _reference_propagate(node.left, x, y)
+        if node.op == "^":
+            p = node.right.value
+            v = reference_value(node, x, y)  # walks the base again
+            if lv == 0.0:
+                if p.is_integer() and p >= 0.0:
+                    scale = 1.0 if p == 1.0 else 0.0
+                else:
+                    raise EvaluationError(
+                        "gradient of power undefined at zero base", to_source(node)
+                    )
+            else:
+                scale = p * v / lv
+            return v, scale * lx, scale * ly
+        rv, rx, ry = _reference_propagate(node.right, x, y)
+        if node.op == "+":
+            return lv + rv, lx + rx, ly + ry
+        if node.op == "-":
+            return lv - rv, lx - rx, ly - ry
+        if node.op == "*":
+            return lv * rv, lx * rv + lv * rx, ly * rv + lv * ry
+        if rv == 0.0:
+            raise EvaluationError("division by zero", to_source(node))
+        v = lv / rv
+        return v, (lx - v * rx) / rv, (ly - v * ry) / rv
+    if isinstance(node, Call):
+        u, ux, uy = _reference_propagate(node.arg, x, y)
+        if node.func in ("sqrt", "ln") and u <= 0.0:
+            raise EvaluationError(f"{node.func} of non-positive value {u!r}", to_source(node))
+        try:
+            if node.func == "sqrt":
+                v = math.sqrt(u)
+                scale = 0.5 / v
+            elif node.func == "exp":
+                v = scale = math.exp(u)
+            elif node.func == "ln":
+                v, scale = math.log(u), 1.0 / u
+            elif node.func == "sin":
+                v, scale = math.sin(u), math.cos(u)
+            elif node.func == "cos":
+                v, scale = math.cos(u), -math.sin(u)
+            else:
+                v = math.tan(u)
+                scale = 1.0 + v * v
+        except (ValueError, OverflowError) as exc:
+            message = "exp overflow" if node.func == "exp" else str(exc)
+            raise EvaluationError(message, to_source(node)) from None
+        return v, scale * ux, scale * uy
+    needed = node.dx + node.dy + 1
+    if needed > MAX_ORDER:
+        raise EvaluationError(
+            f"gradient of a derivative of order {node.dx + node.dy} needs "
+            f"order {needed}, beyond the engine maximum {MAX_ORDER}",
+            to_source(node),
+        )
+    base = evaluate_jet(node.target, (x, y), needed)
+    for _ in range(node.dx):
+        base = derivative_jet(base, "x")
+    for _ in range(node.dy):
+        base = derivative_jet(base, "y")
+    return base.value, partial_derivative(base, 1, 0), partial_derivative(base, 0, 1)
+
+
+def reference_gradient(node, x, y):
+    """The forward propagation walk; only powers check their values."""
+    v, gx, gy = _reference_propagate(node, x, y)
+    if not (math.isfinite(gx) and math.isfinite(gy)):
+        raise EvaluationError("non-finite gradient", to_source(node))
+    return v, gx, gy
+
+
+def _bits(v) -> bytes:
+    return struct.pack("<d", v)
+
+
+def outcome(fn, *args):
+    """What a call gives: its result's bits, or its exception type and text."""
+    try:
+        result = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    if isinstance(result, tuple):
+        return tuple(_bits(v) for v in result)
+    return _bits(result)
+
+
+#: Sample points; the leaves below vanish at some of them, so quotients,
+#: square roots, logarithms and powers meet their domain edges.
+POINTS = [(0.0, 0.0), (0.5, -0.25), (-1.5, 2.0), (1.0, 1.0), (2.0, 0.5), (-0.5, -0.5)]
+_COORDS = sorted({c for p in POINTS for c in p})
+
+
+@st.composite
+def point_trees(draw):
+    leaves = st.one_of(
+        st.just(X),
+        st.just(Y),
+        st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0, 1e-3, 1e200, 1e-200]).map(Constant),
+        st.sampled_from(_COORDS).map(lambda c: X - Constant(c)),
+        st.sampled_from(_COORDS).map(lambda c: Y - Constant(c)),
+        st.just(X - Y),
+        st.just(X * X + Y * Y - Constant(1.0)),
+        st.sampled_from([X, Y]).map(lambda v: Constant(1e200) * v),
+    )
+    exponents = [2.0, 3.0, 0.5, 1.5, 0.0, 1.0, 4.0, -1.0, -2.0, -0.5, -1.5, 1e300]
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: Binary(*t)),
+            st.tuples(st.sampled_from(sorted(_MATH)), children).map(lambda t: Call(*t)),
+            st.tuples(children, st.sampled_from(exponents)).map(lambda t: t[0] ** t[1]),
+            # the power of a product, which may overflow inside the base
+            st.tuples(children, children, st.sampled_from(exponents)).map(
+                lambda t: (t[0] * t[1]) ** t[2]
+            ),
+            children.map(lambda c: -c),
+            st.tuples(children, st.integers(0, 2), st.integers(0, 2)).map(
+                lambda t: PartialDerivative(*t)
+            ),
+        )
+
+    tree = draw(st.recursive(leaves, extend, max_leaves=8))
+    if draw(st.booleans()):
+        # a repeated node object, computed once by the compiled code
+        tree = Binary(draw(st.sampled_from("+*/")), tree, tree ** draw(st.sampled_from(exponents)))
+    return tree
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(point_trees())
+def test_compiled_point_functions_match_the_walks(tree):
+    for point in POINTS:
+        assert outcome(evaluate, tree, point) == outcome(reference_value, tree, *point)
+        assert outcome(evaluate_gradient, tree, point) == outcome(
+            reference_gradient, tree, *point
+        )
+
+
+def test_gradient_wraps_math_errors_of_an_overflowed_argument():
+    # 1e308 + 1e308*x overflows to inf; sin(inf) is a math domain error.
+    tree = parse("x + y + 1e-310*sin(1e308+1e308*x)")
+    assert evaluate_gradient(tree, (0.5, 0.5))[0] == 1.0
+    message = "math domain error in 'sin((1e+308 + (1e+308 * x)))'"
+    with pytest.raises(EvaluationError) as err:
+        evaluate_gradient(tree, (0.9, 0.5))
+    assert str(err.value) == message
+    with pytest.raises(EvaluationError, match="non-finite result"):
+        evaluate(tree, (0.9, 0.5))
+    with pytest.raises(EvaluationError) as err:
+        evaluate(parse("sin(x)"), (math.inf, 0.0))
+    assert str(err.value) == "math domain error in 'sin(x)'"
+
+
+def test_compiled_code_is_a_cache_that_dies_with_its_expression():
+    tree = parse("x^2 + sqrt(y)") * PartialDerivative(parse("x*y"), 1, 0)
+    pickled, twin = pickle.dumps(tree), parse("x^2 + sqrt(y)") * PartialDerivative(
+        parse("x*y"), 1, 0
+    )
+    assert evaluate(tree, (2.0, 4.0)) == 6.0 * 4.0
+    assert evaluate_gradient(tree, (2.0, 4.0)) == (24.0, 16.0, 7.0)
+    assert evaluate(tree, (2.0, 4.0)) == 24.0  # the cached function again
+    # equality, hashing, copies and pickles see the fields alone
+    assert tree == twin and hash(tree) == hash(twin)
+    assert pickle.dumps(tree) == pickled
+    assert vars(copy.copy(tree)) == vars(twin) == vars(copy.deepcopy(tree))
+    # the functions hold no strong reference to the tree: both go with it
+    tree_ref = weakref.ref(tree)
+    code_refs = [weakref.ref(tree._value_code), weakref.ref(tree._gradient_code)]
+    gc.disable()
+    try:
+        del tree
+        assert tree_ref() is None
+        assert [ref() for ref in code_refs] == [None, None]
+    finally:
+        gc.enable()

@@ -18,6 +18,7 @@ from webgeo import (
     write_csv_grid,
     write_report,
 )
+from webgeo.cli import run
 from webgeo.geodesy import ResidualSample
 from conftest import CORPUS, sample_point
 
@@ -166,3 +167,34 @@ def test_rect_contract():
 def test_trace_step_must_be_finite_and_positive(step):
     with pytest.raises(ValueError, match="step must be a finite positive number"):
         trace_level_curve("x+y", (0.5, 0.5), Rect(0, 1, 0, 1), step=step)
+
+
+@pytest.mark.parametrize(
+    "bounds", [(0, math.inf, 0, 1), (-math.inf, 0, 0, 1), (0, 1, -math.inf, 1), (0, 1, 0, math.inf)]
+)
+def test_rect_bounds_must_be_finite(bounds):
+    with pytest.raises(ValueError, match="rectangle bounds must be finite"):
+        Rect(*bounds)
+
+
+# 1e308*(1 + x) overflows to inf for x above about 0.797, where the sine's
+# derivative then raises a math domain error: the leaf must end there.
+OVERFLOWING_SINE = "x + y + 1e-310*sin(1e308+1e308*x)"
+
+
+def test_trace_ends_leaf_where_an_argument_overflows():
+    leaf = trace_level_curve(OVERFLOWING_SINE, (0.5, 0.5), Rect(0, 1, 0, 1), step=0.01)
+    xs = [x for x, _ in leaf.points]
+    assert min(xs) < 0.01
+    assert 0.78 < max(xs) < 0.8
+
+
+def test_render_keeps_a_leaf_that_ends_at_an_overflow(tmp_path, capsys):
+    svg = tmp_path / "web.svg"
+    code = run(["render", "--web", f"{OVERFLOWING_SINE}; x", "--domain", "0:1:0:1",
+                "--levels", "1", "--step", "0.01", "--svg", str(svg)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["results"]["leaves"] == 2
+    assert report["warnings"] == []
+    assert svg.read_text().count("<path ") == 2
