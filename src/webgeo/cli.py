@@ -5,6 +5,12 @@ verdict), 1 when the analysis verdict misses an --expect value or a web is
 degenerate at the request point, 2 for usage errors and formula syntax
 errors.  Diagnostics go to standard error; reports go to --out or standard
 output and are byte-identical across repeated identical invocations.
+
+Every handler parses its input, runs one library sweep or call, and
+passes its results to one tail (`_finish`) that composes, writes and
+judges the report.  The grid commands take their numbers and verdicts
+from :func:`webgeo.geodesy.reduce_samples` and :func:`~webgeo.geodesy.judge`,
+so a NaN sample fails every verdict the same way.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict
 
 from .exprlang import EvaluationError, ParseError, parse, to_source
 from .eulerweb import (
@@ -21,7 +28,15 @@ from .eulerweb import (
     euler_sweep,
     generate_linear_web,
 )
-from .geodesy import DEFAULT_TOLERANCE, GridSpec, geodesic_web_report, residual_sweep
+from .geodesy import (
+    DEFAULT_TOLERANCE,
+    GridSpec,
+    geodesic_web_report,
+    judge,
+    reduce_samples,
+    residual_sweep,
+    sequential_sum,
+)
 from .geometry import ChristoffelField, ThomasParameters
 from .projective import (
     DegenerateWebError,
@@ -35,6 +50,7 @@ from .projective import (
     symmetry_sweep,
 )
 from .render import (
+    MAX_LEAVES,
     Rect,
     compose_report,
     render_svg,
@@ -134,6 +150,16 @@ def _step(text: str) -> float:
     return value
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not 1 <= value <= MAX_LEAVES:
+        raise argparse.ArgumentTypeError(f"must be between 1 and {MAX_LEAVES}, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str, count: int, what: str):
     pieces = text.split(",")
     if len(pieces) != count:
@@ -141,30 +167,27 @@ def _parse_floats(text: str, count: int, what: str):
     return [_finite(p, what) for p in pieces]
 
 
-def _emit(args, text: str):
+def _finish(args, command, inputs, grid, results, *, csv=None, **extra) -> int:
+    """Write the report (with --format csv, the rows of the grid residuals
+    `csv` when there are any) to --out or standard output, and return the
+    exit code: 1 when the results' verdict misses --expect, else 0."""
+    if csv is not None and args.format == "csv":
+        text = write_csv_grid(csv.samples())
+    else:
+        text = write_report(compose_report(command, inputs, grid, results, **extra))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _verdict_exit(args, verdict: str) -> int:
-    if args.expect is not None and verdict != args.expect:
-        print(
-            f"webgeo: verdict {verdict!r} does not match expected {args.expect!r}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _sequential_sum(values) -> float:
-    """Left-to-right float sum, the same bits on every Python version."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total
+    verdict = results.get("verdict")
+    if verdict is None or args.expect in (None, verdict):
+        return 0
+    print(
+        f"webgeo: verdict {verdict!r} does not match expected {args.expect!r}",
+        file=sys.stderr,
+    )
+    return 1
 
 
 def _grid_stats(series) -> dict:
@@ -180,24 +203,15 @@ def _cmd_flex(args) -> int:
     zero = ChristoffelField(*([_parse_expr("0", "zero")] * 6))
     (series,) = residual_sweep([f], grid, christoffels=zero)
     stats = _grid_stats(series)
-    max_normalized = stats["max_normalized"]
+    worst, verdict = judge([stats["max_normalized"]], args.tol)
     results = {
         "per_foliation": [stats],
-        "verdict": "geodesic" if max_normalized <= args.tol else "non-geodesic",
-        "max_normalized": max_normalized,
+        "verdict": verdict,
+        "max_normalized": worst,
         "tolerance": args.tol,
     }
-    if args.format == "csv":
-        _emit(args, write_csv_grid(series.samples()))
-    else:
-        report = compose_report(
-            "flex",
-            {"f": to_source(f), "tolerance": args.tol},
-            grid.as_dict(),
-            results,
-        )
-        _emit(args, write_report(report))
-    return _verdict_exit(args, results["verdict"])
+    inputs = {"f": to_source(f), "tolerance": args.tol}
+    return _finish(args, "flex", inputs, grid.as_dict(), results, csv=series)
 
 
 def _parse_structure(text: str):
@@ -228,19 +242,12 @@ def _cmd_geodesic(args) -> int:
     notes = results.pop("notes", [])
     if args.format == "csv":
         raise _UsageError("--format csv is only available for flex and euler")
-    report = compose_report(
-        "geodesic",
-        {
-            "web": [to_source(f) for f in web],
-            "christoffel": args.christoffel,
-            "tolerance": args.tol,
-        },
-        grid.as_dict(),
-        results,
-        notes=notes,
-    )
-    _emit(args, write_report(report))
-    return _verdict_exit(args, results["verdict"])
+    inputs = {
+        "web": [to_source(f) for f in web],
+        "christoffel": args.christoffel,
+        "tolerance": args.tol,
+    }
+    return _finish(args, "geodesic", inputs, grid.as_dict(), results, notes=notes)
 
 
 def _cmd_fit(args) -> int:
@@ -252,14 +259,7 @@ def _cmd_fit(args) -> int:
         point = _parse_point(args.point)
         pi = fit_projective_structure(web, point)
         inputs["point"] = list(point)
-        results = {
-            "pi": {
-                "p1_22": pi.p1_22,
-                "p1_12": pi.p1_12,
-                "p2_12": pi.p2_12,
-                "p2_11": pi.p2_11,
-            }
-        }
+        results = {"pi": asdict(pi)}
         grid_dict = None
     elif args.grid:
         grid = _parse_grid(args.grid)
@@ -270,16 +270,14 @@ def _cmd_fit(args) -> int:
             raise EvaluationError("web is degenerate on the whole grid")
         names = ("p1_22", "p1_12", "p2_12", "p2_11")
         results = {
-            "pi": {n: _sequential_sum(c) / count for n, c in zip(names, columns)},
+            "pi": {n: sequential_sum(c) / count for n, c in zip(names, columns)},
             "max_spread": max(max(c) - min(c) for c in columns),
             "points_used": count,
             "skipped_points": skipped,
         }
     else:
         raise _UsageError("fit needs --point or --grid")
-    report = compose_report("fit", inputs, grid_dict, results)
-    _emit(args, write_report(report))
-    return 0
+    return _finish(args, "fit", inputs, grid_dict, results)
 
 
 def _cmd_dweb(args) -> int:
@@ -290,20 +288,18 @@ def _cmd_dweb(args) -> int:
     series = dweb_sweep(web, grid)
     per_function = []
     for idx, (f, samples) in enumerate(zip(web[4:], series)):
-        valid = [abs(v) for v, bad in zip(samples.normalized, samples.degenerate) if not bad]
+        reduced = reduce_samples(samples.valid())
         per_function.append(
             {
                 "index": idx + 5,
                 "function": to_source(f),
-                # max from 0.0, so a NaN sample counts but never wins
-                "max_normalized": max([0.0, *valid]),
-                "samples": len(valid),
+                "max_normalized": reduced.largest,
+                "samples": reduced.samples,
             }
         )
     if all(entry["samples"] == 0 for entry in per_function):
         raise EvaluationError("no valid samples on the requested grid")
-    worst = max(entry["max_normalized"] for entry in per_function)
-    verdict = "geodesic" if worst <= args.tol else "non-geodesic"
+    worst, verdict = judge([entry["max_normalized"] for entry in per_function], args.tol)
     results = {
         "per_function": per_function,
         "skipped_points": series[0].skipped,
@@ -311,14 +307,8 @@ def _cmd_dweb(args) -> int:
         "verdict": verdict,
         "tolerance": args.tol,
     }
-    report = compose_report(
-        "dweb",
-        {"web": [to_source(f) for f in web], "tolerance": args.tol},
-        grid.as_dict(),
-        results,
-    )
-    _emit(args, write_report(report))
-    return _verdict_exit(args, verdict)
+    inputs = {"web": [to_source(f) for f in web], "tolerance": args.tol}
+    return _finish(args, "dweb", inputs, grid.as_dict(), results)
 
 
 def _cmd_symcheck(args) -> int:
@@ -326,28 +316,20 @@ def _cmd_symcheck(args) -> int:
     f4 = _parse_expr(args.f4, "--f4")
     grid = _parse_grid(args.grid)
     r1, r2, skipped = symmetry_sweep(f3, f4, grid)
-    r1_values = [abs(v) for v in r1]
-    r2_values = [abs(v) for v in r2]
-    if not r1_values:
+    r1, r2 = reduce_samples(r1), reduce_samples(r2)
+    if not r1.samples:
         raise EvaluationError("no valid samples on the requested grid")
-    worst = max(max(r1_values), max(r2_values))
-    verdict = "symmetric" if worst <= args.tol else "non-symmetric"
+    _, verdict = judge([r1.largest, r2.largest], args.tol, ("symmetric", "non-symmetric"))
     results = {
-        "r1": {"max": max(r1_values), "mean": sum(r1_values) / len(r1_values)},
-        "r2": {"max": max(r2_values), "mean": sum(r2_values) / len(r2_values)},
-        "samples": len(r1_values),
+        "r1": {"max": r1.largest, "mean": r1.mean},
+        "r2": {"max": r2.largest, "mean": r2.mean},
+        "samples": r1.samples,
         "skipped_points": skipped,
         "verdict": verdict,
         "tolerance": args.tol,
     }
-    report = compose_report(
-        "symcheck",
-        {"f3": to_source(f3), "f4": to_source(f4), "tolerance": args.tol},
-        grid.as_dict(),
-        results,
-    )
-    _emit(args, write_report(report))
-    return _verdict_exit(args, verdict)
+    inputs = {"f3": to_source(f3), "f4": to_source(f4), "tolerance": args.tol}
+    return _finish(args, "symcheck", inputs, grid.as_dict(), results)
 
 
 def _cmd_symintegrate(args) -> int:
@@ -363,43 +345,22 @@ def _cmd_symintegrate(args) -> int:
     result = integrate_symmetric_connection(f3, f4, initial, path, step=args.step)
     curvature = curvature_along(result.state, result.endpoint_alpha_beta)
     verdict = "pass" if abs(result.constraint_residual) <= args.tol else "fail"
-    end = result.state
     results = {
-        "state": {
-            "sigma": end.sigma,
-            "tau": end.tau,
-            "sigma_x": end.sigma_x,
-            "sigma_y": end.sigma_y,
-            "tau_x": end.tau_x,
-            "tau_y": end.tau_y,
-        },
+        "state": asdict(result.state),
         "endpoint": list(result.endpoint),
         "constraint_residual": result.constraint_residual,
         "max_symmetry_residual": result.max_symmetry_residual,
-        "curvature": {
-            "r1_112": curvature.r1_112,
-            "r1_212": curvature.r1_212,
-            "r2_112": curvature.r2_112,
-            "r2_212": curvature.r2_212,
-            "trace": curvature.trace,
-        },
+        "curvature": {**asdict(curvature), "trace": curvature.trace},
         "verdict": verdict,
     }
-    report = compose_report(
-        "symintegrate",
-        {
-            "f3": to_source(f3),
-            "f4": to_source(f4),
-            "initial": initial_values,
-            "path": [list(p) for p in path],
-            "step": args.step,
-        },
-        None,
-        results,
-        warnings=result.warnings,
-    )
-    _emit(args, write_report(report))
-    return _verdict_exit(args, verdict)
+    inputs = {
+        "f3": to_source(f3),
+        "f4": to_source(f4),
+        "initial": initial_values,
+        "path": [list(p) for p in path],
+        "step": args.step,
+    }
+    return _finish(args, "symintegrate", inputs, None, results, warnings=result.warnings)
 
 
 def _cmd_euler(args) -> int:
@@ -421,23 +382,16 @@ def _cmd_euler(args) -> int:
         inputs["point"] = list(point)
         verdict = "pass" if abs(value) <= args.tol else "fail"
         results = {"residual": value, "verdict": verdict}
-        grid_dict = None
         if args.format == "csv":
             raise _UsageError("--format csv needs --grid")
-        report = compose_report("euler", inputs, grid_dict, results)
-        _emit(args, write_report(report))
-        return _verdict_exit(args, verdict)
+        return _finish(args, "euler", inputs, None, results)
 
     if not args.grid:
         raise _UsageError("euler needs --point or --grid")
     grid = _parse_grid(args.grid)
     series = euler_sweep(w, grid, pi)
     stats = _grid_stats(series)
-    worst = stats["max_normalized"]
-    verdict = "pass" if worst <= args.tol else "fail"
-    if args.format == "csv":
-        _emit(args, write_csv_grid(series.samples()))
-        return _verdict_exit(args, verdict)
+    worst, verdict = judge([stats["max_normalized"]], args.tol, ("pass", "fail"))
     results = {
         "max_residual": worst,
         "mean_residual": stats["mean_normalized"],
@@ -445,9 +399,7 @@ def _cmd_euler(args) -> int:
         "skipped_points": stats["skipped_points"],
         "verdict": verdict,
     }
-    report = compose_report("euler", inputs, grid.as_dict(), results)
-    _emit(args, write_report(report))
-    return _verdict_exit(args, verdict)
+    return _finish(args, "euler", inputs, grid.as_dict(), results, csv=series)
 
 
 def _cmd_lingen(args) -> int:
@@ -479,21 +431,14 @@ def _cmd_lingen(args) -> int:
             return 1
         with open(svg_path, "w", encoding="utf-8") as handle:
             handle.write(render_svg(leaves, domain))
+    inputs = {
+        "data": [d.source() for d in data],
+        "lambda_interval": list(interval),
+        "domain": domain.as_dict(),
+        "leaves_per_foliation": args.leaves,
+    }
     results = {"leaves": len(leaves), "svg_path": svg_path}
-    report = compose_report(
-        "lingen",
-        {
-            "data": [d.source() for d in data],
-            "lambda_interval": list(interval),
-            "domain": domain.as_dict(),
-            "leaves_per_foliation": args.leaves,
-        },
-        None,
-        results,
-        warnings=warnings,
-    )
-    _emit(args, write_report(report))
-    return 0
+    return _finish(args, "lingen", inputs, None, results, warnings=warnings)
 
 
 def _cmd_render(args) -> int:
@@ -524,21 +469,14 @@ def _cmd_render(args) -> int:
         return 1
     with open(args.svg, "w", encoding="utf-8") as handle:
         handle.write(render_svg(leaves, domain))
+    inputs = {
+        "web": [to_source(f) for f in web],
+        "domain": domain.as_dict(),
+        "levels": args.levels,
+        "step": args.step,
+    }
     results = {"leaves": len(leaves), "svg_path": args.svg}
-    report = compose_report(
-        "render",
-        {
-            "web": [to_source(f) for f in web],
-            "domain": domain.as_dict(),
-            "levels": args.levels,
-            "step": args.step,
-        },
-        None,
-        results,
-        warnings=warnings,
-    )
-    _emit(args, write_report(report))
-    return 0
+    return _finish(args, "render", inputs, None, results, warnings=warnings)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -613,7 +551,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="semicolon-separated Cauchy data in y")
     p.add_argument("--lambda", dest="lam", required=True, help="parameter interval lo:hi")
     p.add_argument("--domain", required=True, help="xmin:xmax:ymin:ymax")
-    p.add_argument("--leaves", type=int, default=7)
+    p.add_argument("--leaves", type=_count, default=7)
     p.add_argument("--svg", help="write the leaves to this SVG file")
     common(p, expect=False)
     p.set_defaults(handler=_cmd_lingen)
@@ -621,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="trace level curves of a web into an SVG")
     p.add_argument("--web", required=True)
     p.add_argument("--domain", required=True)
-    p.add_argument("--levels", type=int, default=5)
+    p.add_argument("--levels", type=_count, default=5)
     p.add_argument("--step", type=_step, default=1e-3)
     p.add_argument("--svg", required=True)
     common(p, expect=False)

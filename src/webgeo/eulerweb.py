@@ -43,7 +43,7 @@ from .exprlang import (
 )
 from .geodesy import GridResiduals, GridSpec, cube
 from .geometry import ThomasParameters
-from .render import LeafPolyline, Rect
+from .render import MAX_LEAVES, LeafPolyline, Rect
 from .taylor import (
     TaylorJet,
     jet_constant,
@@ -371,12 +371,13 @@ def generate_linear_web(
     datum's interval whose lines meet the requested rectangle, clipped to
     it.  Leaves are labeled by lam, not by branch.  A datum whose lines
     never meet the rectangle yields an empty foliation with a warning
-    rather than an error.
+    rather than an error.  Raises ValueError unless 1 <= leaves_per_foliation
+    <= MAX_LEAVES.
     """
     if not data:
         raise ValueError("no Cauchy data supplied")
-    if leaves_per_foliation < 1:
-        raise ValueError("leaves_per_foliation must be at least 1")
+    if not 1 <= leaves_per_foliation <= MAX_LEAVES:
+        raise ValueError(f"leaves_per_foliation must be between 1 and {MAX_LEAVES}")
     seen = set()
     for datum in data:
         key = (datum.source(), datum.lambda_interval)

@@ -20,13 +20,17 @@ across foliations.
 Over a grid, :func:`residual_sweep` evaluates a block of points at a time
 (see :class:`~webgeo.exprlang.Block`), the structure once per block for
 all foliations, and gives every sample the same bits as the single-point
-functions here.
+functions here.  :func:`reduce_samples` and :func:`judge` turn samples
+into the numbers and verdict of a report, for every grid command: a NaN
+sample makes the largest value NaN and fails the verdict, and a mean is a
+left-to-right sum, the same bits on every Python version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -359,21 +363,65 @@ class GridResiduals:
             )
         ]
 
+    def valid(self) -> list[float]:
+        """The normalized residuals of the non-degenerate samples."""
+        return [v for v, bad in zip(self.normalized, self.degenerate) if not bad]
+
     def stats(self) -> dict | None:
         """Report fields over the non-degenerate samples; None when there
         are none."""
-        valid = [abs(v) for v, bad in zip(self.normalized, self.degenerate) if not bad]
-        if not valid:
+        reduced = reduce_samples(self.valid())
+        if not reduced.samples:
             return None
         return {
-            "samples": len(valid),
-            "max_normalized": max(valid),
-            "mean_normalized": sum(valid) / len(valid),
+            "samples": reduced.samples,
+            "max_normalized": reduced.largest,
+            "mean_normalized": reduced.mean,
             "degenerate_points": [
                 list(p) for p, bad in zip(self.points, self.degenerate) if bad
             ],
             "skipped_points": self.skipped,
         }
+
+
+def sequential_sum(values) -> float:
+    """Left-to-right float sum from 0.0, the same bits on every Python
+    version (the builtin sum compensates its rounding from 3.12 on)."""
+    # A running sum adds in order, where np.sum would add pairwise;
+    # 0.0 + gives a sum of negative zeros the sign a sum from 0.0 has.
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.add.accumulate(np.asarray(values, dtype=float))
+    return 0.0 + float(running[-1]) if len(running) else 0.0
+
+
+class Reduction(NamedTuple):
+    """What a report says about a list of samples."""
+
+    largest: float
+    mean: float
+    samples: int
+
+
+def reduce_samples(values) -> Reduction:
+    """The largest |v|, the mean |v| and the count of `values`.
+
+    A NaN anywhere makes `largest` (and `mean`) NaN, so a verdict
+    ``largest <= tolerance`` fails; an empty list gives 0.0 for both.
+    """
+    magnitudes = np.abs(np.asarray(values, dtype=float))
+    count = len(magnitudes)
+    if not count:
+        return Reduction(0.0, 0.0, 0)
+    # np.maximum keeps a NaN wherever it comes; max() only when it is first.
+    largest = float(np.maximum.reduce(magnitudes))
+    return Reduction(largest, sequential_sum(magnitudes) / count, count)
+
+
+def judge(maxima, tolerance: float, labels=("geodesic", "non-geodesic")) -> tuple[float, str]:
+    """(worst, verdict): the largest of the per-foliation or per-function
+    `maxima`, and labels[0] when it is within `tolerance`, else labels[1]."""
+    worst = reduce_samples(maxima).largest
+    return worst, labels[0] if worst <= tolerance else labels[1]
 
 
 def skipped_points(block: Block, ok) -> list[list[float]]:
@@ -555,13 +603,10 @@ def geodesic_web_report(
                 f"('{to_source(f)}'): all points degenerate or out of domain"
             )
         per_foliation.append({"index": index + 1, "function": to_source(f), **stats})
-    # A NaN maximum fails the verdict; max() would fold it away.
-    maxima = [entry["max_normalized"] for entry in per_foliation]
-    worst = math.nan if any(map(math.isnan, maxima)) else max([0.0, *maxima])
-
+    worst, verdict = judge([entry["max_normalized"] for entry in per_foliation], tolerance)
     return {
         "per_foliation": per_foliation,
-        "verdict": "geodesic" if worst <= tolerance else "non-geodesic",
+        "verdict": verdict,
         "max_normalized": worst,
         "tolerance": tolerance,
         "notes": [GRAPH_SURFACE_GAMMA_NOTE] if surface is not None else [],

@@ -22,6 +22,10 @@ from .exprlang import EvaluationError, as_expression, evaluate, evaluate_gradien
 #: Gradient norms below this (times 1 + |x| + |y|) refuse to seed a trace.
 SEED_DEGENERACY_COEFF = 1e-10
 
+#: Most leaves drawn per foliation: `generate_linear_web`'s leaves and
+#: the CLI's `render --levels`.
+MAX_LEAVES = 10_000
+
 _PALETTE = (
     "#1b9e77",
     "#d95f02",

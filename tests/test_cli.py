@@ -478,3 +478,54 @@ def test_geodesic_nan_maximum_fails_the_verdict(capsys):
     assert results["max_normalized"] == "nan"
     assert results["verdict"] == "non-geodesic"
     assert code == 1
+
+
+# The jets of NAN_F overflow at (0, 1) (5e307 times 2!), so its flex is NaN
+# there; the other two grid points give 0.0, before and after the NaN.
+NAN_F = "x + 5e307*x^2*(1+y)"
+NAN_GRID = "0:0:0:1:1:3"
+
+
+@pytest.mark.parametrize(
+    "argv, entries",
+    [
+        (["flex", "--f", NAN_F, "--grid", NAN_GRID], "per_foliation"),
+        (
+            ["geodesic", "--web", f"{NAN_F}; y", "--christoffel", "constcurv:0",
+             "--grid", NAN_GRID],
+            "per_foliation",
+        ),
+        (["dweb", "--web", f"x; y; x+y; x-y; {NAN_F}", "--grid", NAN_GRID], "per_function"),
+        (
+            ["dweb", "--web", "x; y; x+y; x-y; x + y + 1e308*x^2 - 1e308*y^2",
+             "--grid", "0:0.1:0:0.1:2:2"],
+            "per_function",
+        ),
+    ],
+    ids=["flex", "geodesic", "dweb", "dweb-one-sample"],
+)
+def test_nan_sample_fails_the_verdict(argv, entries, capsys):
+    code, report = _run_json([*argv, "--expect", "geodesic"], capsys)
+    results = report["results"]
+    assert results[entries][0]["max_normalized"] == "nan"
+    assert results["max_normalized"] == "nan"
+    assert results["verdict"] == "non-geodesic"
+    assert report["degenerate"] is True
+    assert code == 1
+
+
+@pytest.mark.parametrize("count", ["0", "-1", "10001"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["render", "--web", "x; y", "--domain", "0:1:0:1", "--levels"],
+        ["lingen", "--data=-2*sqrt(-y)", "--lambda=-16:-0.04", "--domain=-2:2:-4:2", "--leaves"],
+    ],
+    ids=["render", "lingen"],
+)
+def test_counts_out_of_range_exit_2(argv, count, tmp_path, capsys):
+    *command, option = argv
+    svg_path = tmp_path / "web.svg"
+    assert run([*command, f"{option}={count}", "--svg", str(svg_path)]) == 2
+    assert "must be between 1 and 10000" in capsys.readouterr().err
+    assert not svg_path.exists()

@@ -146,6 +146,13 @@ def test_generate_parabola_tangent_foliation():
         assert abs(slope * slope / 4.0 + intercept) <= 1e-9
 
 
+@pytest.mark.parametrize("leaves", [0, -1, 10001])
+def test_generate_rejects_leaf_counts_out_of_range(leaves):
+    datum = CauchyDatum("-2*sqrt(-y)", (-16.0, -0.04))
+    with pytest.raises(ValueError, match="leaves_per_foliation"):
+        generate_linear_web([datum], Rect(-2, 2, -4, 2), leaves)
+
+
 def test_generate_pencils():
     half = CauchyDatum("2*y", (-6.0, 6.0))
     unit = CauchyDatum("y", (-6.0, 6.0))

@@ -26,7 +26,7 @@ from webgeo import (
 )
 from conftest import CORPUS, rel_close, sample_point
 
-from webgeo.geodesy import MAX_GRID_POINTS
+from webgeo.geodesy import MAX_GRID_POINTS, judge, reduce_samples, sequential_sum
 
 FLAT = ChristoffelField(*([Constant(0.0)] * 6))
 
@@ -289,3 +289,43 @@ def test_non_finite_curvature_is_rejected(kappa):
         residual_sweep(["x", "y"], grid, curvature=kappa)
     with pytest.raises(ValueError, match="curvature must be a finite number"):
         geodesic_web_report(["x", "y"], grid, curvature=kappa)
+
+
+NAN = math.nan
+
+
+@pytest.mark.parametrize(
+    "values", [[NAN, 2.0, 1.0], [1.0, NAN, 2.0], [2.0, 1.0, NAN]], ids=["first", "middle", "last"]
+)
+def test_reduce_samples_nan_anywhere_makes_the_maximum_nan(values):
+    reduced = reduce_samples(values)
+    assert math.isnan(reduced.largest)
+    assert reduced.samples == 3
+    worst, verdict = judge([0.0, reduced.largest], 1e-8)
+    assert math.isnan(worst)
+    assert verdict == "non-geodesic"
+
+
+def test_reduce_samples_of_nothing_is_zero():
+    assert reduce_samples([]) == (0.0, 0.0, 0)
+
+
+def test_reduce_samples_takes_magnitudes():
+    assert reduce_samples([-3.0, 1.0, -0.0]) == (3.0, 4.0 / 3.0, 3)
+    assert judge([1e-9, 2e-9], 1e-8, ("pass", "fail")) == (2e-9, "pass")
+    assert judge([1e-9, 2e-7], 1e-8, ("pass", "fail")) == (2e-7, "fail")
+
+
+def test_sums_run_left_to_right():
+    # A compensated sum (math.fsum, and the builtin sum from Python 3.12 on)
+    # keeps the 1.0 that a left-to-right sum rounds away, and a pairwise sum
+    # (numpy's) adds the twenty 1.0s together before they meet 1e16.
+    assert sequential_sum([1e16, 1.0, -1e16]) == 0.0
+    assert math.fsum([1e16, 1.0, -1e16]) == 1.0
+    ones = [1e16] + [1.0] * 20
+    assert sequential_sum(ones) == 1e16
+    assert reduce_samples(ones).mean == 1e16 / 21
+    assert math.fsum(ones) != 1e16
+    assert math.copysign(1.0, sequential_sum([-0.0, -0.0])) == 1.0
+    assert sequential_sum([]) == 0.0
+    assert sequential_sum([1e308, 1e308, -1e308]) == math.inf
