@@ -6,6 +6,10 @@ degenerate at the request point, 2 for usage errors and formula syntax
 errors.  Diagnostics go to standard error; reports go to --out or standard
 output and are byte-identical across repeated identical invocations.
 
+Each subcommand declares only the options its handler reads, so argparse
+rejects any other before anything runs: --format on `flex` and `euler`,
+--tol and --expect (one of two verdicts) on the six that give a verdict.
+
 Every handler parses its input, runs one library sweep or call, and
 passes its results to one tail (`_finish`) that composes, writes and
 judges the report.  The grid commands take their numbers and verdicts
@@ -30,6 +34,9 @@ from .eulerweb import (
 )
 from .geodesy import (
     DEFAULT_TOLERANCE,
+    GEODESIC_VERDICTS,
+    PASS_FAIL_VERDICTS,
+    SYMMETRIC_VERDICTS,
     GridSpec,
     geodesic_web_report,
     judge,
@@ -240,8 +247,6 @@ def _cmd_geodesic(args) -> int:
     structure = _parse_structure(args.christoffel)
     results = geodesic_web_report(web, grid, tolerance=args.tol, **structure)
     notes = results.pop("notes", [])
-    if args.format == "csv":
-        raise _UsageError("--format csv is only available for flex and euler")
     inputs = {
         "web": [to_source(f) for f in web],
         "christoffel": args.christoffel,
@@ -255,13 +260,13 @@ def _cmd_fit(args) -> int:
     if len(web) != 4:
         raise _UsageError(f"--web: fit needs exactly 4 functions, got {len(web)}")
     inputs = {"web": [to_source(f) for f in web]}
-    if args.point:
+    if args.point is not None:
         point = _parse_point(args.point)
         pi = fit_projective_structure(web, point)
         inputs["point"] = list(point)
         results = {"pi": asdict(pi)}
         grid_dict = None
-    elif args.grid:
+    else:
         grid = _parse_grid(args.grid)
         grid_dict = grid.as_dict()
         columns, skipped = fit_sweep(web, grid)
@@ -275,8 +280,6 @@ def _cmd_fit(args) -> int:
             "points_used": count,
             "skipped_points": skipped,
         }
-    else:
-        raise _UsageError("fit needs --point or --grid")
     return _finish(args, "fit", inputs, grid_dict, results)
 
 
@@ -319,7 +322,7 @@ def _cmd_symcheck(args) -> int:
     r1, r2 = reduce_samples(r1), reduce_samples(r2)
     if not r1.samples:
         raise EvaluationError("no valid samples on the requested grid")
-    _, verdict = judge([r1.largest, r2.largest], args.tol, ("symmetric", "non-symmetric"))
+    _, verdict = judge([r1.largest, r2.largest], args.tol, SYMMETRIC_VERDICTS)
     results = {
         "r1": {"max": r1.largest, "mean": r1.mean},
         "r2": {"max": r2.largest, "mean": r2.mean},
@@ -344,7 +347,7 @@ def _cmd_symintegrate(args) -> int:
         raise _UsageError(f"--path: {exc}") from None
     result = integrate_symmetric_connection(f3, f4, initial, path, step=args.step)
     curvature = curvature_along(result.state, result.endpoint_alpha_beta)
-    verdict = "pass" if abs(result.constraint_residual) <= args.tol else "fail"
+    verdict = PASS_FAIL_VERDICTS[0 if abs(result.constraint_residual) <= args.tol else 1]
     results = {
         "state": asdict(result.state),
         "endpoint": list(result.endpoint),
@@ -373,25 +376,23 @@ def _cmd_euler(args) -> int:
     inputs = {"w": to_source(w), "tolerance": args.tol}
     if pi is not None:
         inputs["pi"] = [pi.p1_22, pi.p1_12, pi.p2_12, pi.p2_11]
-    if args.point:
+    if args.point is not None:
         point = _parse_point(args.point)
+        if args.format == "csv":
+            raise _UsageError("--format csv needs --grid")
         if pi is None:
             value = euler_residual(w, point)
         else:
             value = connection_euler_residual(w, pi, point)
         inputs["point"] = list(point)
-        verdict = "pass" if abs(value) <= args.tol else "fail"
+        verdict = PASS_FAIL_VERDICTS[0 if abs(value) <= args.tol else 1]
         results = {"residual": value, "verdict": verdict}
-        if args.format == "csv":
-            raise _UsageError("--format csv needs --grid")
         return _finish(args, "euler", inputs, None, results)
 
-    if not args.grid:
-        raise _UsageError("euler needs --point or --grid")
     grid = _parse_grid(args.grid)
     series = euler_sweep(w, grid, pi)
     stats = _grid_stats(series)
-    worst, verdict = judge([stats["max_normalized"]], args.tol, ("pass", "fail"))
+    worst, verdict = judge([stats["max_normalized"]], args.tol, PASS_FAIL_VERDICTS)
     results = {
         "max_residual": worst,
         "mean_residual": stats["mean_normalized"],
@@ -486,17 +487,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, expect=True):
+    def report_options(p, verdicts=None, csv=False):
         p.add_argument("--out", help="write the report to this file instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
-        if expect:
-            p.add_argument("--expect", help="exit 1 unless the verdict equals this")
+        if csv:
+            p.add_argument("--format", choices=("json", "csv"), default="json")
+        if verdicts:
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOLERANCE)
+            p.add_argument("--expect", choices=verdicts, help="exit 1 unless the verdict equals this")
+
+    def point_or_grid(p):
+        where = p.add_mutually_exclusive_group(required=True)
+        where.add_argument("--point")
+        where.add_argument("--grid")
 
     p = sub.add_parser("flex", help="flat-plane linearity test: Flex f over a grid")
     p.add_argument("--f", required=True)
     p.add_argument("--grid", required=True)
-    common(p)
+    report_options(p, GEODESIC_VERDICTS, csv=True)
     p.set_defaults(handler=_cmd_flex)
 
     p = sub.add_parser("geodesic", help="geodesicity of a web for a connection")
@@ -507,27 +514,26 @@ def _build_parser() -> argparse.ArgumentParser:
         help="constcurv:<kappa> | graph:<z expr> | custom:<six exprs>",
     )
     p.add_argument("--grid", required=True)
-    common(p)
+    report_options(p, GEODESIC_VERDICTS)
     p.set_defaults(handler=_cmd_geodesic)
 
     p = sub.add_parser("fit", help="projective structure of a 4-web")
     p.add_argument("--web", required=True)
-    p.add_argument("--point")
-    p.add_argument("--grid")
-    common(p, expect=False)
+    point_or_grid(p)
+    report_options(p)
     p.set_defaults(handler=_cmd_fit)
 
     p = sub.add_parser("dweb", help="geodesicity residuals of f5..fd")
     p.add_argument("--web", required=True)
     p.add_argument("--grid", required=True)
-    common(p)
+    report_options(p, GEODESIC_VERDICTS)
     p.set_defaults(handler=_cmd_dweb)
 
     p = sub.add_parser("symcheck", help="symmetric-structure conditions of (x,y,f3,f4)")
     p.add_argument("--f3", required=True)
     p.add_argument("--f4", required=True)
     p.add_argument("--grid", required=True)
-    common(p)
+    report_options(p, SYMMETRIC_VERDICTS)
     p.set_defaults(handler=_cmd_symcheck)
 
     p = sub.add_parser("symintegrate", help="transport the finite-type state along a path")
@@ -536,15 +542,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", required=True, help="sigma,tau,sigma_x,sigma_y,tau_x,tau_y")
     p.add_argument("--path", required=True, help="semicolon-separated x,y points")
     p.add_argument("--step", type=_step, default=1e-3)
-    common(p)
+    report_options(p, PASS_FAIL_VERDICTS)
     p.set_defaults(handler=_cmd_symintegrate)
 
     p = sub.add_parser("euler", help="Euler equation residuals")
     p.add_argument("--w", required=True)
     p.add_argument("--pi", help="p1_22,p1_12,p2_12,p2_11 for the connection variant")
-    p.add_argument("--point")
-    p.add_argument("--grid")
-    common(p)
+    point_or_grid(p)
+    report_options(p, PASS_FAIL_VERDICTS, csv=True)
     p.set_defaults(handler=_cmd_euler)
 
     p = sub.add_parser("lingen", help="generate a linear web from Cauchy data")
@@ -553,7 +558,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", required=True, help="xmin:xmax:ymin:ymax")
     p.add_argument("--leaves", type=_count, default=7)
     p.add_argument("--svg", help="write the leaves to this SVG file")
-    common(p, expect=False)
+    report_options(p)
     p.set_defaults(handler=_cmd_lingen)
 
     p = sub.add_parser("render", help="trace level curves of a web into an SVG")
@@ -562,7 +567,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=_count, default=5)
     p.add_argument("--step", type=_step, default=1e-3)
     p.add_argument("--svg", required=True)
-    common(p, expect=False)
+    report_options(p)
     p.set_defaults(handler=_cmd_render)
 
     return parser

@@ -54,6 +54,9 @@ from .taylor import (
 
 DEFAULT_SCAN_COUNT = 400
 
+#: Parameter values of each datum probed for lines that meet the domain.
+PROBE_COUNT = 512
+
 #: Characteristic roots are polished until |g(lam)| falls below this.
 ROOT_RESIDUAL_TOLERANCE = 1e-12
 
@@ -180,11 +183,11 @@ def _characteristic_g_prime(datum: CauchyDatum, point, lam: float) -> float:
 def characteristic_roots(
     datum: CauchyDatum,
     point,
-    lambda_interval: tuple[float, float] | None = None,
     scan_count: int = DEFAULT_SCAN_COUNT,
 ) -> list[CharacteristicRoot]:
-    """All parameter values lam in the interval solving the characteristic
-    system at `point`, each paired with the transported slope w0(lam).
+    """All parameter values lam in the datum's interval that solve the
+    characteristic system at `point`, each paired with the transported
+    slope w0(lam).
 
     A uniform scan locates sign changes of g, each bracket is bisected to
     width 1e-14 and polished with one Newton step.  Root isolation is only
@@ -194,10 +197,7 @@ def characteristic_roots(
     """
     if scan_count < 2:
         raise ValueError(f"scan_count must be at least 2, got {scan_count}")
-    lo, hi = lambda_interval if lambda_interval is not None else datum.lambda_interval
-    lo, hi = float(lo), float(hi)
-    if not lo < hi:
-        raise ValueError(f"empty scan interval ({lo}, {hi})")
+    lo, hi = datum.lambda_interval
     x, y = float(point[0]), float(point[1])
 
     lams = [lo + (hi - lo) * k / (scan_count - 1) for k in range(scan_count)]
@@ -253,12 +253,11 @@ def characteristic_roots(
 class CharacteristicSolution:
     """Callable view of the Euler solution generated by one Cauchy datum."""
 
-    def __init__(self, datum: CauchyDatum, scan_count: int = DEFAULT_SCAN_COUNT):
+    def __init__(self, datum: CauchyDatum):
         self.datum = datum
-        self.scan_count = scan_count
 
     def roots(self, point) -> list[CharacteristicRoot]:
-        return characteristic_roots(self.datum, point, scan_count=self.scan_count)
+        return characteristic_roots(self.datum, point)
 
     def branch(self, point) -> CharacteristicRoot:
         """The unique branch at a point; raises off the single-valued set."""
@@ -362,7 +361,6 @@ def generate_linear_web(
     data: list[CauchyDatum],
     domain: Rect,
     leaves_per_foliation: int,
-    probe_count: int = 512,
 ) -> LinearWebSample:
     """Generate one straight-leaf foliation per Cauchy datum.
 
@@ -391,8 +389,8 @@ def generate_linear_web(
         warnings = []
         hits = []
         bad = 0
-        for k in range(probe_count):
-            lam = lo + (hi - lo) * k / (probe_count - 1)
+        for k in range(PROBE_COUNT):
+            lam = lo + (hi - lo) * k / (PROBE_COUNT - 1)
             try:
                 w0 = datum.value(lam)
             except EvaluationError:
@@ -402,29 +400,18 @@ def generate_linear_web(
                 hits.append(lam)
         if bad:
             warnings.append(
-                f"datum '{datum.source()}' undefined at {bad}/{probe_count} "
+                f"datum '{datum.source()}' undefined at {bad}/{PROBE_COUNT} "
                 "probed parameter values"
             )
         if not hits:
             warnings.append(
                 f"datum '{datum.source()}' produces no lines meeting the domain"
             )
-            foliations.append(
-                FoliationSample(
-                    index=index,
-                    datum=datum,
-                    lambda_values=(),
-                    leaves=(),
-                    solution=CharacteristicSolution(datum),
-                    warnings=tuple(warnings),
-                )
-            )
-            continue
-
-        lam_lo, lam_hi = min(hits), max(hits)
-        if leaves_per_foliation == 1:
-            lam_values = [0.5 * (lam_lo + lam_hi)]
+            lam_values = []
+        elif leaves_per_foliation == 1:
+            lam_values = [0.5 * (min(hits) + max(hits))]
         else:
+            lam_lo, lam_hi = min(hits), max(hits)
             lam_values = [
                 lam_lo + (lam_hi - lam_lo) * k / (leaves_per_foliation - 1)
                 for k in range(leaves_per_foliation)

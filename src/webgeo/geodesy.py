@@ -417,7 +417,13 @@ def reduce_samples(values) -> Reduction:
     return Reduction(largest, sequential_sum(magnitudes) / count, count)
 
 
-def judge(maxima, tolerance: float, labels=("geodesic", "non-geodesic")) -> tuple[float, str]:
+#: The two verdicts of each kind of check, the passing one first.
+GEODESIC_VERDICTS = ("geodesic", "non-geodesic")
+SYMMETRIC_VERDICTS = ("symmetric", "non-symmetric")
+PASS_FAIL_VERDICTS = ("pass", "fail")
+
+
+def judge(maxima, tolerance: float, labels=GEODESIC_VERDICTS) -> tuple[float, str]:
     """(worst, verdict): the largest of the per-foliation or per-function
     `maxima`, and labels[0] when it is within `tolerance`, else labels[1]."""
     worst = reduce_samples(maxima).largest
@@ -449,16 +455,7 @@ def _structure_terms(block: Block, christoffels, thomas, curvature, surface):
             terms.append(value)
         return ok, terms, lambda d, t, _: _covariant_flex(d, t)
     if thomas is not None:
-        if not callable(thomas):
-            return ok, list(thomas.as_tuple()), _projective_flex
-        values = []
-        for k, point in enumerate(zip(block.x.tolist(), block.y.tolist())):
-            try:
-                values.append(thomas(point).as_tuple())
-            except EvaluationError:
-                ok[k] = False
-                values.append((0.0, 0.0, 0.0, 0.0))
-        return ok, list(np.array(values).T), _projective_flex
+        return ok, list(thomas.as_tuple()), _projective_flex
     if curvature is not None:
         denom = _curvature_denominator(curvature, block.x, block.y)
         ok &= ~(denom <= 0.0)
@@ -476,7 +473,7 @@ def residual_sweep(
     grid: GridSpec,
     *,
     christoffels: ChristoffelField | None = None,
-    thomas=None,
+    thomas: ThomasParameters | None = None,
     curvature: float | None = None,
     surface=None,
 ) -> list[GridResiduals]:
@@ -564,7 +561,7 @@ def geodesic_web_report(
     grid: GridSpec,
     *,
     christoffels: ChristoffelField | None = None,
-    thomas=None,
+    thomas: ThomasParameters | None = None,
     curvature: float | None = None,
     surface=None,
     tolerance: float = DEFAULT_TOLERANCE,
@@ -574,7 +571,7 @@ def geodesic_web_report(
     Exactly one structure must be supplied:
 
       christoffels: affine connection (covariant flex residual),
-      thomas: ThomasParameters or a callable point -> ThomasParameters,
+      thomas: ThomasParameters of a projective structure,
       curvature: constant-curvature parameter kappa of the model metric,
       surface: height expression z of a graph surface.
 

@@ -26,6 +26,9 @@ SEED_DEGENERACY_COEFF = 1e-10
 #: the CLI's `render --levels`.
 MAX_LEAVES = 10_000
 
+#: The SVG canvas in pixels, and the blank margin around the domain.
+SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 16.0
+
 _PALETTE = (
     "#1b9e77",
     "#d95f02",
@@ -177,9 +180,6 @@ def render_svg(
     leaves,
     domain: Rect,
     style: dict | None = None,
-    width: int = 640,
-    height: int = 480,
-    margin: float = 16.0,
 ) -> str:
     """Standalone SVG 1.1 document with one path element per leaf.
 
@@ -192,18 +192,18 @@ def render_svg(
         raise ValueError("no leaves to render")
     style = style or {}
 
-    sx = (width - 2.0 * margin) / (domain.xmax - domain.xmin)
-    sy = (height - 2.0 * margin) / (domain.ymax - domain.ymin)
+    sx = (SVG_WIDTH - 2.0 * SVG_MARGIN) / (domain.xmax - domain.xmin)
+    sy = (SVG_HEIGHT - 2.0 * SVG_MARGIN) / (domain.ymax - domain.ymin)
 
     def viewport(point):
-        px = margin + (point[0] - domain.xmin) * sx
-        py = height - margin - (point[1] - domain.ymin) * sy
+        px = SVG_MARGIN + (point[0] - domain.xmin) * sx
+        py = SVG_HEIGHT - SVG_MARGIN - (point[1] - domain.ymin) * sy
         return px, py
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">',
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
     ]
     for leaf in leaves:
         entry = style.get(leaf.foliation_index, {})

@@ -529,3 +529,84 @@ def test_counts_out_of_range_exit_2(argv, count, tmp_path, capsys):
     assert run([*command, f"{option}={count}", "--svg", str(svg_path)]) == 2
     assert "must be between 1 and 10000" in capsys.readouterr().err
     assert not svg_path.exists()
+
+
+WEB4 = "x; y; x+y; x*y"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # --format exists only on flex and euler: rejected before the sweep,
+        # whose every point here is out of the domain
+        ["geodesic", "--web", "sqrt(-1-x^2); y", "--christoffel", "constcurv:0",
+         "--grid", "0:1:0:1:2:2", "--format", "csv"],
+        ["dweb", "--web", "x; y; x+y; x-y; x*y", "--grid", "1:2:1:2:2:2", "--format", "csv"],
+        # --tol and --expect exist only where there is a verdict
+        ["fit", "--web", WEB4, "--point", "2,1", "--tol", "7"],
+        # --expect takes only the command's two verdicts
+        ["flex", "--f", "x", "--grid", "0:1:0:1:2:2", "--expect", "geodesc"],
+        # --point and --grid exclude each other
+        ["fit", "--web", WEB4, "--point", "2,1", "--grid", "1:2:1:2:2:2"],
+        ["euler", "--w", "y/(1-x)", "--point", "0.5,2", "--grid", "0:0.5:0:1:3:3"],
+        # CSV needs a grid; refused before the residual leaves its domain
+        ["euler", "--w", "sqrt(-1-x^2)", "--point", "0.5,2", "--format", "csv"],
+    ],
+    ids=["geodesic-format", "dweb-format", "fit-tol", "expect-typo", "fit-point-grid",
+         "euler-point-grid", "euler-point-csv"],
+)
+def test_options_a_command_does_not_read_exit_2(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+
+
+def test_render_rejects_tol_before_tracing(tmp_path, capsys):
+    svg_path = tmp_path / "web.svg"
+    argv = ["render", "--web", "x; y", "--domain", "0:1:0:1", "--svg", str(svg_path)]
+    assert run([*argv, "--tol", "5"]) == 2
+    assert capsys.readouterr().out == ""
+    assert not svg_path.exists()
+
+
+GEODESIC = ("geodesic", "non-geodesic")
+PASS_FAIL = ("pass", "fail")
+
+# subcommand -> (its options in order, the --expect choices or None)
+SURFACE = {
+    "flex": ("--f --grid --out --format --tol --expect", GEODESIC),
+    "geodesic": ("--web --christoffel --grid --out --tol --expect", GEODESIC),
+    "fit": ("--web --point --grid --out", None),
+    "dweb": ("--web --grid --out --tol --expect", GEODESIC),
+    "symcheck": ("--f3 --f4 --grid --out --tol --expect", ("symmetric", "non-symmetric")),
+    "symintegrate": ("--f3 --f4 --initial --path --step --out --tol --expect", PASS_FAIL),
+    "euler": ("--w --pi --point --grid --out --format --tol --expect", PASS_FAIL),
+    "lingen": ("--data --lambda --domain --leaves --svg --out", None),
+    "render": ("--web --domain --levels --step --svg --out", None),
+}
+
+
+def test_each_command_declares_only_the_options_it_reads():
+    import argparse
+
+    from webgeo.cli import _build_parser
+
+    (commands,) = [
+        action.choices
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    assert list(commands) == list(SURFACE)
+    for name, (options, verdicts) in SURFACE.items():
+        parser = commands[name]
+        actions = [a for a in parser._actions if a.option_strings != ["-h", "--help"]]
+        assert [a.option_strings[0] for a in actions] == options.split(), name
+        expect = [a for a in actions if a.option_strings == ["--expect"]]
+        assert [tuple(a.choices) for a in expect] == ([verdicts] if verdicts else []), name
+        groups = [
+            ([a.option_strings[0] for a in g._group_actions], g.required)
+            for g in parser._mutually_exclusive_groups
+        ]
+        expected = [(["--point", "--grid"], True)] if name in ("fit", "euler") else []
+        assert groups == expected, name

@@ -191,14 +191,6 @@ def test_web_report_non_geodesic():
     assert report["max_normalized"] > 1e-8
 
 
-def test_web_report_callable_thomas():
-    grid = GridSpec(0.5, 1.5, 0.5, 1.5, 4, 4)
-    report = geodesic_web_report(
-        ["x", "y"], grid, thomas=lambda p: ThomasParameters(0, 0, 0, 0)
-    )
-    assert report["verdict"] == "geodesic"
-
-
 def test_web_report_skips_out_of_domain_points():
     # sqrt(x^2 - y) has a domain boundary crossing this grid
     grid = GridSpec(0.5, 2.0, 0.0, 2.0, 6, 6)
