@@ -443,20 +443,25 @@ def evaluate(e: Expression, point) -> float:
 def evaluate_gradient(e: Expression, point) -> tuple[float, float, float]:
     """(value, df/dx, df/dy) at a point, by scalar forward propagation.
 
-    Equivalent to an order-1 jet but allocation free; inner loop of the
-    level-curve tracer.  Runs the compiled gradient function of `e`, made
-    on first use.  The checks run in post-order, and the first to fail
-    raises :class:`EvaluationError` naming its subexpression: "division by
-    zero", "sqrt of non-positive value", "ln of non-positive value", "exp
-    overflow", an error of `math` with its own message; at a power, first
-    every check :func:`evaluate` makes on the power's subtree (so
-    "non-finite result" of an intermediate value), then "gradient of power
-    undefined at zero base"; and last "non-finite gradient" of the whole
-    formula.  Values and derivatives outside powers are not checked for
-    finiteness.
+    Equivalent to an order-1 jet but allocation free.  Runs the compiled
+    gradient function of `e`, made on first use; the level-curve tracer
+    calls that function directly.  The checks run in post-order, and the
+    first to fail raises :class:`EvaluationError` naming its subexpression:
+    "division by zero", "sqrt of non-positive value", "ln of non-positive
+    value", "exp overflow", an error of `math` with its own message; at a
+    power, first every check :func:`evaluate` makes on the power's subtree
+    (so "non-finite result" of an intermediate value), then "gradient of
+    power undefined at zero base"; and last "non-finite gradient" of the
+    whole formula.  Values and derivatives outside powers are not checked
+    for finiteness.
     """
-    function = getattr(e, "_gradient_code", None) or _compile(e, True)
-    return function(float(point[0]), float(point[1]))
+    return _gradient_function(e)(float(point[0]), float(point[1]))
+
+
+def _gradient_function(e):
+    """The compiled gradient function of `e`, a function of the floats
+    (x, y) that :func:`evaluate_gradient` calls."""
+    return getattr(e, "_gradient_code", None) or _compile(e, True)
 
 
 def _compile(e, gradient: bool):
@@ -511,6 +516,9 @@ _HELPERS = {
 #: tree's names up here and writes its own strings, never the tree's.
 _CALLS = {name: "_" + name for name in _MATH_FUNCTIONS}
 _ARITHMETIC = {"+": "+", "-": "-", "*": "*", "/": "/"}
+#: Integer exponents below this in magnitude are compiled to inline
+#: multiplications (at most 10 of them); the rest call _integer_power.
+_INLINE_POWER_LIMIT = 64
 
 
 class _Unreachable(Exception):
@@ -692,7 +700,15 @@ class _Compiler:
         self.raise_error(TypeError, f"not an expression node: {node!r}")
 
     def power(self, node, left: str) -> str:
-        """The value walk's power node, its base valued `left`."""
+        """The value walk's power node, its base valued `left`.
+
+        An integer exponent n with 0 < |n| < _INLINE_POWER_LIMIT is written
+        out as the multiplications :func:`~webgeo.taylor._integer_power`
+        makes, in its order: the bits of |n| most significant first, a
+        square for each, then a product with the base for a one bit; for
+        n < 0 the base is 1.0 / `left`.  n = 0 and larger exponents call
+        it.  Never ``**``, whose bits differ (``1.1**63``).
+        """
         if not isinstance(node.right, Constant):
             self.fail(node, "'exponent must be constant'")
         p = node.right.value
@@ -701,7 +717,19 @@ class _Compiler:
             n = int(p)
             if n < 0:
                 self.check(f"{left} == 0.0", node, "'zero raised to a negative power'")
-            self.lines.append(f"{v} = _ipow({left}, {self.bind(n)}, 1.0)")
+            if 0 < abs(n) < _INLINE_POWER_LIMIT:
+                base = left
+                if n < 0:
+                    base = self.local()
+                    self.lines.append(f"{base} = 1.0 / {left}")
+                steps = [f"{v} = {base}"]
+                for bit in bin(abs(n))[3:]:
+                    steps.append(f"{v} = {v} * {v}")
+                    if bit == "1":
+                        steps.append(f"{v} = {v} * {base}")
+                self.lines.append("; ".join(steps))
+            else:
+                self.lines.append(f"{v} = _ipow({left}, {self.bind(n)}, 1.0)")
         else:
             self.check(
                 f"{left} < 0.0", node, f"'fractional power of negative base ' + repr({left})"

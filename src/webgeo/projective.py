@@ -37,7 +37,7 @@ beta) samples of a path the same way, a block at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from itertools import chain, islice
 
 import numpy as np
@@ -534,13 +534,25 @@ def finite_type_rhs(state: FiniteTypeState, ab: AlphaBeta):
 
     Returns (sigma_xx, sigma_xy, sigma_yy, tau_xx, tau_xy, tau_yy).
     """
-    s, t = state.sigma, state.tau
-    sx, sy = state.sigma_x, state.sigma_y
-    tx, ty = state.tau_x, state.tau_y
-    a, b = ab.alpha, ab.beta
-    ax, ay = ab.alpha_x, ab.alpha_y
-    bx, by = ab.beta_x, ab.beta_y
-    axy, bxy = ab.alpha_xy, ab.beta_xy
+    return _second_derivatives(
+        (state.sigma, state.tau, state.sigma_x, state.sigma_y, state.tau_x, state.tau_y),
+        _field_floats(ab),
+    )
+
+
+def _field_floats(ab: AlphaBeta) -> tuple:
+    """(alpha, beta, alpha_x, alpha_y, beta_x, beta_y, alpha_xy, beta_xy),
+    what :func:`_second_derivatives` reads of a field sample."""
+    return (ab.alpha, ab.beta, ab.alpha_x, ab.alpha_y, ab.beta_x, ab.beta_y,
+            ab.alpha_xy, ab.beta_xy)
+
+
+def _second_derivatives(state, field):
+    """:func:`finite_type_rhs` on the state's six floats (sigma, tau,
+    sigma_x, sigma_y, tau_x, tau_y) and the field's eight (see
+    :func:`_field_floats`)."""
+    s, t, sx, sy, tx, ty = state
+    a, b, ax, ay, bx, by, axy, bxy = field
 
     sigma_xx = (
         2.0 * s * tx
@@ -743,24 +755,33 @@ def integrate_symmetric_connection(
     trace constraint, then the first sample along the path where the field
     fails.
 
+    The steps run on Python floats: the state is a 6-tuple, and each field
+    sample is read once into the eight floats the system needs.  Every
+    operation is that of the size-6 float64 arrays the method is written
+    in, in the same order (``(0.5*h)*k``, ``u*ddx + w*ddy``,
+    ``(h/6)*(((k1 + 2*k2) + 2*k3) + k4)``), so the bits are the same; an
+    overflow gives inf or nan in the state without a warning.
+
     Raises ValueError, before any evaluation, for an initial state that is
     not finite, a step that is not finite and positive, a path of fewer
     than two points or with a point that is not finite, and a path of more
     than MAX_PATH_STEPS steps.
     """
-    values = initial.as_array()
-    if not np.isfinite(values).all():
+    values = tuple(map(float, astuple(initial)))
+    if not all(map(math.isfinite, values)):
         raise ValueError(f"initial state is not finite: {initial}")
     points, segments = _path_segments(path, step)
     f3 = as_expression(f3)
     f4 = as_expression(f4)
 
-    def field(values: np.ndarray, ab: AlphaBeta, direction):
-        state = FiniteTypeState.from_array(values)
-        sxx, sxy, syy, txx, txy, tyy = finite_type_rhs(state, ab)
-        ddx = np.array([state.sigma_x, state.tau_x, sxx, sxy, txx, txy])
-        ddy = np.array([state.sigma_y, state.tau_y, sxy, syy, txy, tyy])
-        return direction[0] * ddx + direction[1] * ddy
+    def field(values, sample, direction):
+        u, w = direction
+        _, _, sx, sy, tx, ty = values
+        sxx, sxy, syy, txx, txy, tyy = _second_derivatives(values, sample)
+        return (
+            u * sx + w * sy, u * tx + w * ty, u * sxx + w * sxy,
+            u * sxy + w * syy, u * txx + w * txy, u * txy + w * tyy,
+        )
 
     sample_points = chain(
         [points[0]], chain.from_iterable((mid, end) for _, _, mid, end in _rk4_steps(segments))
@@ -783,17 +804,24 @@ def integrate_symmetric_connection(
         )
 
     # The end sample of a step is the next step's base sample.
+    current = _field_floats(ab_current)
     for direction, h, _, _ in _rk4_steps(segments):
-        ab_mid = next_sample()
-        ab_end = next_sample()
-        k1 = field(values, ab_current, direction)
-        k2 = field(values + 0.5 * h * k1, ab_mid, direction)
-        k3 = field(values + 0.5 * h * k2, ab_mid, direction)
-        k4 = field(values + h * k3, ab_end, direction)
-        values = values + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ab_current = ab_end
+        mid = _field_floats(next_sample())
+        ab_current = next_sample()
+        end = _field_floats(ab_current)
+        half = 0.5 * h
+        k1 = field(values, current, direction)
+        k2 = field(tuple(v + half * k for v, k in zip(values, k1)), mid, direction)
+        k3 = field(tuple(v + half * k for v, k in zip(values, k2)), mid, direction)
+        k4 = field(tuple(v + h * k for v, k in zip(values, k3)), end, direction)
+        sixth = h / 6.0
+        values = tuple(
+            v + sixth * (a + 2.0 * b + 2.0 * c + d)
+            for v, a, b, c, d in zip(values, k1, k2, k3, k4)
+        )
+        current = end
 
-    final_state = FiniteTypeState.from_array(values)
+    final_state = FiniteTypeState(*values)
     c_end = final_state.constraint_residual(ab_current.alpha_x, ab_current.beta_y)
     warnings = []
     if max_sym > SYMMETRY_WARNING_THRESHOLD:

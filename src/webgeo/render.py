@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .exprlang import EvaluationError, as_expression, evaluate, evaluate_gradient
+from .exprlang import EvaluationError, _gradient_function, as_expression, evaluate
 
 #: Gradient norms below this (times 1 + |x| + |y|) refuse to seed a trace.
 SEED_DEGENERACY_COEFF = 1e-10
@@ -89,12 +89,6 @@ class LeafPolyline:
         return len(self.points)
 
 
-def _unit_leaf_direction(f, point):
-    _, fx, fy = evaluate_gradient(f, point)
-    norm = math.hypot(fx, fy)
-    return fx, fy, norm
-
-
 def trace_level_curve(
     f,
     seed,
@@ -116,13 +110,16 @@ def trace_level_curve(
     seed = (float(seed[0]), float(seed[1]))
     if not domain.contains(seed):
         raise ValueError(f"seed {seed} lies outside the domain rectangle")
-    fx, fy, norm = _unit_leaf_direction(f, seed)
+    gradient = _gradient_function(f)
+    _, fx, fy = gradient(*seed)
+    norm = math.hypot(fx, fy)
     if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(seed[0]) + abs(seed[1])):
         raise ValueError(f"degenerate seed {seed}: |grad f| = {norm!r}")
     level = evaluate(f, seed)
 
     def velocity(point, sign):
-        fx, fy, norm = _unit_leaf_direction(f, point)
+        _, fx, fy = gradient(*point)
+        norm = math.hypot(fx, fy)
         if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(point[0]) + abs(point[1])):
             return None
         return (sign * fy / norm, sign * -fx / norm)

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -443,6 +445,27 @@ def test_symintegrate_reuses_the_endpoint_sample(monkeypatch, capsys):
 
     monkeypatch.setattr(webgeo.cli, "alpha_beta", again, raising=False)
     assert run([*SYM_PATH_ARGS, "--path", "2.9,0.9; 3.1,0.9", "--step", "0.05"]) == 0
+
+
+def test_overflowing_transport_stays_quiet(capsys):
+    # The state overflows to inf and then nan within the first steps.  The
+    # report says so ("nan", verdict "fail"); nothing else may be written,
+    # and no warning raised, which Python would print on stderr outside
+    # the test.  The digest is that of the report before the transport ran
+    # on floats.
+    argv = ["symintegrate", "--f3", "x+y", "--f4", "x*y",
+            "--initial", "1e200,-1e200,0,0,0,0", "--path", "2,1; 3,1", "--step", "0.1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "6e2f35265f84711d27cb3d0fb31bdc35300c206cebbae91aace2969b90994e70"
+    )
+    results = json.loads(out)["results"]
+    assert results["state"]["sigma"] == "nan" and results["verdict"] == "fail"
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ from webgeo import (
     partial_derivative,
     to_source,
 )
-from webgeo.exprlang import MAX_NESTING, X, Y
+from webgeo.exprlang import MAX_NESTING, X, Y, _Compiler
 from webgeo.taylor import MAX_ORDER, _integer_power, _power_or_inf, derivative_jet
 from conftest import CORPUS, fd_partial, sample_point
 
@@ -515,3 +515,39 @@ def test_compiled_code_is_a_cache_that_dies_with_its_expression():
         assert [ref() for ref in code_refs] == [None, None]
     finally:
         gc.enable()
+
+
+#: Integer exponents at and around the edges of inlining: |n| < 64 is
+#: compiled to inline multiplications, 0 and larger |n| call _integer_power.
+_INLINE_EDGE_EXPONENTS = [-64, -63, -3, -1, 0, 1, 2, 3, 5, 7, 63, 64, 2**31, 1e300]
+
+
+@pytest.mark.parametrize("n", _INLINE_EDGE_EXPONENTS)
+def test_integer_powers_at_the_inlining_edges_match_the_walks(n):
+    # x + 0.1 is 1.1 at x = 1, where 1.1**63 differs from the binary chain
+    bases = [X - Constant(c) for c in [*_COORDS, -0.1]] + [Constant(1e200) * X]
+    for base in bases:
+        tree = base**n
+        for point in POINTS:
+            assert outcome(evaluate, tree, point) == outcome(reference_value, tree, *point)
+            assert outcome(evaluate_gradient, tree, point) == outcome(
+                reference_gradient, tree, *point
+            )
+
+
+def _statements(tree, gradient: bool) -> list[str]:
+    """The statements of the compiled function of `tree`."""
+    compiler = _Compiler(gradient)
+    compiler.function(tree)
+    return [part for line in compiler.lines for part in line.split("; ")]
+
+
+@pytest.mark.parametrize("gradient", [False, True])
+def test_inline_powers_are_short_and_never_use_the_power_operator(gradient):
+    for n in _INLINE_EDGE_EXPONENTS:
+        assert not any("**" in s for s in _statements(X**n, gradient)), n
+    # a huge exponent calls _integer_power: no statement per bit
+    huge = _statements(X**1e300, gradient)
+    assert len(huge) <= 10 and any("_ipow(" in s for s in huge)
+    # 63 = 0b111111: five squares and five products
+    assert sum(s.count(" * ") for s in _statements(X**63, False)) == 10

@@ -1,0 +1,187 @@
+"""The bytes of the path integrators' reports, pinned.
+
+Each case runs one `render`, `lingen` or `symintegrate` command through
+`webgeo.cli.run` inside a temporary directory, with any SVG written there
+as `web.svg`.  The exit code and the SHA-256 of stdout, stderr and the SVG
+file must equal the digests recorded below, so a change to the tracer, the
+transport or the compiled formulas that moves a single bit of any output
+fails here.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from webgeo.cli import run
+
+#: A state that meets the trace constraint of ("x+y", "x*y + x^3") at
+#: (1.9, 0.4): sigma_x = 0.15 - (alpha_x - beta_y) / 3 there.
+_PERTURBED_SIGMA_X = "0.15044272224195548"
+
+CASES = {
+    "render-three-function-web": [
+        "render", "--web", "x; y; x+y", "--domain", "0:1:0:1",
+        "--levels", "4", "--step", "0.01", "--svg", "web.svg",
+    ],
+    "render-closed-loops": [
+        "render", "--web", "x^2 + y^2; (x - 0.4)^2 + 2*(y - 0.6)^2", "--domain=-1:1:-1:1",
+        "--levels", "3", "--step", "0.005", "--svg", "web.svg",
+    ],
+    "render-domain-edges": [
+        "render", "--web", "sqrt(x - 0.3) + y; ln(y - 0.2) - x", "--domain", "0:1:0:1",
+        "--levels", "3", "--step", "0.01", "--svg", "web.svg",
+    ],
+    "render-integer-powers": [
+        "render", "--web", "x^3*y^5; (x + 2*y)^7 - x; 1/(x^2 + y^2)^2; y + (x/2)^63",
+        "--domain", "0.2:1.2:0.2:1.2", "--levels", "2", "--step", "0.01", "--svg", "web.svg",
+    ],
+    "render-saddle": [
+        "render", "--web", "(x - 0.5)^2 - (y - 0.5)^2", "--domain", "0:1:0:1",
+        "--levels", "3", "--step", "0.01", "--svg", "web.svg",
+    ],
+    "render-overflowing-argument": [
+        "render", "--web", "x + y + 1e-310*sin(1e308+1e308*x); x", "--domain", "0:1:0:1",
+        "--levels", "1", "--step", "0.01", "--svg", "web.svg",
+    ],
+    "render-nothing-traced": [
+        "render", "--web", "x^2 + y^2", "--domain=-1:1:-1:1",
+        "--levels", "1", "--svg", "web.svg",
+    ],
+    "lingen-parabola": [
+        "lingen", "--data=-2*sqrt(-y)", "--lambda=-16:-0.04", "--domain=-2:2:-4:2",
+        "--leaves", "9", "--svg", "web.svg",
+    ],
+    "lingen-two-data": [
+        "lingen", "--data", "0.3*y + 0.2; 0.25*y^2 - 0.1", "--lambda=-2.5:2.5",
+        "--domain=-1:1:-2:2", "--leaves", "7", "--svg", "web.svg",
+    ],
+    "symintegrate-open-path": [
+        "symintegrate", "--f3", "x+y", "--f4", "x*y",
+        "--initial", "0.2,-0.1,0.15,0.33,-0.21,0.15",
+        "--path", "2.9,0.9; 3.1,0.9; 3.1,1.1", "--step", "0.001",
+    ],
+    "symintegrate-closed-loop": [
+        "symintegrate", "--f3", "x+y", "--f4", "x*y",
+        "--initial", "0.2,-0.1,0.15,0.33,-0.21,0.15",
+        "--path", "2.9,0.9; 3.1,0.9; 3.1,1.1; 2.9,1.1; 2.9,0.9", "--step", "0.005",
+    ],
+    "symintegrate-path-dependent": [
+        "symintegrate", "--f3", "x+y", "--f4", "x*y + x^3",
+        "--initial", f"0.2,-0.1,{_PERTURBED_SIGMA_X},0.33,-0.21,0.15",
+        "--path", "1.9,0.4; 2.1,0.4; 2.1,0.6; 1.9,0.6; 1.9,0.4", "--step", "0.002",
+    ],
+    "symintegrate-constraint-violated": [
+        "symintegrate", "--f3", "x+y", "--f4", "x*y",
+        "--initial", "0.2,-0.1,0.15,0.33,-0.21,0.2",
+        "--path", "2.9,0.9; 3.1,0.9", "--step", "0.01",
+    ],
+}
+
+#: (exit code, SHA-256 of stdout, of stderr, of the SVG or None).
+DIGESTS = {
+    "lingen-parabola": (
+        0,
+        "dd7cb7f62c97bf6fb3feb144c09c6c12a4b25a03648f7f9cc17b21cb123567c0",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "532641c142d2f13e587c282fff64d33e4679e93e6956c4baf05e6033b9f0b99a",
+    ),
+    "lingen-two-data": (
+        0,
+        "3ba20eccd96c2010ec4e645a5090003a087bf841bba58df4ef798943abc5ae3c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "e37945658c91974bf6153163ebdab8d99c23fe5da2b9c1a7075000e083030c34",
+    ),
+    "render-closed-loops": (
+        0,
+        "6165f6b737db369f6b02deca504a440e4711c07032cd4921b0c438e75888bc3d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "34ab16d80fbb13d71182fc4aaa74323ca0f695c3b78a40e00d6216e4afab585d",
+    ),
+    "render-domain-edges": (
+        0,
+        "93ed49c01ac2a710eba51fb4739058a204c7175c5db1e64adc90ca12891236c4",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "66366a81cd41052894750d70229071a42d82ebecbb082038ef6ee12898b0bef8",
+    ),
+    "render-integer-powers": (
+        0,
+        "005af2717ee1eac0f9d82b0aef55c2ccdbb789770566ec06b93a884b0978528b",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "1e08f7e0859911cce602b67220f0253c5f37d1c6ba30a8b3d9f5826b5b5a0d78",
+    ),
+    "render-nothing-traced": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "cbf3c69a9be2bef16bfbaca72645ac10cc962cb13707c99a50cec76497046093",
+        None,
+    ),
+    "render-overflowing-argument": (
+        0,
+        "8b6593832c63c4a161d24c40736995f2ee2c4e6567e451da49cbf3a96543b6b9",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "5d8aa886cdfb32e76683ce9000875d4c13ca78d8cceb0466edfcefc32993da0e",
+    ),
+    "render-saddle": (
+        0,
+        "45a150524f5e5a235ba3e22d05059009cf50d674c3e02c9c4f17f3b38aa536da",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "04b60c03d5ca32aca66f648417784ddd81f0019e6fe43beb925e766c5b0dc5d2",
+    ),
+    "render-three-function-web": (
+        0,
+        "041915b68fd0ad76fee0ddf487f517e5b350043c53a1f158a5f7f02f010c056c",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "4b771ecc95bcde2b37dffe207d7a7e0189aae42e9075f68dcb7fbbed5d5c21ed",
+    ),
+    "symintegrate-closed-loop": (
+        0,
+        "c2b26f7327da01a00c6a0d6f8253bfd179920a2548b6c3dbe0dc4fbcf6966e2f",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "symintegrate-constraint-violated": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "bec5da6b147f09c7ef2d4d2f2872a1ede76368f83368885e1ab3f75196402553",
+        None,
+    ),
+    "symintegrate-open-path": (
+        0,
+        "d61470a3a51cf7b87b97f647d538927bc7aa97b6cb16ac70cf630d12e8d39f96",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "symintegrate-path-dependent": (
+        0,
+        "aebbe7de5841e7996d7ea14ac27286db8bee69c9612232945d9b1c9d33583db8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+}
+
+
+def _sha(data) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def outcome(argv, directory: Path, capsys):
+    """(exit code, digests of stdout, stderr and web.svg) of one run in
+    `directory`."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    svg = directory / "web.svg"
+    svg_digest = _sha(svg.read_bytes()) if svg.exists() else None
+    return code, _sha(captured.out.encode()), _sha(captured.err.encode()), svg_digest
+
+
+def test_every_case_has_a_digest():
+    assert sorted(DIGESTS) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_bytes_are_pinned(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert outcome(CASES[name], tmp_path, capsys) == DIGESTS[name]

@@ -6,12 +6,19 @@ import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from webgeo import (
+    Constant,
+    EvaluationError,
     LeafPolyline,
+    PartialDerivative,
     Rect,
+    as_expression,
     compose_report,
     evaluate,
+    evaluate_gradient,
     parse,
     render_svg,
     trace_level_curve,
@@ -19,7 +26,9 @@ from webgeo import (
     write_report,
 )
 from webgeo.cli import run
+from webgeo.exprlang import X, Y
 from webgeo.geodesy import ResidualSample
+from webgeo.render import SEED_DEGENERACY_COEFF
 from conftest import CORPUS, sample_point
 
 
@@ -198,3 +207,158 @@ def test_render_keeps_a_leaf_that_ends_at_an_overflow(tmp_path, capsys):
     assert report["results"]["leaves"] == 2
     assert report["warnings"] == []
     assert svg.read_text().count("<path ") == 2
+
+
+# ------------------------------------------ the tracer against its reference
+#
+# `trace_level_curve` calls the compiled gradient function of its formula
+# directly.  The reference below is the tracer as it was before, which went
+# through `evaluate_gradient` at every stage: the leaves must have the same
+# bits, and the errors the same type and text.
+
+
+def reference_trace(f, seed, domain, step=1e-3, max_points=20000, foliation_index=0):
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"step must be a finite positive number, got {step!r}")
+    f = as_expression(f)
+    seed = (float(seed[0]), float(seed[1]))
+    if not domain.contains(seed):
+        raise ValueError(f"seed {seed} lies outside the domain rectangle")
+
+    def unit_leaf_direction(point):
+        _, fx, fy = evaluate_gradient(f, point)
+        return fx, fy, math.hypot(fx, fy)
+
+    fx, fy, norm = unit_leaf_direction(seed)
+    if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(seed[0]) + abs(seed[1])):
+        raise ValueError(f"degenerate seed {seed}: |grad f| = {norm!r}")
+    level = evaluate(f, seed)
+
+    def velocity(point, sign):
+        fx, fy, norm = unit_leaf_direction(point)
+        if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(point[0]) + abs(point[1])):
+            return None
+        return (sign * fy / norm, sign * -fx / norm)
+
+    def march(sign):
+        points = [seed]
+        current = seed
+        closed = False
+        escaped_seed = False
+        for _ in range(max_points):
+            try:
+                k1 = velocity(current, sign)
+                if k1 is None:
+                    break
+                p2 = (current[0] + 0.5 * step * k1[0], current[1] + 0.5 * step * k1[1])
+                k2 = velocity(p2, sign)
+                if k2 is None:
+                    break
+                p3 = (current[0] + 0.5 * step * k2[0], current[1] + 0.5 * step * k2[1])
+                k3 = velocity(p3, sign)
+                if k3 is None:
+                    break
+                p4 = (current[0] + step * k3[0], current[1] + step * k3[1])
+                k4 = velocity(p4, sign)
+                if k4 is None:
+                    break
+            except EvaluationError:
+                break
+            nxt = (
+                current[0] + step / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+                current[1] + step / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+            )
+            if not domain.contains(nxt):
+                break
+            gap = math.hypot(nxt[0] - seed[0], nxt[1] - seed[1])
+            if not escaped_seed and gap > 2.0 * step:
+                escaped_seed = True
+            if escaped_seed and gap < 0.9 * step:
+                points.append(seed)
+                closed = True
+                break
+            points.append(nxt)
+            current = nxt
+        return points, closed
+
+    forward, closed = march(+1.0)
+    if closed:
+        return LeafPolyline(foliation_index, level, forward)
+    backward, _ = march(-1.0)
+    combined = list(reversed(backward[1:])) + forward
+    return LeafPolyline(foliation_index, level, combined)
+
+
+def trace_outcome(tracer, *args, **kwargs):
+    """A leaf's index, level and points as bits, or the error's type and text."""
+    try:
+        leaf = tracer(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is part of the outcome
+        return type(exc), str(exc)
+    return (
+        leaf.foliation_index,
+        leaf.level.hex(),
+        [(x.hex(), y.hex()) for x, y in leaf.points],
+    )
+
+
+_OFFSETS = [-0.6, -0.25, 0.0, 0.2, 0.45]
+
+
+@st.composite
+def leaf_problems(draw):
+    """(formula, seed, domain, step, max_points)."""
+    a, b = draw(st.sampled_from(_OFFSETS)), draw(st.sampled_from(_OFFSETS))
+    p = draw(st.sampled_from([-1.7, -0.5, 0.3, 1.0]))
+    q = draw(st.sampled_from([-1.0, 0.0, 0.7, 2.0]))
+    domain = draw(st.sampled_from([
+        Rect(-1.0, 0.5, -1.0, 0.7), Rect(-0.7, 0.8, -0.9, 0.8), Rect(-0.3, 0.5, -0.3, 0.5),
+    ]))
+    step = draw(st.sampled_from([0.01, 0.03, 0.1, 0.25]))
+    if draw(st.integers(0, 3)) == 0:
+        # circles and an ellipse about (a, b), seeded near the centre: most
+        # of these leaves close
+        formula = draw(st.sampled_from([
+            parse(f"(x - {a})^2 + (y - {b})^2"),
+            parse(f"(x - {a})^2 + 3*(y - {b})^2 + 0.1*x"),
+        ]))
+        seed = draw(st.sampled_from([(a + 0.15, b), (a, b - 0.3)]))
+        return formula, seed, domain, step, 400
+    formula = draw(st.sampled_from([
+        # lines, which leave the domain
+        parse(f"{p}*x + {q}*y"),
+        # domain edges inside the rectangle
+        parse(f"sqrt(x - {a}) + {q}*y"),
+        parse(f"ln(y - {b}) - x"),
+        parse(f"sqrt(0.25 - (x - {a})^2 - y^2) + x"),
+        # a saddle and a flat critical point on the leaf through the seed
+        parse(f"(x - {a})*(y - {b})"),
+        parse(f"(x - {a})^3 - (y - {b})^3"),
+        # integer powers, negative ones too, and a derivative node
+        (X - Constant(a)) ** -3 + (Y - Constant(b)) ** 5,
+        (X + Constant(1.5)) ** 7 * (Y + Constant(1.5)) ** -2,
+        PartialDerivative(parse(f"x^2*y + y^3 + {p}*x"), 1, 0),
+    ]))
+    seed = (
+        draw(st.sampled_from([domain.xmin, *_OFFSETS, domain.xmax])),
+        draw(st.sampled_from([domain.ymin, *_OFFSETS, domain.ymax])),
+    )
+    max_points = draw(st.sampled_from([1, 2, 5, 60, 400]))
+    return formula, seed, domain, step, max_points
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(leaf_problems(), st.integers(0, 3))
+def test_tracer_matches_its_reference(problem, foliation_index):
+    formula, seed, domain, step, max_points = problem
+    args = (formula, seed, domain)
+    kwargs = {"step": step, "max_points": max_points, "foliation_index": foliation_index}
+    assert trace_outcome(trace_level_curve, *args, **kwargs) == trace_outcome(
+        reference_trace, *args, **kwargs
+    )
