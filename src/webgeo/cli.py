@@ -9,6 +9,8 @@ output and are byte-identical across repeated identical invocations.
 Each subcommand declares only the options its handler reads, so argparse
 rejects any other before anything runs: --format on `flex` and `euler`,
 --tol and --expect (one of two verdicts) on the six that give a verdict.
+The word after an option that takes a value is that value, even when it
+starts with "-", unless it names one of the subcommand's options.
 
 Every handler parses its input, runs one library sweep or call, and
 passes its results to one tail (`_finish`) that composes, writes and
@@ -480,12 +482,60 @@ def _cmd_render(args) -> int:
     return _finish(args, "render", inputs, None, results, warnings=warnings)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that reads the token after an option that takes a
+    value as that value unless the token names one of its own options.
+
+    argparse alone takes any token that starts with "-" and is not a plain
+    negative number for an option, so `--domain -1:1:-1:1` exits 2 with
+    "expected one argument".  Such a value is passed on as
+    `--domain=-1:1:-1:1`, which argparse reads as written.
+    """
+
+    def parse_known_args(self, args=None, namespace=None):
+        if args is not None:
+            args = self._attach_dash_values(list(args))
+        return super().parse_known_args(args, namespace)
+
+    def _options_named(self, token: str) -> set:
+        """The options `token` may name: its part before any "=" as an
+        option string, or for a long option as a prefix of one (argparse
+        reads an unambiguous prefix as that option)."""
+        name = token.split("=", 1)[0]
+        actions = self._option_string_actions
+        if name in actions:
+            return {actions[name]}
+        if name.startswith("--"):
+            return {a for s, a in actions.items() if s.startswith(name)}
+        return set()
+
+    def _attach_dash_values(self, args: list) -> list:
+        out = []
+        i = 0
+        while i < len(args):
+            token = args[i]
+            i += 1
+            if (
+                i < len(args)
+                and args[i].startswith("-")
+                and token.startswith("-")
+                and "=" not in token
+                and not self._options_named(args[i])
+            ):
+                named = self._options_named(token)
+                if len(named) == 1 and named.pop().nargs != 0:
+                    token = f"{token}={args[i]}"
+                    i += 1
+            out.append(token)
+        return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="webgeo",
         description="Numeric analysis of planar webs",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def report_options(p, verdicts=None, csv=False):
         p.add_argument("--out", help="write the report to this file instead of stdout")

@@ -59,7 +59,15 @@ from .geodesy import (
     skipped_points,
 )
 from .geometry import CurvatureMatrix, ThomasParameters, curvature_components
-from .taylor import JetDomainError, TaylorJet, _jet, partial_derivative, per_lane, take_lanes
+from .taylor import (
+    JetDomainError,
+    TaylorJet,
+    _jet,
+    partial_derivative,
+    per_lane,
+    table_partial,
+    take_lanes,
+)
 
 #: Pairs with |J(f_i, f_j)| below this times |grad f_i| |grad f_j| are
 #: treated as tangent (degenerate) directions.
@@ -681,20 +689,29 @@ def _lane_floats(value, n: int) -> list[float]:
     return [float(value)] * n
 
 
-def _lane_tables(table, n: int):
-    """The n per-point tables of a block table, one at a time, with Python
-    float entries."""
-    columns = [[_lane_floats(v, n) for v in row] for row in table]
-    return ([[column[i] for column in row] for row in columns] for i in range(n))
+def _field_columns(alpha: TaylorJet, beta: TaylorJet):
+    """(field, r1, r2) from the order-2 jets of alpha and beta: the eight
+    values of :func:`_field_floats` and the residuals of
+    :func:`symmetric_conditions_residual`, floats at a point and floats or
+    lane vectors at a block."""
+    a, b = alpha.table, beta.table
+    field = (
+        a[0][0], b[0][0], table_partial(a, 1, 0), table_partial(a, 0, 1),
+        table_partial(b, 1, 0), table_partial(b, 0, 1), table_partial(a, 1, 1),
+        table_partial(b, 1, 1),
+    )
+    return (field, *_symmetry_residuals(alpha, beta))
 
 
 def _field_samples(f3, f4, points):
-    """(AlphaBeta, r1, r2) at each of the points, in order, with the
-    symmetry residuals of :func:`symmetric_conditions_residual`.
+    """(field, r1, r2) of :func:`_field_columns` at each of the points, in
+    order, with `field` a tuple of Python floats; then, last, the
+    :class:`AlphaBeta` with jets at the last point.
 
     The points are evaluated in blocks of at most geodesy.BLOCK_POINTS, one
-    block at a time as the samples are consumed.  Every sample has the bits
-    of the single-point chain; at a point the block clears, the
+    block at a time as the samples are consumed, and each block's values
+    are turned into Python floats a column at a time.  Every sample has the
+    bits of the single-point chain; at a point the block clears, the
     single-point chain runs and raises its error there.
     """
     points = iter(points)
@@ -705,26 +722,30 @@ def _field_samples(f3, f4, points):
 
     def kernel(block, ok):
         alpha, beta = _alpha_beta_jets(f3, f4, block, ok)
-        return alpha.table, beta.table, _symmetry_residuals(alpha, beta)
+        return (alpha.table, beta.table), _field_columns(alpha, beta)
 
     for block, ok, result in _blocks(blocks(), kernel):
         n = len(ok)
         lanes = [None] * n
         if result is not None:
-            alpha_table, beta_table, (r1, r2) = result
+            tables, (field, r1, r2) = result
             lanes = zip(
-                _lane_tables(alpha_table, n), _lane_tables(beta_table, n),
+                zip(*(_lane_floats(column, n) for column in field)),
                 _lane_floats(r1, n), _lane_floats(r2, n),
             )
         points_here = zip(block.x.tolist(), block.y.tolist())
         for point, good, lane in zip(points_here, ok.tolist(), lanes):
-            if good:
-                a, b, s1, s2 = lane
-                alpha, beta = _jet(a, 2, point), _jet(b, 2, point)
-            else:
-                alpha, beta = _alpha_beta_jets(f3, f4, point)
-                s1, s2 = _symmetry_residuals(alpha, beta)
-            yield AlphaBeta(alpha.value, beta.value, alpha, beta), s1, s2
+            yield lane if good else _field_columns(*_alpha_beta_jets(f3, f4, point))
+
+    # `point` and `good` are those of the last point
+    if good:
+        alpha, beta = (
+            _jet([[float(np.broadcast_to(v, (n,))[-1]) for v in row] for row in table], 2, point)
+            for table in tables
+        )
+    else:
+        alpha, beta = _alpha_beta_jets(f3, f4, point)
+    yield AlphaBeta(alpha.value, beta.value, alpha, beta)
 
 
 def integrate_symmetric_connection(
@@ -755,8 +776,11 @@ def integrate_symmetric_connection(
     trace constraint, then the first sample along the path where the field
     fails.
 
-    The steps run on Python floats: the state is a 6-tuple, and each field
-    sample is read once into the eight floats the system needs.  Every
+    The steps run on Python floats.  The state is a 6-tuple.  Each block's
+    field is read straight from the lane tables of its alpha and beta jets
+    into columns of Python floats, so a sample is a tuple of the eight
+    floats the system needs and the two symmetry residuals; only the
+    endpoint sample becomes an :class:`AlphaBeta` with jets.  Every
     operation is that of the size-6 float64 arrays the method is written
     in, in the same order (``(0.5*h)*k``, ``u*ddx + w*ddy``,
     ``(h/6)*(((k1 + 2*k2) + 2*k3) + k4)``), so the bits are the same; an
@@ -774,10 +798,9 @@ def integrate_symmetric_connection(
     f3 = as_expression(f3)
     f4 = as_expression(f4)
 
-    def field(values, sample, direction):
-        u, w = direction
-        _, _, sx, sy, tx, ty = values
-        sxx, sxy, syy, txx, txy, tyy = _second_derivatives(values, sample)
+    def field(state, sample, u, w):
+        _, _, sx, sy, tx, ty = state
+        sxx, sxy, syy, txx, txy, tyy = _second_derivatives(state, sample)
         return (
             u * sx + w * sy, u * tx + w * ty, u * sxx + w * sxy,
             u * sxy + w * syy, u * txx + w * txy, u * txy + w * tyy,
@@ -787,16 +810,10 @@ def integrate_symmetric_connection(
         [points[0]], chain.from_iterable((mid, end) for _, _, mid, end in _rk4_steps(segments))
     )
     samples = _field_samples(f3, f4, sample_points)
-    max_sym = 0.0
 
-    def next_sample() -> AlphaBeta:
-        nonlocal max_sym
-        ab, r1, r2 = next(samples)
-        max_sym = max(max_sym, abs(r1), abs(r2))
-        return ab
-
-    ab_current = next_sample()
-    c0 = initial.constraint_residual(ab_current.alpha_x, ab_current.beta_y)
+    current, r1, r2 = next(samples)
+    max_sym = max(0.0, abs(r1), abs(r2))
+    c0 = initial.constraint_residual(current[2], current[5])
     if abs(c0) > INITIAL_CONSTRAINT_TOLERANCE:
         raise ValueError(
             f"initial state violates the trace constraint: residual {c0!r} "
@@ -804,25 +821,43 @@ def integrate_symmetric_connection(
         )
 
     # The end sample of a step is the next step's base sample.
-    current = _field_floats(ab_current)
-    for direction, h, _, _ in _rk4_steps(segments):
-        mid = _field_floats(next_sample())
-        ab_current = next_sample()
-        end = _field_floats(ab_current)
+    for (u, w), h, _, _ in _rk4_steps(segments):
+        mid, r1, r2 = next(samples)
+        max_sym = max(max_sym, abs(r1), abs(r2))
+        end, r1, r2 = next(samples)
+        max_sym = max(max_sym, abs(r1), abs(r2))
+        # Stage k's rates of (sigma, tau, sigma_x, sigma_y, tau_x, tau_y)
+        # are (sk, tk, sxk, syk, txk, tyk).
+        s, t, sx, sy, tx, ty = values
         half = 0.5 * h
-        k1 = field(values, current, direction)
-        k2 = field(tuple(v + half * k for v, k in zip(values, k1)), mid, direction)
-        k3 = field(tuple(v + half * k for v, k in zip(values, k2)), mid, direction)
-        k4 = field(tuple(v + h * k for v, k in zip(values, k3)), end, direction)
+        s1, t1, sx1, sy1, tx1, ty1 = field(values, current, u, w)
+        s2, t2, sx2, sy2, tx2, ty2 = field(
+            (s + half * s1, t + half * t1, sx + half * sx1,
+             sy + half * sy1, tx + half * tx1, ty + half * ty1),
+            mid, u, w,
+        )
+        s3, t3, sx3, sy3, tx3, ty3 = field(
+            (s + half * s2, t + half * t2, sx + half * sx2,
+             sy + half * sy2, tx + half * tx2, ty + half * ty2),
+            mid, u, w,
+        )
+        s4, t4, sx4, sy4, tx4, ty4 = field(
+            (s + h * s3, t + h * t3, sx + h * sx3, sy + h * sy3, tx + h * tx3, ty + h * ty3),
+            end, u, w,
+        )
         sixth = h / 6.0
-        values = tuple(
-            v + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for v, a, b, c, d in zip(values, k1, k2, k3, k4)
+        values = (
+            s + sixth * (s1 + 2.0 * s2 + 2.0 * s3 + s4),
+            t + sixth * (t1 + 2.0 * t2 + 2.0 * t3 + t4),
+            sx + sixth * (sx1 + 2.0 * sx2 + 2.0 * sx3 + sx4),
+            sy + sixth * (sy1 + 2.0 * sy2 + 2.0 * sy3 + sy4),
+            tx + sixth * (tx1 + 2.0 * tx2 + 2.0 * tx3 + tx4),
+            ty + sixth * (ty1 + 2.0 * ty2 + 2.0 * ty3 + ty4),
         )
         current = end
 
     final_state = FiniteTypeState(*values)
-    c_end = final_state.constraint_residual(ab_current.alpha_x, ab_current.beta_y)
+    c_end = final_state.constraint_residual(current[2], current[5])
     warnings = []
     if max_sym > SYMMETRY_WARNING_THRESHOLD:
         warnings.append(
@@ -832,7 +867,7 @@ def integrate_symmetric_connection(
     return IntegrationResult(
         state=final_state,
         endpoint=points[-1],
-        endpoint_alpha_beta=ab_current,
+        endpoint_alpha_beta=next(samples),
         constraint_residual=c_end,
         max_symmetry_residual=max_sym,
         warnings=tuple(warnings),

@@ -585,6 +585,39 @@ def test_options_a_command_does_not_read_exit_2(argv, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["render", "--web", "x^2 + y^2", "--domain", "-1:1:-1:1", "--levels", "3",
+          "--svg", "web.svg"], "--domain"),
+        (["fit", "--web", WEB4, "--point", "-1,2"], "--point"),
+        (["flex", "--f", "x", "--grid", "-1:1:0:1:3:3"], "--grid"),
+    ],
+    ids=["render-domain", "fit-point", "flex-grid"],
+)
+def test_option_values_may_start_with_a_dash(argv, option, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    svg = tmp_path / "web.svg"
+
+    def outputs(words):
+        code = run(words)
+        captured = capsys.readouterr()
+        drawn = svg.read_bytes() if svg.exists() else None
+        svg.unlink(missing_ok=True)
+        return code, captured.out, captured.err, drawn
+
+    spaced = outputs(argv)
+    assert spaced[0] == 0, spaced[2]
+    at = argv.index(option)
+    joined = [*argv[:at], f"{option}={argv[at + 1]}", *argv[at + 2:]]
+    assert outputs(joined) == spaced
+
+
+def test_an_option_after_an_option_is_not_its_value(capsys):
+    assert run(["flex", "--f", "x", "--grid", "--tol", "1e-6"]) == 2
+    assert "argument --grid: expected one argument" in capsys.readouterr().err
+
+
 def test_render_rejects_tol_before_tracing(tmp_path, capsys):
     svg_path = tmp_path / "web.svg"
     argv = ["render", "--web", "x; y", "--domain", "0:1:0:1", "--svg", str(svg_path)]

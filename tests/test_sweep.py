@@ -729,7 +729,16 @@ def assert_transport_matches(f3, f4, initial, path, step, block):
     assert bits(got.max_symmetry_residual) == bits(max_sym)
     assert got.warnings == warnings
     assert got.endpoint == (float(path[-1][0]), float(path[-1][1]))
+    assert alpha_beta_bits(got.endpoint_alpha_beta) == alpha_beta_bits(
+        alpha_beta(f3, f4, path[-1], jet_order=2)
+    )
     return got
+
+
+def alpha_beta_bits(ab):
+    """The bits of alpha, beta and every entry of their jet tables."""
+    tables = [v for jet in (ab.alpha_jet, ab.beta_jet) for row in jet.table for v in row]
+    return [bits(v) for v in (ab.alpha, ab.beta, *tables)]
 
 
 def constrained_state(f3, f4, point, values):
@@ -833,6 +842,25 @@ def test_transport_evaluates_one_block_of_samples_at_a_time(monkeypatch):
         samples = sample_count(path, 0.01)
         assert sum(sizes) == samples
         assert sizes == [min(block, samples - k) for k in range(0, samples, block)]
+
+
+def test_transport_builds_one_alpha_beta_for_the_endpoint(monkeypatch):
+    from webgeo import projective
+
+    built = []
+
+    class CountingAlphaBeta(projective.AlphaBeta):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    f3, f4 = "x+y", "x*y"
+    path = [(2.0, 0.5), (2.5, 0.5)]
+    initial = constrained_state(parse(f3), parse(f4), path[0], (0.2, -0.1, 0.33, -0.21, 0.15))
+    assert projective.path_step_count(path, 0.0025) == 200
+    monkeypatch.setattr(projective, "AlphaBeta", CountingAlphaBeta)
+    result = integrate_symmetric_connection(f3, f4, initial, path, 0.0025)
+    assert built == [result.endpoint_alpha_beta]
 
 
 def test_rk4_error_shrinks_sixteen_fold_when_the_step_halves():
