@@ -178,13 +178,14 @@ def _parse_floats(text: str, count: int, what: str):
 
 def _finish(args, command, inputs, grid, results, *, csv=None, **extra) -> int:
     """Write the report (with --format csv, the rows of the grid residuals
-    `csv` when there are any) to --out or standard output, and return the
-    exit code: 1 when the results' verdict misses --expect, else 0."""
+    `csv` when there are any) to --out or, without it or with ``--out -``,
+    standard output, and return the exit code: 1 when the results' verdict
+    misses --expect, else 0."""
     if csv is not None and args.format == "csv":
         text = write_csv_grid(csv.samples())
     else:
         text = write_report(compose_report(command, inputs, grid, results, **extra))
-    if args.out:
+    if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exprlang import (
     EvaluationError,
     Expression,
@@ -158,16 +156,15 @@ def euler_sweep(w, grid: GridSpec, pi: ThomasParameters | None = None) -> GridRe
     :class:`EvaluationError` are skipped."""
     w = as_expression(w)
     out = GridResiduals()
-    with np.errstate(all="ignore"):
-        for block in grid.blocks():
-            table, good = block.evaluate(w, 1)
-            ok = good.copy()
-            if table is None:
-                out.add_block(block, ok)
-                continue
+    for block in grid.blocks():
+
+        def residual(ok):
+            table = block.target(w, 1, ok)
             v, vx, vy = (table_partial(table, i, j) for i, j in ((0, 0), (1, 0), (0, 1)))
-            raw = _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi, ok)
-            out.add_block(block, ok, (raw, raw, math.nan, False))
+            return _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi, ok)
+
+        raw, ok = block.run(residual)
+        out.add_block(block, ok, None if raw is None else (raw, raw, math.nan, False))
     return out
 
 

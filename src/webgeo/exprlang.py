@@ -29,7 +29,9 @@ so a formula traced or scanned at thousands of points is turned into code
 once.  Jets, at one point or at a :class:`Block` of points, and values at a
 block come from one tree walker, :class:`_Walker`, on the coefficient
 tables of :mod:`webgeo.taylor`; :func:`evaluate_jet` hands the table it
-builds to the jet it returns.
+builds to the jet it returns.  Every computation at a block, here and in
+the sweeps, runs through :meth:`Block.run`, and fails points through
+:func:`webgeo.taylor.fail`.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from .taylor import (
     check_table,
     constant_table,
     derivative_jet,
+    fail,
     jet_add,
     jet_div,
     jet_mul,
@@ -887,10 +890,11 @@ class _Walker:
     block).  `jet` gives the coefficient table of the jet of a given order
     (see :mod:`webgeo.taylor`), `value` the IEEE double value at a block
     (values and gradients at one point run compiled code; see
-    :class:`_Compiler`).  A domain violation that holds at every point
-    raises :class:`EvaluationError` naming the subexpression; one that
-    holds at some lanes of a block clears them in the boolean mask `ok`
-    (None at a single point) and the walk goes on.  `bindings`, when given,
+    :class:`_Compiler`).  Checks go through :func:`~webgeo.taylor.fail`:
+    at one point (`ok` None) a domain violation raises
+    :class:`EvaluationError` naming the subexpression; in a block it clears
+    the lanes where it holds in the boolean mask `ok` and the walk goes on.
+    `bindings`, when given,
     maps variable names to the tables they stand for (substitution), in
     place of coordinates.
     """
@@ -905,13 +909,9 @@ class _Walker:
         return self.jet(e, order, ok)
 
     @staticmethod
-    def fail(bad, ok, node, message, *value):
-        """Clear the lanes where `bad`; raise when it holds at every point
-        (a subexpression without variables)."""
-        if isinstance(bad, np.ndarray):
-            ok &= ~bad
-        elif bad:
-            raise EvaluationError(" ".join([message, *map(repr, value)]), to_source(node))
+    def fail(bad, ok, node, message):
+        """:func:`~webgeo.taylor.fail` with an error naming `node`."""
+        fail(bad, ok, lambda: EvaluationError(message, to_source(node)))
 
     def value(self, node, ok):
         if isinstance(node, Constant):
@@ -932,7 +932,7 @@ class _Walker:
                         self.fail(left == 0.0, ok, node, "zero raised to a negative power")
                     value = _integer_power(left, n, 1.0)
                 else:
-                    self.fail(left < 0.0, ok, node, "fractional power of negative base", left)
+                    self.fail(left < 0.0, ok, node, "fractional power of negative base")
                     if p < 0.0:
                         self.fail(left == 0.0, ok, node, "zero raised to a negative power")
                     if isinstance(left, np.ndarray):
@@ -956,9 +956,9 @@ class _Walker:
         if isinstance(node, Call):
             u = self.value(node.arg, ok)
             if node.func == "sqrt":
-                self.fail(u < 0.0, ok, node, "sqrt of negative value", u)
+                self.fail(u < 0.0, ok, node, "sqrt of negative value")
             if node.func == "ln":
-                self.fail(u <= 0.0, ok, node, "ln of non-positive value", u)
+                self.fail(u <= 0.0, ok, node, "ln of non-positive value")
             if isinstance(u, np.ndarray):
                 u = np.where(ok, u, 1.0)
             value = _math_lanes(_MATH_FUNCTIONS[node.func], u)
@@ -1040,6 +1040,9 @@ class _Walker:
 class Block(_Walker):
     """A block of points at which expressions are evaluated together.
 
+    ``run(kernel)`` runs a computation that takes the lane mask, for
+    ``evaluate`` and for every sweep.
+
     ``evaluate(e, order)`` returns ``(result, ok)``: at order 0 the value
     :func:`evaluate` gives at each point, at orders 1..4 the coefficient
     table of the jet :func:`evaluate_jet` gives, entry by entry a float
@@ -1057,23 +1060,30 @@ class Block(_Walker):
             raise ValueError("block coordinates must be finite")
         self._cache = {}
 
+    def run(self, kernel):
+        """(result, ok): ``kernel(ok)`` on a fresh mask `ok` with every lane
+        valid, with numpy's floating-point warnings off.  An
+        :class:`EvaluationError` or :class:`~webgeo.taylor.JetDomainError`
+        clears every lane; `result` is None when no lane is valid.  Any
+        other exception passes through."""
+        ok = np.ones(len(self.x), dtype=bool)
+        result = None
+        with np.errstate(all="ignore"):
+            try:
+                result = kernel(ok)
+            except (EvaluationError, JetDomainError):
+                ok[:] = False
+        return (result if ok.any() else None), ok
+
     def evaluate(self, e: Expression, order: int):
         key = (id(e), order)
         hit = self._cache.get(key)
         if hit is None:
-            ok = np.ones(len(self.x), dtype=bool)
-            result = None
-            with np.errstate(all="ignore"):
-                try:
-                    if order == 0:
-                        result = self.value(e, ok)
-                    else:
-                        _check_order(order)
-                        result = self.jet(e, order, ok)
-                except EvaluationError:
-                    ok[:] = False
-            if not ok.any():
-                result = None
+            if order == 0:
+                result, ok = self.run(lambda ok: self.value(e, ok))
+            else:
+                _check_order(order)
+                result, ok = self.run(lambda ok: self.jet(e, order, ok))
             hit = self._cache[key] = (e, result, ok)
         return hit[1], hit[2]
 

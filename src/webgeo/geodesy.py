@@ -48,7 +48,7 @@ from .geometry import (
     ChristoffelField,
     ThomasParameters,
 )
-from .taylor import TaylorJet, check_derivative_index, per_lane, table_partial, take_lanes
+from .taylor import TaylorJet, check_derivative_index, fail, per_lane, table_partial, take_lanes
 
 DEFAULT_TOLERANCE = 1e-8
 
@@ -94,13 +94,9 @@ def cube(v, ok=None):
     vector.  A cube that overflows fails its point: at one point (`ok`
     None) it raises :class:`EvaluationError`, in a block it clears the
     point's lane of `ok`."""
-    if ok is None:
-        try:
-            return v**3
-        except OverflowError:
-            raise EvaluationError(f"cube of {v!r} overflows") from None
     c = per_lane(_cube_or_nan, v)
-    ok &= ~np.isnan(c) | np.isnan(v)
+    # x != x holds for NaN only, for a float or lane by lane.
+    fail((c != c) & (v == v), ok, lambda: EvaluationError(f"cube of {v!r} overflows"))
     return c
 
 
@@ -162,8 +158,16 @@ def _check_curvature(kappa):
         raise ValueError(f"curvature must be a finite number, got {kappa!r}")
 
 
-def _curvature_denominator(kappa, x, y):
-    return 1.0 + kappa * (x * x + y * y)
+def _curvature_denominator(kappa, x, y, ok=None):
+    """1 + kappa (x^2 + y^2); a point where it is not positive is a metric
+    singularity, and fails."""
+    denom = 1.0 + kappa * (x * x + y * y)
+
+    def singular():
+        return EvaluationError(f"metric singularity: 1 + kappa*(x^2+y^2) = {denom!r} at {(x, y)}")
+
+    fail(denom <= 0.0, ok, singular)
+    return denom
 
 
 def _constant_curvature_flex(d, kappa, x, y, denom):
@@ -237,10 +241,6 @@ def constant_curvature_residual(f, kappa: float, point) -> ResidualSample:
     _check_curvature(kappa)
     x, y = float(point[0]), float(point[1])
     denom = _curvature_denominator(kappa, x, y)
-    if denom <= 0.0:
-        raise EvaluationError(
-            f"metric singularity: 1 + kappa*(x^2+y^2) = {denom!r} at {(x, y)}"
-        )
     d = _second_order_at(f, point)
     return _make_sample(point, _constant_curvature_flex(d, kappa, x, y, denom), d[0], d[1])
 
@@ -436,36 +436,32 @@ def skipped_points(block: Block, ok) -> list[list[float]]:
     return [[x, y] for x, y, good in zip(xs, ys, ok.tolist()) if not good]
 
 
-def _structure_terms(block: Block, christoffels, thomas, curvature, surface):
-    """The structure's terms at a block, with the mask of points where it is
-    defined, and the residual formula that takes (derivatives, terms, ok)."""
-    ok = np.ones(len(block.x), dtype=bool)
+def _structure_terms(block: Block, ok, christoffels, thomas, curvature, surface):
+    """The structure's terms at a block, clearing the lanes of `ok` where it
+    is undefined, and the residual formula that takes (derivatives, terms,
+    ok)."""
     if christoffels is not None:
-        terms = []
-        for gamma in (
-            christoffels.gamma1_11,
-            christoffels.gamma1_12,
-            christoffels.gamma1_22,
-            christoffels.gamma2_11,
-            christoffels.gamma2_12,
-            christoffels.gamma2_22,
-        ):
-            value, good = block.evaluate(gamma, 0)
-            ok &= good
-            terms.append(value)
-        return ok, terms, lambda d, t, _: _covariant_flex(d, t)
+        terms = [
+            block.target(gamma, 0, ok)
+            for gamma in (
+                christoffels.gamma1_11,
+                christoffels.gamma1_12,
+                christoffels.gamma1_22,
+                christoffels.gamma2_11,
+                christoffels.gamma2_12,
+                christoffels.gamma2_22,
+            )
+        ]
+        return terms, lambda d, t, _: _covariant_flex(d, t)
     if thomas is not None:
-        return ok, list(thomas.as_tuple()), _projective_flex
+        return list(thomas.as_tuple()), _projective_flex
     if curvature is not None:
-        denom = _curvature_denominator(curvature, block.x, block.y)
-        ok &= ~(denom <= 0.0)
-        return ok, [block.x, block.y, denom], (
+        denom = _curvature_denominator(curvature, block.x, block.y, ok)
+        return [block.x, block.y, denom], (
             lambda d, t, _: _constant_curvature_flex(d, curvature, *t)
         )
-    table, good = block.evaluate(surface, 2)
-    ok &= good
-    terms = _second_order(table) if table else []
-    return ok, terms, lambda d, t, _: _graph_surface_flex(d, t)
+    terms = _second_order(block.target(surface, 2, ok))
+    return terms, lambda d, t, _: _graph_surface_flex(d, t)
 
 
 def residual_sweep(
@@ -505,20 +501,20 @@ def residual_sweep(
         surface = as_expression(surface)
     funcs = [as_expression(f) for f in functions]
     results = [GridResiduals() for _ in funcs]
-    with np.errstate(all="ignore"):
-        for block in grid.blocks():
-            structure_ok, terms, formula = _structure_terms(
-                block, christoffels, thomas, curvature, surface
-            )
-            for f, out in zip(funcs, results):
-                table, good = block.evaluate(f, 2)
-                ok = good & structure_ok
-                if not ok.any():
-                    out.add_block(block, ok)
-                    continue
-                d = _second_order(table)
-                raw = formula(d, terms, ok)
-                out.add_block(block, ok, normalize_lanes(block, ok, raw, d[0], d[1]))
+    for block in grid.blocks():
+        structure, structure_ok = block.run(
+            lambda ok: _structure_terms(block, ok, christoffels, thomas, curvature, surface)
+        )
+        for f, out in zip(funcs, results):
+
+            def residuals(ok):
+                ok &= structure_ok
+                terms, formula = structure
+                d = _second_order(block.target(f, 2, ok))
+                return normalize_lanes(block, ok, formula(d, terms, ok), d[0], d[1])
+
+            samples, ok = (None, structure_ok) if structure is None else block.run(residuals)
+            out.add_block(block, ok, samples)
     return results
 
 

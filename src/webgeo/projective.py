@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from itertools import chain, islice
+from itertools import chain, islice, tee
 
 import numpy as np
 
@@ -60,9 +60,9 @@ from .geodesy import (
 )
 from .geometry import CurvatureMatrix, ThomasParameters, curvature_components
 from .taylor import (
-    JetDomainError,
     TaylorJet,
     _jet,
+    fail,
     partial_derivative,
     per_lane,
     table_partial,
@@ -92,20 +92,11 @@ def _require_web(web, d: int | None = None, at_least: int | None = None):
 
 
 # The formulas below are written once, over floats at one point or over
-# lane vectors at a block of grid points (see :class:`~webgeo.exprlang.Block`).
-# `at` is the point or the Block.  At one point `ok` is None and a failure
-# raises; in a block `ok` is the boolean lane mask, and a failure clears the
-# lanes of the points where the single-point call raises.
-
-
-def _fail(bad, ok, error):
-    """Raise error() where `bad` at one point; clear those lanes of `ok` in
-    a block."""
-    if ok is None:
-        if bad:
-            raise error()
-    else:
-        ok &= np.logical_not(bad)
+# lane vectors at a block of grid points, which run through
+# :meth:`~webgeo.exprlang.Block.run`.  `at` is the point or the Block, and
+# `ok` is None or the block's lane mask; every check fails a point through
+# :func:`~webgeo.taylor.fail`, which raises at one point and clears the
+# lanes of the points where the single-point call raises in a block.
 
 
 def _jet_at(f, at, order: int, ok) -> TaylorJet:
@@ -134,7 +125,7 @@ def _check_transversality(web: WebPresentation, grads, at, ok):
         for j in range(i + 1, n):
             (pix, piy), (pjx, pjy) = grads[i], grads[j]
             jac = pix * pjy - piy * pjx
-            _fail(
+            fail(
                 abs(jac) <= JACOBIAN_DEGENERACY_COEFF * (norms[i] * norms[j]),
                 ok,
                 lambda: DegenerateWebError(
@@ -158,7 +149,7 @@ def _fit(web: WebPresentation, at, ok=None):
         denom = 1.0
         for k in others:
             denom *= grads[i][0] * grads[k][1] - grads[i][1] * grads[k][0]
-        _fail(
+        fail(
             denom == 0.0,
             ok,
             lambda: DegenerateWebError(
@@ -211,26 +202,13 @@ def fit_projective_structure(web, point) -> ThomasParameters:
     return ThomasParameters(*_fit(_require_web(web, d=4), point))
 
 
-def _blocks(blocks, kernel):
-    """kernel(block, ok) at each of the blocks, as (block, ok, result);
-    result is None where no point of the block is valid."""
-    for block in blocks:
-        ok = np.ones(len(block.x), dtype=bool)
-        with np.errstate(all="ignore"):
-            try:
-                result = kernel(block, ok)
-            except (EvaluationError, JetDomainError):
-                ok[:] = False
-                result = None
-        yield block, ok, (result if ok.any() else None)
-
-
 def _sweep_columns(grid: GridSpec, kernel, count: int):
     """(columns, skipped): the `count` values kernel(block, ok) returns, in
     grid order at the valid points, and the other points."""
     columns = tuple([] for _ in range(count))
     skipped = []
-    for block, ok, values in _blocks(grid.blocks(), kernel):
+    for block in grid.blocks():
+        values, ok = block.run(lambda ok: kernel(block, ok))
         skipped.extend(skipped_points(block, ok))
         if values is not None:
             for column, value in zip(columns, values):
@@ -354,8 +332,7 @@ def _gradient_and_flex_jets(fjet: TaylorJet, order: int):
     fxx = dx.derivative("x").truncate(order)
     fxy = dx.derivative("y").truncate(order)
     fyy = dy.derivative("y").truncate(order)
-    flex = fy * fy * fxx - 2.0 * fx * fy * fxy + fx * fx * fyy
-    return fx, fy, flex
+    return fx, fy, _flex(fx, fy, fxx, fxy, fyy)
 
 
 def _alpha_beta_jets(f3, f4, at, ok=None):
@@ -422,7 +399,7 @@ def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
 def _check_alpha_beta_denominators(at, f3x, f3y, f4x, f4y, delta, ok=None):
     factors = {"f3_x": f3x, "f3_y": f3y, "f4_x": f4x, "f4_y": f4y, "Delta": delta}
     for name, value in factors.items():
-        _fail(
+        fail(
             value == 0.0,
             ok,
             lambda: EvaluationError(
@@ -501,7 +478,8 @@ def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
         return samples
 
     series = [GridResiduals() for _ in rest]
-    for block, ok, samples in _blocks(grid.blocks(), kernel):
+    for block in grid.blocks():
+        samples, ok = block.run(lambda ok: kernel(block, ok))
         for out, fields in zip(series, samples or [None] * len(rest)):
             out.add_block(block, ok, fields)
     return series
@@ -716,15 +694,13 @@ def _field_samples(f3, f4, points):
     """
     points = iter(points)
 
-    def blocks():
-        while chunk := list(islice(points, geodesy.BLOCK_POINTS)):
-            yield Block(*zip(*chunk))
-
-    def kernel(block, ok):
+    def kernel(ok):
         alpha, beta = _alpha_beta_jets(f3, f4, block, ok)
         return (alpha.table, beta.table), _field_columns(alpha, beta)
 
-    for block, ok, result in _blocks(blocks(), kernel):
+    while chunk := list(islice(points, geodesy.BLOCK_POINTS)):
+        block = Block(*zip(*chunk))
+        result, ok = block.run(kernel)
         n = len(ok)
         lanes = [None] * n
         if result is not None:
@@ -806,8 +782,11 @@ def integrate_symmetric_connection(
             u * sxy + w * syy, u * txx + w * txy, u * txy + w * tyy,
         )
 
+    # One walk of the steps feeds both the samples, which run at most a
+    # block ahead, and the loop below.
+    sample_steps, steps = tee(_rk4_steps(segments))
     sample_points = chain(
-        [points[0]], chain.from_iterable((mid, end) for _, _, mid, end in _rk4_steps(segments))
+        [points[0]], chain.from_iterable((mid, end) for _, _, mid, end in sample_steps)
     )
     samples = _field_samples(f3, f4, sample_points)
 
@@ -821,7 +800,7 @@ def integrate_symmetric_connection(
         )
 
     # The end sample of a step is the next step's base sample.
-    for (u, w), h, _, _ in _rk4_steps(segments):
+    for (u, w), h, _, _ in steps:
         mid, r1, r2 = next(samples)
         max_sym = max(max_sym, abs(r1), abs(r2))
         end, r1, r2 = next(samples)

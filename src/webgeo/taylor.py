@@ -497,24 +497,30 @@ def truncate_jet(a: TaylorJet, order: int) -> TaylorJet:
 # A block of points is evaluated once for all its points.  A coefficient
 # table is a list of rows whose entries are floats (the same value at every
 # point) or lane vectors (one value per point); row i holds the
-# coefficients of x^i y^j for j = 0..order-i.  Where the single-point path
-# raises, a table operation clears that point's lane in the boolean mask
-# `ok` instead; the lane then holds an arbitrary value that is never read.
-# An operation that fails at every point (a float operand out of domain)
-# raises :class:`JetDomainError` as the single-point path does.
+# coefficients of x^i y^j for j = 0..order-i.  Every check that fails a
+# point goes through `fail`: where the single-point path raises, a table
+# operation clears that point's lane in the boolean mask `ok` instead, and
+# the lane then holds an arbitrary value that is never read.  A check on a
+# float entry fails every point of the block at once.
 
 
-def _require(good, ok, message: str, *value):
-    """Clear the lanes of `ok` where `good` is False; raise, naming the
-    offending value, when it is False at every point."""
-    if isinstance(good, np.ndarray):
-        ok &= good
-    elif not good:
-        raise JetDomainError(" ".join([message, *map(repr, value)]))
+def fail(bad, ok, error):
+    """The failure rule of every computation at a point or a block: at a
+    point (`ok` None) raise ``error()`` if `bad`; in a block clear the
+    lanes of `ok` where the lane vector `bad` holds, or, for a `bad` that
+    is one truth value for every point, fail them all with a plain
+    :class:`JetDomainError`.  In a block ``error`` is never called."""
+    if ok is None:
+        if bad:
+            raise error()
+    elif isinstance(bad, np.ndarray):
+        ok &= ~bad
+    elif bad:
+        raise JetDomainError("fails at every point of the block")
 
 
-def _is_finite(v):
-    return np.isfinite(v) if isinstance(v, np.ndarray) else math.isfinite(v)
+def _non_finite(v):
+    return ~np.isfinite(v) if isinstance(v, np.ndarray) else not math.isfinite(v)
 
 
 def constant_table(value: float, order: int):
@@ -554,7 +560,8 @@ def table_arith(op: str, a, b, order: int, ok):
     if op == "*":
         return mul_table(a, b, order)
     if op == "/":
-        _require(b[0][0] != 0.0, ok, "division by a jet with zero constant term")
+        message = "division by a jet with zero constant term"
+        fail(b[0][0] == 0.0, ok, lambda: JetDomainError(message))
         return div_table(a, b, order)
     raise JetError(f"unknown jet operation {op!r}")
 
@@ -568,7 +575,8 @@ def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
         if p.is_integer():
             k = int(p)
             if k < 0:
-                _require(u != 0.0, ok, "negative power of a jet with zero constant term")
+                message = "negative power of a jet with zero constant term"
+                fail(u == 0.0, ok, lambda: JetDomainError(message))
             return _integer_power(
                 a,
                 k,
@@ -576,20 +584,17 @@ def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
                 lambda s, t: mul_table(s, t, order),
                 lambda s, t: div_table(s, t, order),
             )
+    # Valid lanes hold finite values, so u <= 0.0 is where u > 0.0 fails.
     if fn == "pow_const":
-        _require(
-            u > 0.0,
-            ok,
-            f"pow_const with non-integer exponent {p!r} needs a positive constant term, got",
-            u,
-        )
+        needs = f"pow_const with non-integer exponent {p!r} needs a positive constant term"
+        fail(u <= 0.0, ok, lambda: JetDomainError(f"{needs}, got {u!r}"))
     elif fn in ("sqrt", "ln"):
-        _require(u > 0.0, ok, f"{fn} of non-positive constant term", u)
+        fail(u <= 0.0, ok, lambda: JetDomainError(f"{fn} of non-positive constant term {u!r}"))
     if isinstance(u, np.ndarray):
         u = np.where(ok, u, 1.0)
     series = _series(fn, u, order, p)
     overflow = "exp overflow" if fn == "exp" else f"{fn} undefined"
-    _require(_is_finite(series[0]), ok, f"{overflow} at constant term", u)
+    fail(_non_finite(series[0]), ok, lambda: JetDomainError(f"{overflow} at constant term {u!r}"))
     h = [list(row) for row in a]
     h[0][0] = 0.0
     return compose_table(h, series, order)

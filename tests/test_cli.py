@@ -63,6 +63,17 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_out_dash_writes_to_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    argv = ["flex", "--f", "x", "--grid", "-1:1:0:1:3:3"]
+    assert run(argv) == 0
+    plain = capsys.readouterr()
+    assert run(argv + ["--out", "-"]) == 0
+    assert capsys.readouterr() == plain
+    assert plain.out.startswith("{")
+    assert not (tmp_path / "-").exists()
+
+
 def test_parse_error_exits_2(capsys):
     code = run(["flex", "--f", "x +* y", "--grid", "0:1:0:1:3:3"])
     err = capsys.readouterr().err

@@ -33,7 +33,7 @@ from webgeo import (
     partial_derivative,
     to_source,
 )
-from webgeo.exprlang import MAX_NESTING, X, Y, _Compiler
+from webgeo.exprlang import FUNCTION_NAMES, MAX_DEPTH, MAX_NESTING, X, Y, _Compiler
 from webgeo.taylor import MAX_ORDER, _integer_power, _power_or_inf, derivative_jet
 from conftest import CORPUS, fd_partial, sample_point
 
@@ -176,6 +176,102 @@ def test_round_trip_structural_identity():
     for source in [s for s, _ in CORPUS] + tricky:
         tree = parse(source)
         assert parse(to_source(tree)) == tree
+
+
+_SOURCE_LEAVES = st.one_of(
+    st.sampled_from([X, Y]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(
+        lambda v: Constant(abs(v))
+    ),
+)
+_EXPONENTS = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False).map(abs)
+
+
+def _source_node(children):
+    """One parser-shaped node over `children`."""
+    return st.one_of(
+        children.map(lambda c: Unary("neg", c)),
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: Binary(*t)),
+        st.tuples(children, _EXPONENTS).map(lambda t: Binary("^", t[0], Constant(t[1]))),
+        st.tuples(st.sampled_from(FUNCTION_NAMES), children).map(lambda t: Call(*t)),
+    )
+
+
+_SMALL_SOURCE_TREES = st.recursive(_SOURCE_LEAVES, _source_node, max_leaves=6)
+
+
+def _tree_depth(e) -> int:
+    """Nodes from the root to the deepest leaf, as the parser counts."""
+    children = [getattr(e, name) for name in ("child", "left", "right", "arg") if hasattr(e, name)]
+    return 1 + max(map(_tree_depth, children), default=0)
+
+
+def _printed_nesting(e) -> int:
+    """The nesting the parser meets in to_source(e): one level for each
+    parenthesis and function call, and one for each unary minus."""
+    if isinstance(e, Unary):
+        return 2 + _printed_nesting(e.child)
+    if isinstance(e, Call):
+        return 1 + _printed_nesting(e.arg)
+    if isinstance(e, Binary):
+        return 1 + max(_printed_nesting(e.left), _printed_nesting(e.right))
+    return 0
+
+
+@st.composite
+def source_trees(draw):
+    """Trees the parser builds, up to MAX_DEPTH levels: a small random
+    tree under a spine of wrappings, each repeated up to MAX_DEPTH times."""
+    tree = draw(_SMALL_SOURCE_TREES)
+    depth = _tree_depth(tree)
+    spine = st.tuples(
+        st.one_of(
+            st.just(("neg",)),
+            st.tuples(st.just("call"), st.sampled_from(FUNCTION_NAMES)),
+            st.tuples(st.just("pow"), _EXPONENTS),
+            st.tuples(st.just("binary"), st.sampled_from("+-*/"), _SMALL_SOURCE_TREES, st.booleans()),
+        ),
+        st.integers(1, MAX_DEPTH),
+    )
+    for (kind, *args), repeats in draw(st.lists(spine, max_size=4)):
+        for _ in range(repeats):
+            if kind == "neg":
+                tree = Unary("neg", tree)
+            elif kind == "call":
+                tree = Call(args[0], tree)
+            elif kind == "pow":
+                tree = Binary("^", tree, Constant(args[0]))
+            else:
+                op, side, on_left = args
+                tree = Binary(op, tree, side) if on_left else Binary(op, side, tree)
+                depth = max(depth, _tree_depth(side))
+            depth += 1
+            if depth == MAX_DEPTH:
+                return tree
+    return tree
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(source_trees())
+def test_round_trip_on_generated_trees(tree):
+    assert _tree_depth(tree) <= MAX_DEPTH
+    source = to_source(tree)
+    try:
+        again = parse(source)
+    except ParseError as exc:
+        # The printer parenthesizes every operator node, so a tree the
+        # parser accepts can print deeper than the MAX_NESTING levels it
+        # reads back; that refusal is the only one allowed.
+        assert exc.message == f"nesting deeper than {MAX_NESTING} levels"
+        assert _printed_nesting(tree) > MAX_NESTING
+    else:
+        assert again == tree
 
 
 def test_parser_totality_fuzz(rng):

@@ -844,6 +844,25 @@ def test_transport_evaluates_one_block_of_samples_at_a_time(monkeypatch):
         assert sizes == [min(block, samples - k) for k in range(0, samples, block)]
 
 
+def test_transport_walks_its_steps_once(monkeypatch):
+    from webgeo import projective
+
+    walks = []
+    steps = projective._rk4_steps
+
+    def counting_steps(segments):
+        walks.append(segments)
+        return steps(segments)
+
+    monkeypatch.setattr(projective, "_rk4_steps", counting_steps)
+    path = [(2.9, 0.9), (3.1, 0.9), (3.1, 1.1)]
+    initial = constrained_state(parse("x+y"), parse("x*y"), path[0], (0.2, -0.1, 0.33, -0.21, 0.15))
+    for block in (5, 2048):
+        walks.clear()
+        assert_transport_matches("x+y", "x*y", initial, path, 0.01, block)
+        assert len(walks) == 1
+
+
 def test_transport_builds_one_alpha_beta_for_the_endpoint(monkeypatch):
     from webgeo import projective
 

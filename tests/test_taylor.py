@@ -8,6 +8,7 @@ import operator
 import pickle
 import random
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -26,8 +27,8 @@ from webgeo import (
     partial_derivative,
     truncate_jet,
 )
-from webgeo.exprlang import Block
-from webgeo.taylor import _jet
+from webgeo.exprlang import Block, parse
+from webgeo.taylor import _jet, fail
 
 
 def test_variable_seed_x():
@@ -479,3 +480,68 @@ def _check_block_against_points(order, lanes, data, program):
                     entry = block_jet.table[i][j]
                     lane = entry[k] if isinstance(entry, np.ndarray) else entry
                     assert _bits(float(lane)) == _bits(point_jet.table[i][j])
+
+
+# ------------------------------------- the failure rule and the block runner
+
+
+def test_fail_at_a_point_raises_the_factorys_error():
+    fail(False, None, lambda: pytest.fail("the factory runs only on a failure"))
+    with pytest.raises(ZeroDivisionError) as info:
+        fail(True, None, lambda: ZeroDivisionError("the factory's text"))
+    assert str(info.value) == "the factory's text"
+
+
+def test_fail_clears_exactly_the_lanes_of_a_lane_vector():
+    ok = np.array([True, True, False, True])
+    fail(np.array([False, True, True, False]), ok, lambda: pytest.fail("called in a block"))
+    assert ok.tolist() == [True, False, False, True]
+    fail(False, ok, lambda: pytest.fail("called in a block"))
+    assert ok.tolist() == [True, False, False, True]
+
+
+def test_a_single_truth_value_fails_the_whole_block_without_the_factory():
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return ValueError("never raised")
+
+    block = Block([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+    with pytest.raises(JetDomainError):
+        fail(True, np.ones(3, dtype=bool), factory)
+    result, ok = block.run(lambda ok: fail(True, ok, factory))
+    assert result is None
+    assert ok.tolist() == [False, False, False]
+    assert calls == []
+
+
+def test_block_run_keeps_the_valid_lanes_and_stays_quiet():
+    block = Block([0.0, 1.0, 2.0], [0.0, 0.0, 0.0])
+
+    def kernel(ok):
+        quotient = 1.0 / (block.x - 1.0)
+        fail(~np.isfinite(quotient), ok, lambda: pytest.fail("called in a block"))
+        return quotient
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result, ok = block.run(kernel)
+        assert block.run(lambda ok: np.log(block.x - 5.0))[1].tolist() == [True] * 3
+    assert ok.tolist() == [True, False, True]
+    assert result[ok].tolist() == [-1.0, 1.0]
+
+
+def test_block_run_lets_other_errors_through():
+    block = Block([0.0, 1.0], [0.0, 0.0])
+    with pytest.raises(JetError, match="order out of range") as info:
+        block.run(lambda ok: jet_variable((0, 0), "x", 5))
+    assert not isinstance(info.value, JetDomainError)
+    with pytest.raises(JetError, match="order out of range"):
+        block.evaluate(parse("x"), 5)
+
+    def kernel(ok):
+        raise TypeError("not a domain error")
+
+    with pytest.raises(TypeError, match="not a domain error"):
+        block.run(kernel)
