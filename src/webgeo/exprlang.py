@@ -41,8 +41,6 @@ import re
 import weakref
 from dataclasses import dataclass
 
-import numpy as np
-
 from .taylor import (
     MAX_ORDER,
     JetDomainError,
@@ -57,6 +55,7 @@ from .taylor import (
     jet_div,
     jet_mul,
     jet_sub,
+    np,
     partial_derivative,
     per_lane,
     table_arith,
@@ -397,26 +396,87 @@ def to_source(e: Expression) -> str:
     """Render an expression back to formula text.
 
     For parser-produced trees the output re-parses to a structurally
-    identical tree (the printer parenthesizes fully, and the parser never
-    creates negative constants).  :class:`PartialDerivative` nodes use a
+    identical tree (the parser never creates negative constants).  The
+    printer parenthesizes every operator node, unless that text would nest
+    deeper than the MAX_NESTING levels the parser reads: then it writes
+    only the parentheses the grammar needs, which nest no deeper than the
+    text the tree was parsed from.  :class:`PartialDerivative` nodes use a
     `D[i,j](...)` notation that is intentionally outside the grammar.
     """
+    text = _full_source(e)
+    # Each level of nesting opens at a parenthesis or a minus sign.
+    if text.count("(") + text.count("-") > MAX_NESTING and _full_nesting(e) > MAX_NESTING:
+        return _least_source(e, _EXPR)
+    return text
+
+
+def _full_source(e) -> str:
+    """The fully parenthesized text of `e`."""
     if isinstance(e, Constant):
         return _format_number(e.value)
     if isinstance(e, Variable):
         return e.name
     if isinstance(e, Unary):
-        return f"(-{to_source(e.child)})"
+        return f"(-{_full_source(e.child)})"
     if isinstance(e, Binary):
         if e.op == "^":
             exponent = e.right.value if isinstance(e.right, Constant) else e.right
-            return f"({to_source(e.left)})^{_format_number(exponent)}"
-        return f"({to_source(e.left)} {e.op} {to_source(e.right)})"
+            return f"({_full_source(e.left)})^{_format_number(exponent)}"
+        return f"({_full_source(e.left)} {e.op} {_full_source(e.right)})"
     if isinstance(e, Call):
-        return f"{e.func}({to_source(e.arg)})"
+        return f"{e.func}({_full_source(e.arg)})"
     if isinstance(e, PartialDerivative):
-        return f"D[{e.dx},{e.dy}]({to_source(e.target)})"
+        return f"D[{e.dx},{e.dy}]({_full_source(e.target)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _full_nesting(e) -> int:
+    """The nesting the parser meets in ``_full_source(e)``: a level for
+    each parenthesis and call, and two for a unary minus."""
+    if isinstance(e, Unary):
+        return 2 + _full_nesting(e.child)
+    if isinstance(e, Binary):
+        right = 0 if e.op == "^" else _full_nesting(e.right)
+        return 1 + max(_full_nesting(e.left), right)
+    if isinstance(e, Call):
+        return 1 + _full_nesting(e.arg)
+    if isinstance(e, PartialDerivative):
+        return 1 + _full_nesting(e.target)
+    return 0
+
+
+# The grammar rules a node's text can stand for, loosest first: expr, term,
+# factor (a unary minus or a power) and atom.
+_EXPR, _TERM, _FACTOR, _ATOM = range(4)
+
+#: The rule of a binary node's text, and the rules of its left and right
+#: operands (operators associate to the left).
+_BINARY_RULES = {
+    "+": (_EXPR, _EXPR, _TERM),
+    "-": (_EXPR, _EXPR, _TERM),
+    "*": (_TERM, _TERM, _FACTOR),
+    "/": (_TERM, _TERM, _FACTOR),
+}
+
+
+def _least_source(e, rule: int) -> str:
+    """Text of `e` that the parser reads as `rule`, with only the
+    parentheses the grammar needs."""
+    if isinstance(e, Unary):
+        own, text = _FACTOR, f"-{_least_source(e.child, _FACTOR)}"
+    elif isinstance(e, Binary) and e.op == "^":
+        exponent = e.right.value if isinstance(e.right, Constant) else e.right
+        own, text = _FACTOR, f"{_least_source(e.left, _ATOM)}^{_format_number(exponent)}"
+    elif isinstance(e, Binary):
+        own, left, right = _BINARY_RULES[e.op]
+        text = f"{_least_source(e.left, left)} {e.op} {_least_source(e.right, right)}"
+    elif isinstance(e, Call):
+        own, text = _ATOM, f"{e.func}({_least_source(e.arg, _EXPR)})"
+    elif isinstance(e, PartialDerivative):
+        own, text = _ATOM, f"D[{e.dx},{e.dy}]({_least_source(e.target, _EXPR)})"
+    else:
+        return _full_source(e)  # a constant or a variable
+    return text if own >= rule else f"({text})"
 
 
 _MATH_FUNCTIONS = {
@@ -935,7 +995,7 @@ class _Walker:
                     self.fail(left < 0.0, ok, node, "fractional power of negative base")
                     if p < 0.0:
                         self.fail(left == 0.0, ok, node, "zero raised to a negative power")
-                    if isinstance(left, np.ndarray):
+                    if not isinstance(left, float):
                         left = np.where(ok, left, 1.0)
                     value = per_lane(lambda v: _power_or_inf(v, p), left)
             else:
@@ -959,7 +1019,7 @@ class _Walker:
                 self.fail(u < 0.0, ok, node, "sqrt of negative value")
             if node.func == "ln":
                 self.fail(u <= 0.0, ok, node, "ln of non-positive value")
-            if isinstance(u, np.ndarray):
+            if not isinstance(u, float):
                 u = np.where(ok, u, 1.0)
             value = _math_lanes(_MATH_FUNCTIONS[node.func], u)
             self.fail(~np.isfinite(value), ok, node, "non-finite result")

@@ -32,8 +32,6 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-import numpy as np
-
 from .exprlang import (
     Block,
     EvaluationError,
@@ -48,7 +46,15 @@ from .geometry import (
     ChristoffelField,
     ThomasParameters,
 )
-from .taylor import TaylorJet, check_derivative_index, fail, per_lane, table_partial, take_lanes
+from .taylor import (
+    TaylorJet,
+    check_derivative_index,
+    fail,
+    np,
+    per_lane,
+    table_partial,
+    take_lanes,
+)
 
 DEFAULT_TOLERANCE = 1e-8
 

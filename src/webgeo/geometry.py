@@ -21,8 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exprlang import (
     Constant,
     EvaluationError,
@@ -34,7 +32,7 @@ from .exprlang import (
     evaluate,
     evaluate_jet,
 )
-from .taylor import partial_derivative
+from .taylor import np, partial_derivative
 
 
 @dataclass(frozen=True)

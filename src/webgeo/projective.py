@@ -40,8 +40,6 @@ import math
 from dataclasses import astuple, dataclass
 from itertools import chain, islice, tee
 
-import numpy as np
-
 from . import geodesy
 from .exprlang import Block, EvaluationError, as_expression, evaluate_jet, to_source
 from .geodesy import (
@@ -63,6 +61,7 @@ from .taylor import (
     TaylorJet,
     _jet,
     fail,
+    np,
     partial_derivative,
     per_lane,
     table_partial,
@@ -662,9 +661,9 @@ def _rk4_steps(segments):
 
 def _lane_floats(value, n: int) -> list[float]:
     """A float or a lane vector as n Python floats."""
-    if isinstance(value, np.ndarray):
-        return np.broadcast_to(value, (n,)).tolist()
-    return [float(value)] * n
+    if isinstance(value, float):
+        return [float(value)] * n
+    return np.broadcast_to(value, (n,)).tolist()
 
 
 def _field_columns(alpha: TaylorJet, beta: TaylorJet):

@@ -33,10 +33,31 @@ block.
 
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
+import sys
 
-import numpy as np
+
+def _lazy_numpy():
+    """numpy, or while it is not yet imported a module that imports it on
+    its first attribute access: a command that makes no lane vector never
+    loads numpy.  After that access the module is numpy itself, so a
+    lookup costs what it costs on a plain import."""
+    numpy = sys.modules.get("numpy")
+    if numpy is None:
+        spec = importlib.util.find_spec("numpy")
+        if spec is None:
+            raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        numpy = importlib.util.module_from_spec(spec)
+        sys.modules["numpy"] = numpy
+        spec.loader.exec_module(numpy)
+    return numpy
+
+
+#: numpy for every module of the package; see _lazy_numpy.
+np = _lazy_numpy()
 
 MAX_ORDER = 4
 
@@ -126,7 +147,9 @@ class TaylorJet:
     @property
     def coeffs(self) -> np.ndarray:
         """A fresh read-only array of shape (order+1, order+1) holding
-        c[i][j] at [i, j] and zero where i + j > order (a jet at a point)."""
+        c[i][j] at [i, j] and zero where i + j > order (a jet at a point).
+        Loads numpy if it is not loaded yet, as the constructor does; the
+        jet operations at a point never need it."""
         if self.ok is not None:
             raise JetError("a jet over a block of points has no coefficient array")
         n = self.order
@@ -344,9 +367,9 @@ def per_lane(fn, *args):
     result where numpy's vectorized transcendentals and powers round
     differently from `math` and Python floats.
     """
-    if isinstance(args[0], np.ndarray):
-        return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
-    return fn(*args)
+    if isinstance(args[0], float):
+        return fn(*args)
+    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
 
 
 def _exp_or_inf(u: float) -> float:
@@ -501,7 +524,10 @@ def truncate_jet(a: TaylorJet, order: int) -> TaylorJet:
 # point goes through `fail`: where the single-point path raises, a table
 # operation clears that point's lane in the boolean mask `ok` instead, and
 # the lane then holds an arbitrary value that is never read.  A check on a
-# float entry fails every point of the block at once.
+# float entry fails every point of the block at once.  Code that takes a
+# float or a lane vector tests for the float first (``isinstance(v, float)``,
+# true of numpy's float64 too), so a computation at a point never loads
+# numpy.
 
 
 def fail(bad, ok, error):
@@ -520,7 +546,7 @@ def fail(bad, ok, error):
 
 
 def _non_finite(v):
-    return ~np.isfinite(v) if isinstance(v, np.ndarray) else not math.isfinite(v)
+    return not math.isfinite(v) if isinstance(v, float) else ~np.isfinite(v)
 
 
 def constant_table(value: float, order: int):
@@ -545,10 +571,11 @@ def check_table(table, ok, context: str):
     entry is not finite."""
     for row in table:
         for v in row:
-            if isinstance(v, np.ndarray):
+            if isinstance(v, float):
+                if v - v != 0.0:
+                    raise JetDomainError(f"non-finite coefficient produced by {context}")
+            else:
                 ok &= np.isfinite(v)
-            elif v - v != 0.0:
-                raise JetDomainError(f"non-finite coefficient produced by {context}")
 
 
 def table_arith(op: str, a, b, order: int, ok):
@@ -590,7 +617,7 @@ def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
         fail(u <= 0.0, ok, lambda: JetDomainError(f"{needs}, got {u!r}"))
     elif fn in ("sqrt", "ln"):
         fail(u <= 0.0, ok, lambda: JetDomainError(f"{fn} of non-positive constant term {u!r}"))
-    if isinstance(u, np.ndarray):
+    if not isinstance(u, float):
         u = np.where(ok, u, 1.0)
     series = _series(fn, u, order, p)
     overflow = "exp overflow" if fn == "exp" else f"{fn} undefined"

@@ -207,8 +207,9 @@ def _tree_depth(e) -> int:
 
 
 def _printed_nesting(e) -> int:
-    """The nesting the parser meets in to_source(e): one level for each
-    parenthesis and function call, and one for each unary minus."""
+    """The nesting the parser meets in the fully parenthesized text of e:
+    one level for each parenthesis and function call, and one for each
+    unary minus."""
     if isinstance(e, Unary):
         return 2 + _printed_nesting(e.child)
     if isinstance(e, Call):
@@ -218,10 +219,48 @@ def _printed_nesting(e) -> int:
     return 0
 
 
+def _fully_parenthesized(e) -> str:
+    """The text to_source printed for every tree before it learned to drop
+    parentheses, which reports echo."""
+    if isinstance(e, Unary):
+        return f"(-{_fully_parenthesized(e.child)})"
+    if isinstance(e, Call):
+        return f"{e.func}({_fully_parenthesized(e.arg)})"
+    if isinstance(e, Binary) and e.op == "^":
+        return f"({_fully_parenthesized(e.left)})^{e.right.value!r}"
+    if isinstance(e, Binary):
+        return f"({_fully_parenthesized(e.left)} {e.op} {_fully_parenthesized(e.right)})"
+    return repr(e.value) if isinstance(e, Constant) else e.name
+
+
+# The grammar's rules, loosest first, and the rule each node's own text
+# stands for without parentheses.
+_EXPR_RULE, _TERM_RULE, _FACTOR_RULE, _ATOM_RULE = range(4)
+
+
+def _least_nesting(e, rule=_EXPR_RULE) -> int:
+    """The least nesting of any text the parser reads as e, where the
+    grammar wants `rule`: the parser builds e exactly when this is at most
+    MAX_NESTING (and e is at most MAX_DEPTH deep)."""
+    if isinstance(e, Unary):
+        own, inner = _FACTOR_RULE, 1 + _least_nesting(e.child, _FACTOR_RULE)
+    elif isinstance(e, Call):
+        own, inner = _ATOM_RULE, 1 + _least_nesting(e.arg)
+    elif isinstance(e, Binary) and e.op == "^":
+        own, inner = _FACTOR_RULE, _least_nesting(e.left, _ATOM_RULE)
+    elif isinstance(e, Binary):
+        own = _EXPR_RULE if e.op in "+-" else _TERM_RULE
+        inner = max(_least_nesting(e.left, own), _least_nesting(e.right, own + 1))
+    else:
+        own, inner = _ATOM_RULE, 0
+    return inner + (own < rule)
+
+
 @st.composite
 def source_trees(draw):
-    """Trees the parser builds, up to MAX_DEPTH levels: a small random
-    tree under a spine of wrappings, each repeated up to MAX_DEPTH times."""
+    """Trees the parser builds, up to MAX_DEPTH levels and MAX_NESTING
+    levels of nesting: a small random tree under a spine of wrappings, each
+    repeated up to MAX_DEPTH times."""
     tree = draw(_SMALL_SOURCE_TREES)
     depth = _tree_depth(tree)
     spine = st.tuples(
@@ -236,14 +275,18 @@ def source_trees(draw):
     for (kind, *args), repeats in draw(st.lists(spine, max_size=4)):
         for _ in range(repeats):
             if kind == "neg":
-                tree = Unary("neg", tree)
+                wrapped = Unary("neg", tree)
             elif kind == "call":
-                tree = Call(args[0], tree)
+                wrapped = Call(args[0], tree)
             elif kind == "pow":
-                tree = Binary("^", tree, Constant(args[0]))
+                wrapped = Binary("^", tree, Constant(args[0]))
             else:
                 op, side, on_left = args
-                tree = Binary(op, tree, side) if on_left else Binary(op, side, tree)
+                wrapped = Binary(op, tree, side) if on_left else Binary(op, side, tree)
+            if _least_nesting(wrapped) > MAX_NESTING:
+                return tree
+            tree = wrapped
+            if kind == "binary":
                 depth = max(depth, _tree_depth(side))
             depth += 1
             if depth == MAX_DEPTH:
@@ -261,17 +304,23 @@ def source_trees(draw):
 @given(source_trees())
 def test_round_trip_on_generated_trees(tree):
     assert _tree_depth(tree) <= MAX_DEPTH
+    assert _least_nesting(tree) <= MAX_NESTING
     source = to_source(tree)
-    try:
-        again = parse(source)
-    except ParseError as exc:
-        # The printer parenthesizes every operator node, so a tree the
-        # parser accepts can print deeper than the MAX_NESTING levels it
-        # reads back; that refusal is the only one allowed.
-        assert exc.message == f"nesting deeper than {MAX_NESTING} levels"
-        assert _printed_nesting(tree) > MAX_NESTING
-    else:
-        assert again == tree
+    assert parse(source) == tree
+    if _printed_nesting(tree) <= MAX_NESTING:
+        assert source == _fully_parenthesized(tree)
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["-" * 51 + "x", "+".join(["x"] * 102), "-" * MAX_NESTING + "x"],
+    ids=["51-minus-signs", "102-term-chain", "deepest-minus-chain"],
+)
+def test_round_trip_past_full_parenthesization(source):
+    """Trees whose fully parenthesized text would nest past MAX_NESTING."""
+    tree = parse(source)
+    assert _printed_nesting(tree) > MAX_NESTING
+    assert parse(to_source(tree)) == tree
 
 
 def test_parser_totality_fuzz(rng):

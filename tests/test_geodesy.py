@@ -5,8 +5,11 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from webgeo import (
+    Call,
     ChristoffelField,
     Constant,
     EvaluationError,
@@ -159,6 +162,46 @@ def test_flex_gauge_covariance(rng):
         value = evaluate(f, p)
         scale = (1.0 + 3.0 * value * value) ** 3
         assert rel_close(flex(relabeled, p), scale * flex(f, p), 1e-9)
+
+
+@st.composite
+def monotone_relabelings(draw):
+    """Phi(t) = a t + b t^3 + c exp(d t) + s sin(t), increasing since
+    a > |s| and b, c, d >= 0, as a function of a formula."""
+    a = draw(st.floats(0.5, 4.0))
+    b, c = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    d = draw(st.floats(0.0, 1.0))
+    s = draw(st.floats(-0.45, 0.45))
+    return lambda f: a * f + b * f**3 + c * Call("exp", d * f) + s * Call("sin", f)
+
+
+def _normalized_residuals(f, p):
+    """The normalized flex and geodesic residuals of f at p, one for each
+    kind of structure; the points of CORPUS's boxes keep every one defined."""
+    return [
+        flex_residual(f, FLAT, p).normalized,
+        flex_residual(f, christoffels_constant_curvature(0.5), p).normalized,
+        constant_curvature_residual(f, -0.05, p).normalized,
+        graph_surface_residual(f, "x*y + 0.3*x^2", p).normalized,
+        projective_flex_residual(f, ThomasParameters(0.5, -1.25, 0.75, 2.0), p).normalized,
+    ]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    case=st.sampled_from(CORPUS),
+    relabel=monotone_relabelings(),
+    u=st.floats(0.0, 1.0),
+    v=st.floats(0.0, 1.0),
+)
+def test_normalized_residuals_are_gauge_invariant(case, relabel, u, v):
+    """Relabeling f by an increasing Phi scales every residual by Phi'(f)^3
+    and the gradient norm by Phi'(f), so the normalized residuals stay."""
+    source, (xlo, xhi, ylo, yhi) = case
+    f = parse(source)
+    p = (xlo + 0.06 + u * (xhi - xlo - 0.12), ylo + 0.06 + v * (yhi - ylo - 0.12))
+    for before, after in zip(_normalized_residuals(f, p), _normalized_residuals(relabel(f), p)):
+        assert rel_close(after, before, 1e-9)
 
 
 def test_degenerate_gradient_is_flagged():
