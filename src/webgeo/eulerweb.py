@@ -39,7 +39,7 @@ from .exprlang import (
     to_source,
     variables_of,
 )
-from .geodesy import GridResiduals, GridSpec, cube
+from .geodesy import GridResiduals, GridSpec, _sweep, cube
 from .geometry import ThomasParameters
 from .render import MAX_LEAVES, LeafPolyline, Rect
 from .taylor import (
@@ -54,9 +54,6 @@ DEFAULT_SCAN_COUNT = 400
 
 #: Parameter values of each datum probed for lines that meet the domain.
 PROBE_COUNT = 512
-
-#: Characteristic roots are polished until |g(lam)| falls below this.
-ROOT_RESIDUAL_TOLERANCE = 1e-12
 
 #: |g'(lam)| below this (relative to 1 + |x|) flags a near-double root.
 NEAR_DOUBLE_THRESHOLD = 1e-6
@@ -155,16 +152,14 @@ def euler_sweep(w, grid: GridSpec, pi: ThomasParameters | None = None) -> GridRe
     is its own normalized value; points where those raise
     :class:`EvaluationError` are skipped."""
     w = as_expression(w)
-    out = GridResiduals()
-    for block in grid.blocks():
 
-        def residual(ok):
-            table = block.target(w, 1, ok)
-            v, vx, vy = (table_partial(table, i, j) for i, j in ((0, 0), (1, 0), (0, 1)))
-            return _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi, ok)
+    def residual(block, ok):
+        table = block.target(w, 1, ok)
+        v, vx, vy = (table_partial(table, i, j) for i, j in ((0, 0), (1, 0), (0, 1)))
+        raw = _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi, ok)
+        return raw, raw, math.nan, False
 
-        raw, ok = block.run(residual)
-        out.add_block(block, ok, None if raw is None else (raw, raw, math.nan, False))
+    (out,) = _sweep(grid, [residual])
     return out
 
 

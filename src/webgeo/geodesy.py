@@ -20,16 +20,19 @@ across foliations.
 Over a grid, :func:`residual_sweep` evaluates a block of points at a time
 (see :class:`~webgeo.exprlang.Block`), the structure once per block for
 all foliations, and gives every sample the same bits as the single-point
-functions here.  :func:`reduce_samples` and :func:`judge` turn samples
-into the numbers and verdict of a report, for every grid command: a NaN
-sample makes the largest value NaN and fails the verdict, and a mean is a
-left-to-right sum, the same bits on every Python version.
+functions here.  Every grid sweep collects its samples and skipped
+points in a :class:`GridResiduals`.  :func:`reduce_samples` and
+:func:`judge` turn samples into the numbers and verdict of a report, for
+every grid command: a NaN sample makes the largest value NaN and fails the
+verdict, and a mean is a left-to-right sum, the same bits on every Python
+version.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import NamedTuple
 
 from .exprlang import (
@@ -331,43 +334,38 @@ class GridSpec:
 
 
 class GridResiduals:
-    """Residual samples of one function over a grid, in grid order.
+    """The samples of one computation over a grid, in grid order: `points`
+    lists the evaluated points, `columns` holds k parallel lists of values
+    at them, and `skipped` lists the points where it is undefined.
 
-    Parallel lists hold the evaluated points and, for each, the raw and
-    normalized residual, the gradient norm and the degeneracy flag (the
-    fields of :class:`ResidualSample`); `skipped` lists the points where
-    the function or the structure is undefined.
+    A residual's four columns are the fields of :class:`ResidualSample`
+    after its point: raw, normalized, gradient norm and degenerate.
     """
 
-    def __init__(self):
+    def __init__(self, k: int = 4):
         self.points: list[tuple[float, float]] = []
-        self.raw: list[float] = []
-        self.normalized: list[float] = []
-        self.gradient_norm: list[float] = []
-        self.degenerate: list[bool] = []
+        self.columns = tuple([] for _ in range(k))
         self.skipped: list[list[float]] = []
 
-    def add_block(self, block: Block, ok, samples=None):
+    raw = property(lambda self: self.columns[0])
+    normalized = property(lambda self: self.columns[1])
+    gradient_norm = property(lambda self: self.columns[2])
+    degenerate = property(lambda self: self.columns[3])
+
+    def add_block(self, block: Block, ok, values):
         """Append one block: the points where `ok` is False are skipped,
-        the others get the fields `samples` = (raw, normalized, gradient
-        norm, degenerate) hold at their lanes (floats stand for every
-        lane)."""
-        self.skipped.extend(skipped_points(block, ok))
-        if samples is None:
+        the others get the k `values` (None when no point is valid) at
+        their lanes (floats stand for every lane)."""
+        xs, ys = block.x.tolist(), block.y.tolist()
+        self.skipped.extend([x, y] for x, y, good in zip(xs, ys, ok.tolist()) if not good)
+        if values is None:
             return
         self.points.extend(zip(block.x[ok].tolist(), block.y[ok].tolist()))
-        for values, field_ in zip(
-            (self.raw, self.normalized, self.gradient_norm, self.degenerate), samples
-        ):
-            values.extend(take_lanes(field_, ok).tolist())
+        for column, value in zip(self.columns, values):
+            column.extend(take_lanes(value, ok).tolist())
 
     def samples(self) -> list[ResidualSample]:
-        return [
-            ResidualSample(*fields)
-            for fields in zip(
-                self.points, self.raw, self.normalized, self.gradient_norm, self.degenerate
-            )
-        ]
+        return [ResidualSample(*fields) for fields in zip(self.points, *self.columns)]
 
     def valid(self) -> list[float]:
         """The normalized residuals of the non-degenerate samples."""
@@ -436,10 +434,17 @@ def judge(maxima, tolerance: float, labels=GEODESIC_VERDICTS) -> tuple[float, st
     return worst, labels[0] if worst <= tolerance else labels[1]
 
 
-def skipped_points(block: Block, ok) -> list[list[float]]:
-    """The points of a block where `ok` is False, as [x, y] lists."""
-    xs, ys = block.x.tolist(), block.y.tolist()
-    return [[x, y] for x, y, good in zip(xs, ys, ok.tolist()) if not good]
+def _sweep(grid: GridSpec, kernels, k: int = 4) -> list[GridResiduals]:
+    """The samples of each of `kernels` over a grid: ``kernel(block, ok)``
+    gives the k values at a block's points, run through
+    :meth:`~webgeo.exprlang.Block.run`.  Every kernel runs on a block
+    before the next block is made, so they share its cache."""
+    results = [GridResiduals(k) for _ in kernels]
+    for block in grid.blocks():
+        for kernel, out in zip(kernels, results):
+            values, ok = block.run(lambda ok: kernel(block, ok))
+            out.add_block(block, ok, values)
+    return results
 
 
 def _structure_terms(block: Block, ok, christoffels, thomas, curvature, surface):
@@ -505,23 +510,13 @@ def residual_sweep(
         _check_curvature(curvature)
     if surface is not None:
         surface = as_expression(surface)
-    funcs = [as_expression(f) for f in functions]
-    results = [GridResiduals() for _ in funcs]
-    for block in grid.blocks():
-        structure, structure_ok = block.run(
-            lambda ok: _structure_terms(block, ok, christoffels, thomas, curvature, surface)
-        )
-        for f, out in zip(funcs, results):
 
-            def residuals(ok):
-                ok &= structure_ok
-                terms, formula = structure
-                d = _second_order(block.target(f, 2, ok))
-                return normalize_lanes(block, ok, formula(d, terms, ok), d[0], d[1])
+    def residuals(f, block, ok):
+        terms, formula = _structure_terms(block, ok, christoffels, thomas, curvature, surface)
+        d = _second_order(block.target(f, 2, ok))
+        return normalize_lanes(block, ok, formula(d, terms, ok), d[0], d[1])
 
-            samples, ok = (None, structure_ok) if structure is None else block.run(residuals)
-            out.add_block(block, ok, samples)
-    return results
+    return _sweep(grid, [partial(residuals, as_expression(f)) for f in functions])
 
 
 @dataclass(frozen=True)

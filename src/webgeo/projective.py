@@ -50,11 +50,11 @@ from .geodesy import (
     _flex,
     _projective_flex,
     _second_order,
+    _sweep,
     cube,
     flex_of_jet,
     normalize_lanes,
     projective_flex_residual,
-    skipped_points,
 )
 from .geometry import CurvatureMatrix, ThomasParameters, curvature_components
 from .taylor import (
@@ -65,7 +65,6 @@ from .taylor import (
     partial_derivative,
     per_lane,
     table_partial,
-    take_lanes,
 )
 
 #: Pairs with |J(f_i, f_j)| below this times |grad f_i| |grad f_j| are
@@ -201,20 +200,6 @@ def fit_projective_structure(web, point) -> ThomasParameters:
     return ThomasParameters(*_fit(_require_web(web, d=4), point))
 
 
-def _sweep_columns(grid: GridSpec, kernel, count: int):
-    """(columns, skipped): the `count` values kernel(block, ok) returns, in
-    grid order at the valid points, and the other points."""
-    columns = tuple([] for _ in range(count))
-    skipped = []
-    for block in grid.blocks():
-        values, ok = block.run(lambda ok: kernel(block, ok))
-        skipped.extend(skipped_points(block, ok))
-        if values is not None:
-            for column, value in zip(columns, values):
-                column.extend(take_lanes(value, ok).tolist())
-    return columns, skipped
-
-
 def fit_sweep(web, grid: GridSpec):
     """The closed-form fit of a 4-web over a grid, a block of points at a
     time: (columns, skipped).  `columns` holds the values of p1_22, p1_12,
@@ -222,7 +207,8 @@ def fit_sweep(web, grid: GridSpec):
     :func:`fit_projective_structure` gives them, bit for bit; `skipped`
     lists the points where it raises."""
     web = _require_web(web, d=4)
-    return _sweep_columns(grid, lambda block, ok: _fit(web, block, ok), 4)
+    (out,) = _sweep(grid, [lambda block, ok: _fit(web, block, ok)])
+    return out.columns, out.skipped
 
 
 def fit_by_linear_solve(web, point) -> ThomasParameters:
@@ -442,8 +428,8 @@ def symmetry_sweep(f3, f4, grid: GridSpec):
     def kernel(block, ok):
         return _symmetry_residuals(*_alpha_beta_jets(f3, f4, block, ok))
 
-    (r1, r2), skipped = _sweep_columns(grid, kernel, 2)
-    return r1, r2, skipped
+    (out,) = _sweep(grid, [kernel], 2)
+    return (*out.columns, out.skipped)
 
 
 def dweb_geodesic_residuals(web, point) -> list[ResidualSample]:

@@ -5,8 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from webgeo import parse
+from webgeo import Call, parse
 
 # Each corpus entry is (formula, sampling box (xlo, xhi, ylo, yhi)) with the
 # box kept a safe margin away from the formula's singular set so that
@@ -159,6 +160,17 @@ def random_webs(rng: random.Random, count: int, size: int = 4):
         webs.append((funcs, point))
     assert len(webs) == count, f"could only build {len(webs)} webs"
     return webs
+
+
+@st.composite
+def monotone_relabelings(draw):
+    """Phi(t) = a t + b t^3 + c exp(d t) + s sin(t), increasing since
+    a > |s| and b, c, d >= 0, as a function of a formula."""
+    a = draw(st.floats(0.5, 4.0))
+    b, c = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    d = draw(st.floats(0.0, 1.0))
+    s = draw(st.floats(-0.45, 0.45))
+    return lambda f: a * f + b * f**3 + c * Call("exp", d * f) + s * Call("sin", f)
 
 
 @pytest.fixture

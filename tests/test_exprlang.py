@@ -333,6 +333,57 @@ def test_parser_totality_fuzz(rng):
             pass  # the only acceptable failure mode
 
 
+_NUMBER_TOKENS = st.builds(
+    "{}{}{}".format,
+    st.integers(0, 10**6),
+    st.sampled_from(["", ".5", ".25", ".0125"]),
+    st.sampled_from(["", "", "e3", "E-2", "e+1", "e-400", "e400"]),
+)
+_ANY_TOKEN = st.one_of(
+    _NUMBER_TOKENS,
+    st.sampled_from(["x", "y", *FUNCTION_NAMES, "foo", *"+-*/^()", " ", "\t"]),
+)
+
+
+def _grammatical(inner):
+    return st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner).map(lambda t: [*t[0], t[1], *t[2]]),
+        st.tuples(inner, _NUMBER_TOKENS).map(lambda t: [*t[0], "^", t[1]]),
+        st.tuples(st.sampled_from(["", *FUNCTION_NAMES]), inner).map(
+            lambda t: [t[0], "(", *t[1], ")"]
+        ),
+        inner.map(lambda t: ["-", *t]),
+    )
+
+
+@st.composite
+def token_streams(draw):
+    """The tokens of a formula, built by the grammar's rules from numbers
+    with and without fractions and exponents, x and y; then, in three
+    streams of four, one token deleted, replaced or inserted by any token
+    (a function name, an unknown identifier, an operator, a parenthesis or
+    whitespace too); joined into one input with or without whitespace."""
+    atoms = st.one_of(_NUMBER_TOKENS, st.sampled_from(["x", "y"])).map(lambda t: [t])
+    tokens = draw(st.recursive(atoms, _grammatical, max_leaves=8))
+    edit = draw(st.sampled_from(["none", "delete", "replace", "insert"]))
+    if edit != "none":
+        i = draw(st.integers(0, len(tokens) - (edit != "insert")))
+        tokens[i : i + (edit != "insert")] = [] if edit == "delete" else [draw(_ANY_TOKEN)]
+    return draw(st.sampled_from(["", " ", "\t"])).join(tokens)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(token_streams())
+def test_parser_totality_on_token_streams(text):
+    """A stream of the grammar's tokens either parses to a tree that
+    round-trips through the printer or is a ParseError."""
+    try:
+        tree = parse(text)
+    except ParseError:
+        return
+    assert parse(to_source(tree)) == tree
+
+
 def test_deep_parentheses_are_a_parse_error():
     depth = 3000
     with pytest.raises(ParseError) as err:

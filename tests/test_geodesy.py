@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from webgeo import (
-    Call,
     ChristoffelField,
     Constant,
     EvaluationError,
@@ -27,7 +26,7 @@ from webgeo import (
     parse,
     projective_flex_residual,
 )
-from conftest import CORPUS, rel_close, sample_point
+from conftest import CORPUS, monotone_relabelings, rel_close, sample_point
 
 from webgeo.geodesy import MAX_GRID_POINTS, judge, reduce_samples, sequential_sum
 
@@ -162,17 +161,6 @@ def test_flex_gauge_covariance(rng):
         value = evaluate(f, p)
         scale = (1.0 + 3.0 * value * value) ** 3
         assert rel_close(flex(relabeled, p), scale * flex(f, p), 1e-9)
-
-
-@st.composite
-def monotone_relabelings(draw):
-    """Phi(t) = a t + b t^3 + c exp(d t) + s sin(t), increasing since
-    a > |s| and b, c, d >= 0, as a function of a formula."""
-    a = draw(st.floats(0.5, 4.0))
-    b, c = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
-    d = draw(st.floats(0.0, 1.0))
-    s = draw(st.floats(-0.45, 0.45))
-    return lambda f: a * f + b * f**3 + c * Call("exp", d * f) + s * Call("sin", f)
 
 
 def _normalized_residuals(f, p):

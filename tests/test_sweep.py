@@ -29,6 +29,7 @@ from webgeo.cli import run
 from webgeo.eulerweb import connection_euler_residual, euler_residual, euler_sweep
 from webgeo.exprlang import (
     Binary,
+    Block,
     Call,
     Constant,
     EvaluationError,
@@ -251,6 +252,44 @@ def test_overflow_inside_a_node_is_not_hidden_by_a_zero_factor():
     skipped, samples = loop(lambda p: flex_residual(f, FLAT, p), grid)
     assert skipped == [[1e-300, 0.0], [1e-300, 1.0]]
     assert_same(residual_sweep([f], grid, christoffels=FLAT)[0], skipped, samples)
+
+
+def test_residual_sweep_runs_each_function_once_per_block(monkeypatch):
+    """One Block.run per function per block takes the structure terms
+    too; the Christoffels inside it come from the block's cache, so they
+    are evaluated once per block for all the functions."""
+    top_level, evaluated = [], []
+    run, evaluate = Block.run, Block.evaluate
+    depth = 0
+
+    def counting_run(self, kernel):
+        nonlocal depth
+        if depth == 0:
+            top_level.append(self)
+        depth += 1
+        try:
+            return run(self, kernel)
+        finally:
+            depth -= 1
+
+    def counting_evaluate(self, e, order):
+        if (id(e), order) not in self._cache:
+            evaluated.append(self)
+        return evaluate(self, e, order)
+
+    monkeypatch.setattr(Block, "run", counting_run)
+    monkeypatch.setattr(Block, "evaluate", counting_evaluate)
+    gammas = ChristoffelField(*(parse(f"{k}*x*y + y") for k in range(1, 7)))
+    grid = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
+    with block_size(4):
+        series = residual_sweep(["x^2 + y", "x*y", "sin(x) + y"], grid, christoffels=gammas)
+    assert [len(s.points) for s in series] == [9, 9, 9]
+    # the lists keep every block alive, so no two share an id
+    blocks = list(dict.fromkeys(map(id, top_level)))
+    assert len(blocks) == 3
+    assert list(map(id, top_level)) == [b for b in blocks for _ in range(3)]
+    # three functions and six Christoffels, each evaluated once per block
+    assert list(map(id, evaluated)) == [b for b in blocks for _ in range(9)]
 
 
 # ------------------------------------------------------- CLI report bytes
