@@ -209,7 +209,7 @@ Expression = Constant | Variable | Unary | Binary | Call | PartialDerivative
 X = Variable("x")
 Y = Variable("y")
 
-_NUMBER_RE = re.compile(r"\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_NUMBER_RE = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 _OPS = "+-*/^"
 
@@ -223,7 +223,7 @@ def _tokenize(text: str):
         if ch in " \t\r\n":
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             m = _NUMBER_RE.match(text, i)
             value = float(m.group())
             if not math.isfinite(value):
@@ -231,7 +231,7 @@ def _tokenize(text: str):
             tokens.append(("num", value, i))
             i = m.end()
             continue
-        if ch.isalpha() or ch == "_":
+        if ch.isascii() and (ch.isalpha() or ch == "_"):
             m = _IDENT_RE.match(text, i)
             tokens.append(("ident", m.group(), i))
             i = m.end()

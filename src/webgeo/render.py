@@ -6,16 +6,19 @@ set exactly up to the integrator's truncation error.  Tracing rather than
 marching squares keeps each leaf a single smooth, ordered polyline.
 
 Reports serialize to JSON with a fixed top-level schema and stable key
-order; floats use the shortest representation that round-trips, so a
-re-parsed report reproduces every numeric field exactly.  NaN or infinite
-values are replaced by the strings "nan"/"inf"/"-inf" and flagged.
+order, indented by two spaces, with every key written as str(key) and
+every string escaped to ASCII (\\uXXXX); floats use the shortest
+representation that round-trips, so a re-parsed report reproduces every
+numeric field exactly.  NaN or infinite values are replaced by the strings
+"nan"/"inf"/"-inf", and then "degenerate": true is written as the last
+top-level key, which only such a report has.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 from .exprlang import EvaluationError, _gradient_function, as_expression, evaluate
 
@@ -237,34 +240,113 @@ def compose_report(
     }
 
 
-def _sanitize(value, flag):
+def _non_finite(value) -> bool:
+    """Whether a NaN or infinite float lies in `value` or the dicts,
+    lists and tuples nested in it."""
     if isinstance(value, float):
-        if math.isnan(value):
-            flag["degenerate"] = True
-            return "nan"
-        if math.isinf(value):
-            flag["degenerate"] = True
-            return "inf" if value > 0 else "-inf"
-        return value
+        return not math.isfinite(value)
     if isinstance(value, dict):
-        return {str(k): _sanitize(v, flag) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_sanitize(v, flag) for v in value]
-    return value
+        value = value.values()
+    elif not isinstance(value, (list, tuple)):
+        return False
+    return any(map(_non_finite, value))
 
 
 def write_report(report: dict) -> str:
-    """Serialize an analysis record to JSON text.
+    """Serialize an analysis record to JSON text in one walk.
 
-    Key order follows the record's own (insertion) order, so identical
-    records give byte-identical output; non-finite floats are replaced by
-    strings and a top-level "degenerate" flag is set.
+    The text is ``json.dumps(record, indent=2)`` of the record with every
+    key converted by str() and every NaN or infinite float replaced by
+    "nan", "inf" or "-inf"; after such a float, "degenerate": true is the
+    last top-level key (or replaces an existing "degenerate" value).  Key
+    order is the record's own, so identical records give identical bytes.
+    A value of any other type raises the TypeError that json raises.
     """
-    flag = {"degenerate": False}
-    sanitized = _sanitize(report, flag)
-    if flag["degenerate"]:
-        sanitized["degenerate"] = True
-    return json.dumps(sanitized, indent=2, allow_nan=False) + "\n"
+    chunks = []
+    degenerate = False
+
+    def put(value, pad):
+        nonlocal degenerate
+        if isinstance(value, float):
+            text = float.__repr__(value)
+            if "n" in text:  # nan, inf, -inf: no finite repr has an n
+                degenerate = True
+                text = f'"{text}"'
+            chunks.append(text)
+        elif isinstance(value, str):
+            chunks.append(encode_basestring_ascii(value))
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                chunks.append("[]")
+                return
+            inner = pad + "  "
+            try:
+                text = ("," + inner).join(map(float.__repr__, value))
+            except TypeError:
+                text = "n"  # not all floats
+            if "n" not in text:
+                chunks.append(f"[{inner}{text}{pad}]")
+                return
+            chunks.append("[")
+            sep = inner
+            for item in value:
+                chunks.append(sep)
+                put(item, inner)
+                sep = "," + inner
+            chunks.append(pad + "]")
+        elif isinstance(value, dict):
+            put_items(value, pad)
+        elif value is True:
+            chunks.append("true")
+        elif value is False:
+            chunks.append("false")
+        elif value is None:
+            chunks.append("null")
+        elif isinstance(value, int):
+            chunks.append(int.__repr__(value))
+        else:
+            raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+    def put_items(d, pad):
+        """Write dict `d`; return the chunk span of the value of its
+        "degenerate" key, or None."""
+        nonlocal degenerate
+        if not d:
+            chunks.append("{}")
+            return None
+        inner = pad + "  "
+        span = None
+        sep = "{" + inner
+        mark = len(chunks)
+        for key, value in d.items():
+            if type(key) is not str:
+                # Keys become str(key) and a later duplicate wins; a
+                # non-finite float in the value it replaces still counts.
+                del chunks[mark:]
+                keyed = {}
+                for k, v in d.items():
+                    k = str(k)
+                    if k in keyed and _non_finite(keyed[k]):
+                        degenerate = True
+                    keyed[k] = v
+                return put_items(keyed, pad)
+            chunks.append(f"{sep}{encode_basestring_ascii(key)}: ")
+            start = len(chunks)
+            put(value, inner)
+            if key == "degenerate":
+                span = (start, len(chunks))
+            sep = "," + inner
+        chunks.append(pad + "}")
+        return span
+
+    span = put_items(report, "\n")
+    if degenerate:
+        if span is None:
+            chunks.insert(-1, ',\n  "degenerate": true')
+        else:
+            chunks[span[0] : span[1]] = ["true"]
+    chunks.append("\n")
+    return "".join(chunks)
 
 
 def write_csv_grid(samples) -> str:

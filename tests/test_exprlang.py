@@ -33,6 +33,7 @@ from webgeo import (
     partial_derivative,
     to_source,
 )
+from webgeo.cli import run
 from webgeo.exprlang import FUNCTION_NAMES, MAX_DEPTH, MAX_NESTING, X, Y, _Compiler
 from webgeo.taylor import MAX_ORDER, _integer_power, _power_or_inf, derivative_jet
 from conftest import CORPUS, fd_partial, sample_point
@@ -51,6 +52,19 @@ def test_parse_error_position():
     with pytest.raises(ParseError) as err:
         parse("x +* y")
     assert err.value.position == 3
+
+
+def test_non_ascii_characters_are_parse_errors(capsys):
+    """The grammar's digits and letters are ASCII: a Unicode digit or letter
+    is an unexpected character, not a crash and not a number."""
+    cases = {"x²": 1, "π*x": 0, "é": 0, "ℯ": 0, "٣*x": 0, "2*𝟙": 2, "x\u00a0+ y": 1}
+    for text, offset in cases.items():
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert err.value.position == offset, text
+        assert err.value.message == f"unexpected character {text[offset]!r}"
+    assert run(["flex", "--f", "x²", "--grid", "0:1:0:1:2:2"]) == 2
+    assert "--f: parse error at offset 1: unexpected character '²'" in capsys.readouterr().err
 
 
 def test_pencil_function_parses():
@@ -324,7 +338,7 @@ def test_round_trip_past_full_parenthesization(source):
 
 
 def test_parser_totality_fuzz(rng):
-    alphabet = string.ascii_letters + string.digits + "+-*/^(). eE_\t"
+    alphabet = string.ascii_letters + string.digits + "+-*/^(). eE_\t" + "²٣πéℯ\u00a0𝟙"
     for _ in range(400):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 24)))
         try:

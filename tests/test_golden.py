@@ -1,11 +1,11 @@
-"""The bytes of the path integrators' reports, pinned.
+"""The bytes of the reports, pinned.
 
-Each case runs one `render`, `lingen` or `symintegrate` command through
-`webgeo.cli.run` inside a temporary directory, with any SVG written there
-as `web.svg`.  The exit code and the SHA-256 of stdout, stderr and the SVG
-file must equal the digests recorded below, so a change to the tracer, the
-transport or the compiled formulas that moves a single bit of any output
-fails here.
+Each case runs one command through `webgeo.cli.run` inside a temporary
+directory, with any SVG written there as `web.svg`.  The exit code and the
+SHA-256 of stdout, stderr and the SVG file must equal the digests recorded
+below, so a change to the tracer, the transport, the grid sweeps, the
+compiled formulas or the report writer that moves a single bit of any
+output fails here.
 """
 
 from __future__ import annotations
@@ -78,10 +78,82 @@ CASES = {
         "--initial", "0.2,-0.1,0.15,0.33,-0.21,0.2",
         "--path", "2.9,0.9; 3.1,0.9", "--step", "0.01",
     ],
+    # Half of the 1,600 nodes lie outside the domain of sqrt: 780 skipped.
+    "flex-sqrt-half-domain": [
+        "flex", "--f", "sqrt(x - y + 0.013)", "--grid", "0:1:0:1:40:40",
+    ],
+    "geodesic-constcurv-two-functions": [
+        "geodesic", "--web", "y/x; sin(y/x)", "--christoffel", "constcurv:1.0",
+        "--grid", "0.4:1.2:0.2:1.0:6:6",
+    ],
+    "dweb-linear-five-web": [
+        "dweb", "--web", "x; y; x + sqrt(x^2 - y); y/(1 - x); y/(1 - 2*x)",
+        "--grid", "1.6:2.4:0.1:0.9:6:6",
+    ],
+    "symcheck-grid": [
+        "symcheck", "--f3", "x+y", "--f4", "x*y", "--grid", "1.5:3:0:1:10:10",
+    ],
+    # y + x^2 is tangent to y at x = 0 and to x + y at x = 0.5.
+    "fit-grid-tangent-columns": [
+        "fit", "--web", "x; y; x+y; y + x^2", "--grid", "0:1:0.2:1:5:5",
+    ],
+    "euler-grid": [
+        "euler", "--w", "y/(1 - x)", "--grid", "0:0.5:0:1:5:5",
+    ],
+    "flex-csv": [
+        "flex", "--f", "x + sqrt(x^2 - y)", "--grid", "1.5:2.5:0:1:5:5", "--format", "csv",
+    ],
+    # The partial f_xx overflows to inf: the report holds "nan" and ends
+    # with "degenerate": true.
+    "flex-degenerate": [
+        "flex", "--f", "x + 5e307*x^2*(1+y)", "--grid", "0:0:1:1:1:1",
+    ],
 }
 
 #: (exit code, SHA-256 of stdout, of stderr, of the SVG or None).
 DIGESTS = {
+    "dweb-linear-five-web": (
+        0,
+        "b3d0256199bcb17c36ebdf2874e2e6da601d9f8469df2703b972c10a254c6afe",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "euler-grid": (
+        0,
+        "d02f85b6105fbf5ca4dfe27f105945884913c0f0275fbb1b549d218d623e63f2",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "fit-grid-tangent-columns": (
+        0,
+        "6362ee62d4bd18435eae51b0409bb0f44f849d0f699a0ceeccf660e332444f20",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "flex-csv": (
+        0,
+        "d1a24152d87f49848dc093bbd540f93b6fc7f2de44623926c0487b18235902c1",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "flex-degenerate": (
+        0,
+        "500cb3bcf2c9a4a2e67c79598ec1dd7ff889f1190d0bd0ed0812bed840b9751d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "flex-sqrt-half-domain": (
+        0,
+        "c244af07eaae2dc03e6a170f8385a2e06138a3c67df663adeaef15417e0df894",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
+    "geodesic-constcurv-two-functions": (
+        0,
+        "65c3bbd32dc72da7212a435481639ba192132508df912bf7dba93e98ea9bc081",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
+    ),
     "lingen-parabola": (
         0,
         "dd7cb7f62c97bf6fb3feb144c09c6c12a4b25a03648f7f9cc17b21cb123567c0",
@@ -135,6 +207,12 @@ DIGESTS = {
         "041915b68fd0ad76fee0ddf487f517e5b350043c53a1f158a5f7f02f010c056c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "4b771ecc95bcde2b37dffe207d7a7e0189aae42e9075f68dcb7fbbed5d5c21ed",
+    ),
+    "symcheck-grid": (
+        0,
+        "eeed3e3c65efe72e79253bf442f9756718d41ef7f5d8419f282fc9b28a81ec64",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        None,
     ),
     "symintegrate-closed-loop": (
         0,

@@ -152,6 +152,95 @@ def test_write_report_non_finite_values():
     assert parsed["degenerate"] is True
 
 
+def reference_sanitize(report: dict) -> dict:
+    """The record as the report writer once handed it to json.dumps: keys
+    converted by str(), non-finite floats replaced by "nan"/"inf"/"-inf",
+    and then a top-level "degenerate": True."""
+    flag = {"degenerate": False}
+
+    def sanitize(value):
+        if isinstance(value, float):
+            if math.isnan(value):
+                flag["degenerate"] = True
+                return "nan"
+            if math.isinf(value):
+                flag["degenerate"] = True
+                return "inf" if value > 0 else "-inf"
+            return value
+        if isinstance(value, dict):
+            return {str(k): sanitize(v) for k, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [sanitize(v) for v in value]
+        return value
+
+    sanitized = sanitize(report)
+    if flag["degenerate"]:
+        sanitized["degenerate"] = True
+    return sanitized
+
+
+def reference_write_report(report: dict) -> str:
+    return json.dumps(reference_sanitize(report), indent=2, allow_nan=False) + "\n"
+
+
+_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1e308]),
+)
+_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "nan", "degenerate", "\x00\x1f\x7f", "\u2028", "π x²", "\U0001d7d9", '"\\']),
+)
+_INTS = st.one_of(st.integers(-3, 3), st.integers(), st.sampled_from([2**64, -(10**40)]))
+_SCALARS = st.one_of(_FLOATS, _STRINGS, _INTS, st.booleans(), st.none())
+# int, float, bool and None keys, and strings that equal their str()
+_KEYS = st.one_of(
+    _STRINGS,
+    st.integers(-3, 3),
+    _FLOATS,
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1", "-2", "True", "None", "0.5", "inf"]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=4),
+        st.lists(_FLOATS, max_size=6),
+        st.lists(_FLOATS, max_size=6).map(tuple),
+    ),
+    max_leaves=16,
+)
+
+
+@st.composite
+def report_records(draw):
+    items = list(draw(st.dictionaries(_KEYS, _VALUES, max_size=6)).items())
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))), ("degenerate", draw(_VALUES)))
+    return dict(items)
+
+
+@settings(max_examples=800, deadline=None, derandomize=True, database=None)
+@given(report_records())
+def test_write_report_matches_json_dumps(record):
+    assert write_report(record) == reference_write_report(record)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [{"a": {1, 2}}, {"a": [1.0, {1.0}]}, {"a": {"b": (math.nan, frozenset())}}, {"a": 1j}],
+)
+def test_write_report_rejects_what_json_rejects(record):
+    with pytest.raises(TypeError) as expected:
+        reference_write_report(record)
+    with pytest.raises(TypeError) as raised:
+        write_report(record)
+    assert str(raised.value) == str(expected.value)
+
+
 def test_write_csv_grid():
     samples = [
         ResidualSample((0.0, 0.5), 1.25e-3, 2.5e-4, 5.0, False),
