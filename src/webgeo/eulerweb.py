@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from .exprlang import (
     EvaluationError,
     Expression,
+    _value_function,
     as_expression,
     evaluate,
     evaluate_jet,
@@ -381,10 +382,11 @@ def generate_linear_web(
         warnings = []
         hits = []
         bad = 0
+        value = _value_function(datum.w0)
         for k in range(PROBE_COUNT):
             lam = lo + (hi - lo) * k / (PROBE_COUNT - 1)
             try:
-                w0 = datum.value(lam)
+                w0 = value(0.0, lam)
             except EvaluationError:
                 bad += 1
                 continue
@@ -412,7 +414,7 @@ def generate_linear_web(
         kept = []
         for lam in lam_values:
             try:
-                w0 = datum.value(lam)
+                w0 = value(0.0, lam)
             except EvaluationError:
                 continue
             segment = _clip_line_to_rect(-w0, lam, domain)

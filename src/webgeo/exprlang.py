@@ -26,10 +26,12 @@ holds exactly.
 Values and gradients at a point run straight-line Python code that
 :class:`_Compiler` makes from the tree on first use and caches on the node,
 so a formula traced or scanned at thousands of points is turned into code
-once.  Jets, at one point or at a :class:`Block` of points, and values at a
-block come from one tree walker, :class:`_Walker`, on the coefficient
-tables of :mod:`webgeo.taylor`; :func:`evaluate_jet` hands the table it
-builds to the jet it returns.  Every computation at a block, here and in
+once.  The level-curve tracer and the probes of the linear-web generator
+call those compiled functions directly, with the point's floats.  Jets,
+at one point or at a :class:`Block` of points, and values at a block come
+from one tree walker, :class:`_Walker`, on the coefficient tables of
+:mod:`webgeo.taylor`; :func:`evaluate_jet` hands the table it builds to
+the jet it returns.  Every computation at a block, here and in
 the sweeps, runs through :meth:`Block.run`, and fails points through
 :func:`webgeo.taylor.fail`.
 """
@@ -499,8 +501,7 @@ def evaluate(e: Expression, point) -> float:
     outside its domain, an error of `math` with its own message, or
     "non-finite result" of an operator or function.
     """
-    function = getattr(e, "_value_code", None) or _compile(e, False)
-    return function(float(point[0]), float(point[1]))
+    return _value_function(e)(float(point[0]), float(point[1]))
 
 
 def evaluate_gradient(e: Expression, point) -> tuple[float, float, float]:
@@ -519,6 +520,12 @@ def evaluate_gradient(e: Expression, point) -> tuple[float, float, float]:
     for finiteness.
     """
     return _gradient_function(e)(float(point[0]), float(point[1]))
+
+
+def _value_function(e):
+    """The compiled value function of `e`, a function of the floats (x, y)
+    that :func:`evaluate` calls."""
+    return getattr(e, "_value_code", None) or _compile(e, False)
 
 
 def _gradient_function(e):

@@ -92,6 +92,10 @@ class LeafPolyline:
         return len(self.points)
 
 
+class _Degenerate(Exception):
+    """The gradient vanishes (relative to the point) where a trace steps."""
+
+
 def trace_level_curve(
     f,
     seed,
@@ -105,67 +109,62 @@ def trace_level_curve(
     The polyline runs in both directions from the seed until it leaves the
     rectangle, closes a loop (the seed is then appended again so closed
     leaves end where they start), or reaches `max_points` per direction.
-    Raises ValueError for a step that is not finite and positive.
+    Raises ValueError for a step that is not finite and positive, and for
+    a `max_points` that is not a positive int (a bool is not one).
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be a finite positive number, got {step!r}")
+    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
+        raise ValueError(f"max_points must be a positive integer, got {max_points!r}")
     f = as_expression(f)
     seed = (float(seed[0]), float(seed[1]))
     if not domain.contains(seed):
         raise ValueError(f"seed {seed} lies outside the domain rectangle")
     gradient = _gradient_function(f)
+    hypot = math.hypot
     _, fx, fy = gradient(*seed)
-    norm = math.hypot(fx, fy)
+    norm = hypot(fx, fy)
     if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(seed[0]) + abs(seed[1])):
         raise ValueError(f"degenerate seed {seed}: |grad f| = {norm!r}")
     level = evaluate(f, seed)
 
-    def velocity(point, sign):
-        _, fx, fy = gradient(*point)
-        norm = math.hypot(fx, fy)
-        if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(point[0]) + abs(point[1])):
-            return None
-        return (sign * fy / norm, sign * -fx / norm)
+    def velocity(x, y, sign):
+        _, fx, fy = gradient(x, y)
+        norm = hypot(fx, fy)
+        if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(x) + abs(y)):
+            raise _Degenerate
+        return sign * fy / norm, sign * -fx / norm
+
+    half, sixth = 0.5 * step, step / 6.0
+    near, far = 0.9 * step, 2.0 * step
+    xmin, xmax, ymin, ymax = domain.xmin, domain.xmax, domain.ymin, domain.ymax
+    seed_x, seed_y = seed
 
     def march(sign):
         points = [seed]
-        current = seed
+        x, y = seed
         closed = False
         escaped_seed = False
         for _ in range(max_points):
             try:
-                k1 = velocity(current, sign)
-                if k1 is None:
-                    break
-                p2 = (current[0] + 0.5 * step * k1[0], current[1] + 0.5 * step * k1[1])
-                k2 = velocity(p2, sign)
-                if k2 is None:
-                    break
-                p3 = (current[0] + 0.5 * step * k2[0], current[1] + 0.5 * step * k2[1])
-                k3 = velocity(p3, sign)
-                if k3 is None:
-                    break
-                p4 = (current[0] + step * k3[0], current[1] + step * k3[1])
-                k4 = velocity(p4, sign)
-                if k4 is None:
-                    break
-            except EvaluationError:
+                k1x, k1y = velocity(x, y, sign)
+                k2x, k2y = velocity(x + half * k1x, y + half * k1y, sign)
+                k3x, k3y = velocity(x + half * k2x, y + half * k2y, sign)
+                k4x, k4y = velocity(x + step * k3x, y + step * k3y, sign)
+            except (_Degenerate, EvaluationError):
                 break
-            nxt = (
-                current[0] + step / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-                current[1] + step / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-            )
-            if not domain.contains(nxt):
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            if not (xmin <= x <= xmax and ymin <= y <= ymax):
                 break
-            gap = math.hypot(nxt[0] - seed[0], nxt[1] - seed[1])
-            if not escaped_seed and gap > 2.0 * step:
+            gap = hypot(x - seed_x, y - seed_y)
+            if not escaped_seed and gap > far:
                 escaped_seed = True
-            if escaped_seed and gap < 0.9 * step:
+            if escaped_seed and gap < near:
                 points.append(seed)
                 closed = True
                 break
-            points.append(nxt)
-            current = nxt
+            points.append((x, y))
         return points, closed
 
     forward, closed = march(+1.0)
@@ -192,13 +191,10 @@ def render_svg(
         raise ValueError("no leaves to render")
     style = style or {}
 
-    sx = (SVG_WIDTH - 2.0 * SVG_MARGIN) / (domain.xmax - domain.xmin)
-    sy = (SVG_HEIGHT - 2.0 * SVG_MARGIN) / (domain.ymax - domain.ymin)
-
-    def viewport(point):
-        px = SVG_MARGIN + (point[0] - domain.xmin) * sx
-        py = SVG_HEIGHT - SVG_MARGIN - (point[1] - domain.ymin) * sy
-        return px, py
+    x0, y0 = domain.xmin, domain.ymin
+    sx = (SVG_WIDTH - 2.0 * SVG_MARGIN) / (domain.xmax - x0)
+    sy = (SVG_HEIGHT - 2.0 * SVG_MARGIN) / (domain.ymax - y0)
+    top = SVG_HEIGHT - SVG_MARGIN
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -209,10 +205,10 @@ def render_svg(
         entry = style.get(leaf.foliation_index, {})
         color = entry.get("color", _PALETTE[leaf.foliation_index % len(_PALETTE)])
         stroke = entry.get("width", 1.2)
-        coords = [viewport(p) for p in leaf.points]
-        parts = [f"M {coords[0][0]:.4f} {coords[0][1]:.4f}"]
-        parts.extend(f"L {px:.4f} {py:.4f}" for px, py in coords[1:])
-        path_data = " ".join(parts)
+        path_data = "M " + " L ".join([
+            f"{SVG_MARGIN + (x - x0) * sx:.4f} {top - (y - y0) * sy:.4f}"
+            for x, y in leaf.points
+        ])
         lines.append(
             f'<path d="{path_data}" fill="none" stroke="{color}" '
             f'stroke-width="{stroke}"/>'

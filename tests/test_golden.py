@@ -58,6 +58,17 @@ CASES = {
         "lingen", "--data", "0.3*y + 0.2; 0.25*y^2 - 0.1", "--lambda=-2.5:2.5",
         "--domain=-1:1:-2:2", "--leaves", "7", "--svg", "web.svg",
     ],
+    # sqrt(y) is undefined on half of the probed parameter values: a
+    # warning, and leaves drawn from the other half.
+    "lingen-undefined-probes": [
+        "lingen", "--data", "sqrt(y); 0*y + 3", "--lambda=-1:1", "--domain=-1:1:-2:2",
+        "--leaves", "5", "--svg", "web.svg",
+    ],
+    # The lines y = lam, lam in 3..4, all pass above the domain.
+    "lingen-no-leaves": [
+        "lingen", "--data", "0*y", "--lambda=3:4", "--domain=-1:1:-2:2",
+        "--leaves", "5", "--svg", "web.svg",
+    ],
     "symintegrate-open-path": [
         "symintegrate", "--f3", "x+y", "--f4", "x*y",
         "--initial", "0.2,-0.1,0.15,0.33,-0.21,0.15",
@@ -154,6 +165,12 @@ DIGESTS = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         None,
     ),
+    "lingen-no-leaves": (
+        1,
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "eba57546020351929827dda95c5a6acd28e3a8b64f19973e91e0783041be5680",
+        None,
+    ),
     "lingen-parabola": (
         0,
         "dd7cb7f62c97bf6fb3feb144c09c6c12a4b25a03648f7f9cc17b21cb123567c0",
@@ -165,6 +182,12 @@ DIGESTS = {
         "3ba20eccd96c2010ec4e645a5090003a087bf841bba58df4ef798943abc5ae3c",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
         "e37945658c91974bf6153163ebdab8d99c23fe5da2b9c1a7075000e083030c34",
+    ),
+    "lingen-undefined-probes": (
+        0,
+        "c5fa5309fe72ad19ddd2a67781b93c92d4324c47b95f4b6d39a810cb92426f15",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "517bb5a120b2112e4fdac72490945f1c86a1191c22bd10955e73e7688ad2f0eb",
     ),
     "render-closed-loops": (
         0,

@@ -28,7 +28,13 @@ from webgeo import (
 from webgeo.cli import run
 from webgeo.exprlang import X, Y
 from webgeo.geodesy import ResidualSample
-from webgeo.render import SEED_DEGENERACY_COEFF
+from webgeo.render import (
+    _PALETTE,
+    SEED_DEGENERACY_COEFF,
+    SVG_HEIGHT,
+    SVG_MARGIN,
+    SVG_WIDTH,
+)
 from conftest import CORPUS, sample_point
 
 
@@ -81,6 +87,23 @@ def test_trace_level_drift(rng):
             assert abs(evaluate(f, point) - level) <= 1e-6 * (1.0 + abs(level))
 
 
+@pytest.mark.parametrize("max_points", [0, -3, 2.5, True, False, "10", None])
+def test_trace_max_points_must_be_a_positive_int(max_points):
+    with pytest.raises(ValueError, match="max_points must be a positive integer"):
+        trace_level_curve("x+y", (0.5, 0.5), Rect(0, 1, 0, 1), max_points=max_points)
+
+
+# The gradient code checks only powers and the final gradient, so at
+# (0.5, 0.5) it returns (0.5, 0.0, 1.0) for this formula; the value walk
+# checks every intermediate.  The leaf's level must come from the value.
+OVERFLOWING_CONSTANT = "y + 1/(1e308*1e308)"
+
+
+def test_trace_takes_its_level_from_the_checked_value():
+    with pytest.raises(EvaluationError, match=r"non-finite result in '\(1e\+308 \* 1e\+308\)'"):
+        trace_level_curve(OVERFLOWING_CONSTANT, (0.5, 0.5), Rect(0, 1, 0, 1))
+
+
 def test_trace_contracts():
     domain = Rect(-1, 1, -1, 1)
     with pytest.raises(ValueError):
@@ -124,6 +147,103 @@ def test_render_svg_styles():
     svg = render_svg([leaf], domain, style={0: {"color": "#123456", "width": 3}})
     assert 'stroke="#123456"' in svg
     assert 'stroke-width="3"' in svg
+
+
+# ------------------------------------------ the SVG writer against its reference
+#
+# `render_svg` writes each point with one f-string.  The reference below is
+# the writer as it was before, with a viewport function, a list of pixel
+# coordinates per leaf and one "M"/"L" part per point: the documents must be
+# equal, character for character.
+
+
+def reference_render_svg(leaves, domain, style=None):
+    leaves = list(leaves)
+    if not leaves:
+        raise ValueError("no leaves to render")
+    style = style or {}
+
+    sx = (SVG_WIDTH - 2.0 * SVG_MARGIN) / (domain.xmax - domain.xmin)
+    sy = (SVG_HEIGHT - 2.0 * SVG_MARGIN) / (domain.ymax - domain.ymin)
+
+    def viewport(point):
+        px = SVG_MARGIN + (point[0] - domain.xmin) * sx
+        py = SVG_HEIGHT - SVG_MARGIN - (point[1] - domain.ymin) * sy
+        return px, py
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
+    ]
+    for leaf in leaves:
+        entry = style.get(leaf.foliation_index, {})
+        color = entry.get("color", _PALETTE[leaf.foliation_index % len(_PALETTE)])
+        stroke = entry.get("width", 1.2)
+        coords = [viewport(p) for p in leaf.points]
+        parts = [f"M {coords[0][0]:.4f} {coords[0][1]:.4f}"]
+        parts.extend(f"L {px:.4f} {py:.4f}" for px, py in coords[1:])
+        path_data = " ".join(parts)
+        lines.append(
+            f'<path d="{path_data}" fill="none" stroke="{color}" '
+            f'stroke-width="{stroke}"/>'
+        )
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+# The last domain sits far from the origin, where y * sy and y0 * sy are
+# large and (y - y0) * sy keeps bits that their difference loses.
+_SVG_DOMAINS = [
+    Rect(0, 1, 0, 1),
+    Rect(-2.5, 0.5, -1e-3, 1e-3),
+    Rect(-1e6, 1e6, 3.0, 7.0),
+    Rect(1e9, 1e9 + 1.0, -1e9 - 1e-3, -1e9),
+]
+
+# Signed zeros, and values whose pixel coordinates overflow to inf (or
+# give inf - inf = nan).
+_SVG_SPECIAL = [0.0, -0.0, 1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def svg_problems(draw):
+    """(leaves, domain, style): points inside and outside the domain."""
+    domain = draw(st.sampled_from(_SVG_DOMAINS))
+
+    def coordinate(lo, hi):
+        inside = st.floats(-0.5, 1.5).map(lambda t: lo + t * (hi - lo))
+        return st.one_of(inside, st.sampled_from(_SVG_SPECIAL))
+
+    point = st.tuples(
+        coordinate(domain.xmin, domain.xmax), coordinate(domain.ymin, domain.ymax)
+    )
+    leaves = draw(st.lists(
+        st.builds(
+            LeafPolyline,
+            st.integers(-3, 20),  # past the palette's 8 colors
+            st.floats(allow_nan=False),
+            st.one_of(
+                st.lists(point, min_size=1, max_size=2),
+                st.lists(point, min_size=3, max_size=40),
+            ),
+        ),
+        min_size=1,
+        max_size=6,
+    ))
+    entry = st.fixed_dictionaries({}, optional={
+        "color": st.sampled_from(["#123456", "red", "none"]),
+        "width": st.sampled_from([0, 3, 0.5, 2.25]),
+    })
+    style = draw(st.one_of(st.none(), st.dictionaries(st.integers(-3, 20), entry, max_size=4)))
+    return leaves, domain, style
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(svg_problems())
+def test_render_svg_matches_its_reference(problem):
+    leaves, domain, style = problem
+    assert render_svg(leaves, domain, style) == reference_render_svg(leaves, domain, style)
 
 
 def test_write_report_roundtrip_and_key_order():
@@ -427,6 +547,8 @@ def leaf_problems(draw):
         (X - Constant(a)) ** -3 + (Y - Constant(b)) ** 5,
         (X + Constant(1.5)) ** 7 * (Y + Constant(1.5)) ** -2,
         PartialDerivative(parse(f"x^2*y + y^3 + {p}*x"), 1, 0),
+        # a value that overflows where the gradient code does not look
+        parse(OVERFLOWING_CONSTANT),
     ]))
     seed = (
         draw(st.sampled_from([domain.xmin, *_OFFSETS, domain.xmax])),
