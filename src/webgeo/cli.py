@@ -141,22 +141,24 @@ def _parse_rect(text: str) -> Rect:
         raise _UsageError(f"--domain: {exc}") from None
 
 
-def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite non-negative number, got {text!r}"
-        )
+def _float(text: str, valid, requirement: str) -> float:
+    """The finite float `text` spells that passes `valid`; an argparse
+    type error naming `requirement` otherwise."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and valid(value)):
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
     return value
+
+
+def _tolerance(text: str) -> float:
+    return _float(text, lambda v: v >= 0.0, "tolerance must be a finite non-negative number")
 
 
 def _step(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"step must be a finite positive number, got {text!r}"
-        )
-    return value
+    return _float(text, lambda v: v > 0.0, "step must be a finite positive number")
 
 
 def _count(text: str) -> int:

@@ -21,7 +21,10 @@ family of f consists of geodesics of a projective structure iff
 
     w_y - w w_x = P2_11 w^3 - 3 P2_12 w^2 - 3 P1_12 w + P1_22.
 
-Both residuals are exposed, each in its own convention.
+Both residuals are exposed, each in its own convention.  One kernel,
+:func:`_euler`, computes both from the jet table of w, at one point or at
+a block of grid points: the single-point functions, the ``*_of_jet``
+functions and :func:`euler_sweep` all call it.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .exprlang import (
     evaluate,
     evaluate_jet,
     evaluate_jet_with,
+    table_at,
     to_source,
     variables_of,
 )
@@ -52,6 +56,9 @@ from .taylor import (
 )
 
 DEFAULT_SCAN_COUNT = 400
+
+#: Largest scan_count characteristic_roots accepts.
+MAX_SCAN_COUNT = 100_000
 
 #: Parameter values of each datum probed for lines that meet the domain.
 PROBE_COUNT = 512
@@ -105,17 +112,13 @@ class CharacteristicRoot:
     multiplicity_hint: str  # "simple" or "near_double"
 
 
-def euler_residual(w, point) -> float:
-    """Residual of the flat Euler equation w_x - w w_y for the slope
-    convention w = f_x / f_y."""
-    return euler_residual_of_jet(evaluate_jet(as_expression(w), point, 1))
-
-
-def _euler(w, wx, wy):
-    return wx - w * wy
-
-
-def _connection_euler(w, wx, wy, pi: ThomasParameters, ok=None):
+def _euler(table, pi: ThomasParameters | None = None, ok=None):
+    """The Euler residual from the table of an order >= 1 jet of w, floats
+    at one point or lane vectors at a block: the flat one, or with `pi`
+    the connection variant.  A cube that overflows fails the point."""
+    w, wx, wy = (table_partial(table, i, j) for i, j in ((0, 0), (1, 0), (0, 1)))
+    if pi is None:
+        return wx - w * wy
     cubic = (
         pi.p2_11 * cube(w, ok)
         - 3.0 * pi.p2_12 * w * w
@@ -125,8 +128,14 @@ def _connection_euler(w, wx, wy, pi: ThomasParameters, ok=None):
     return wy - w * wx - cubic
 
 
+def euler_residual(w, point) -> float:
+    """Residual of the flat Euler equation w_x - w w_y for the slope
+    convention w = f_x / f_y."""
+    return _euler(table_at(as_expression(w), point, 1, None))
+
+
 def euler_residual_of_jet(jet: TaylorJet) -> float:
-    return _euler(jet.value, partial_derivative(jet, 1, 0), partial_derivative(jet, 0, 1))
+    return _euler(jet.table)
 
 
 def connection_euler_residual(w, pi: ThomasParameters, point) -> float:
@@ -135,15 +144,11 @@ def connection_euler_residual(w, pi: ThomasParameters, point) -> float:
 
         w_y - w w_x - (P2_11 w^3 - 3 P2_12 w^2 - 3 P1_12 w + P1_22)
     """
-    return connection_euler_residual_of_jet(
-        evaluate_jet(as_expression(w), point, 1), pi
-    )
+    return _euler(table_at(as_expression(w), point, 1, None), pi)
 
 
 def connection_euler_residual_of_jet(jet: TaylorJet, pi: ThomasParameters) -> float:
-    return _connection_euler(
-        jet.value, partial_derivative(jet, 1, 0), partial_derivative(jet, 0, 1), pi
-    )
+    return _euler(jet.table, pi)
 
 
 def euler_sweep(w, grid: GridSpec, pi: ThomasParameters | None = None) -> GridResiduals:
@@ -155,9 +160,7 @@ def euler_sweep(w, grid: GridSpec, pi: ThomasParameters | None = None) -> GridRe
     w = as_expression(w)
 
     def residual(block, ok):
-        table = block.target(w, 1, ok)
-        v, vx, vy = (table_partial(table, i, j) for i, j in ((0, 0), (1, 0), (0, 1)))
-        raw = _euler(v, vx, vy) if pi is None else _connection_euler(v, vx, vy, pi, ok)
+        raw = _euler(table_at(w, block, 1, ok), pi, ok)
         return raw, raw, math.nan, False
 
     (out,) = _sweep(grid, [residual])
@@ -186,10 +189,16 @@ def characteristic_roots(
     width 1e-14 and polished with one Newton step.  Root isolation is only
     as fine as the scan: raising `scan_count` never loses roots that a
     coarser scan found.  An empty list is a valid outcome (no
-    characteristic through the point), not an error.
+    characteristic through the point), not an error.  Raises ValueError,
+    before any evaluation, for a `scan_count` that is not an int from 2 to
+    MAX_SCAN_COUNT (a bool is not one).
     """
+    if isinstance(scan_count, bool) or not isinstance(scan_count, int):
+        raise ValueError(f"scan_count must be an integer, got {scan_count!r}")
     if scan_count < 2:
         raise ValueError(f"scan_count must be at least 2, got {scan_count}")
+    if scan_count > MAX_SCAN_COUNT:
+        raise ValueError(f"scan_count must be at most {MAX_SCAN_COUNT}, got {scan_count}")
     lo, hi = datum.lambda_interval
     x, y = float(point[0]), float(point[1])
 

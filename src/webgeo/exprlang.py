@@ -33,7 +33,8 @@ from one tree walker, :class:`_Walker`, on the coefficient tables of
 :mod:`webgeo.taylor`; :func:`evaluate_jet` hands the table it builds to
 the jet it returns.  Every computation at a block, here and in
 the sweeps, runs through :meth:`Block.run`, and fails points through
-:func:`webgeo.taylor.fail`.
+:func:`webgeo.taylor.fail`.  The residual kernels read formulas through
+one accessor, :func:`table_at`, at a point or at a block alike.
 """
 
 from __future__ import annotations
@@ -1160,6 +1161,22 @@ class Block(_Walker):
             raise EvaluationError("undefined at every point", to_source(e))
         ok &= target_ok
         return table
+
+    def __iter__(self):
+        """The coordinates x, y as lane vectors, as a point unpacks to its
+        two coordinates."""
+        return iter((self.x, self.y))
+
+
+def table_at(e: Expression, at, order: int, ok):
+    """The value (order 0) or jet table (orders 1..4) of `e` at `at`: at a
+    point (`ok` None) by :func:`evaluate` or :func:`evaluate_jet`, at a
+    :class:`Block` by :meth:`Block.target`, which clears lanes of `ok`."""
+    if ok is not None:
+        return at.target(e, order, ok)
+    if order == 0:
+        return evaluate(e, at)
+    return evaluate_jet(e, at, order).table
 
 
 def variables_of(e: Expression) -> set[str]:

@@ -17,10 +17,12 @@ every geodesicity equation are cubic in the gradient, so the normalized
 value is invariant under relabeling f by a gauge function and comparable
 across foliations.
 
-Over a grid, :func:`residual_sweep` evaluates a block of points at a time
-(see :class:`~webgeo.exprlang.Block`), the structure once per block for
-all foliations, and gives every sample the same bits as the single-point
-functions here.  Every grid sweep collects its samples and skipped
+Each residual has one kernel, :func:`_residual` with :func:`_normalize`,
+that runs at one point or over a block of points (see
+:class:`~webgeo.exprlang.Block`).  The single-point functions here call it
+at their point; :func:`residual_sweep` calls it a block at a time, the
+structure once per block for all foliations, so every sample has the bits
+of the single-point call.  Every grid sweep collects its samples and skipped
 points in a :class:`GridResiduals`.  :func:`reduce_samples` and
 :func:`judge` turn samples into the numbers and verdict of a report, for
 every grid command: a NaN sample makes the largest value NaN and fails the
@@ -31,7 +33,7 @@ version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -41,7 +43,7 @@ from .exprlang import (
     Expression,
     Variable,
     as_expression,
-    evaluate_jet,
+    table_at,
     to_source,
 )
 from .geometry import (
@@ -109,31 +111,33 @@ def cube(v, ok=None):
     return c
 
 
-def _make_sample(point, raw: float, fx: float, fy: float) -> ResidualSample:
-    point = (float(point[0]), float(point[1]))
-    gradient_norm = math.hypot(fx, fy)
-    if gradient_norm <= _gradient_threshold(*point):
-        return ResidualSample(point, raw, math.nan, gradient_norm, True)
-    return ResidualSample(point, raw, raw / cube(gradient_norm), gradient_norm, False)
+def _where(condition, value, other):
+    """`value` where `condition` holds and `other` elsewhere: one of the two
+    for a truth value, lane by lane for a lane vector."""
+    if isinstance(condition, bool):
+        return value if condition else other
+    return np.where(condition, value, other)
 
 
-def normalize_lanes(block: Block, ok, raw, fx, fy):
-    """The fields :func:`_make_sample` computes, at every point of a block:
-    (raw, normalized, gradient norm, degenerate) as lane vectors, for the
-    residual `raw` and the gradient (`fx`, `fy`), floats or lane vectors.
-    A cube that overflows clears its lane of `ok`."""
-    n = len(block.x)
-    raw, fx, fy = (np.broadcast_to(v, (n,)) for v in (raw, fx, fy))
+# The residual kernels are written once, over floats at one point or lane
+# vectors at a block, run through :meth:`~webgeo.exprlang.Block.run`: `at`
+# is the point or the Block, `ok` None or the block's lane mask.  They read
+# formulas through :func:`~webgeo.exprlang.table_at` and fail points through
+# :func:`~webgeo.taylor.fail`; a block's failed lanes are computed, never read.
+
+
+def _normalize(at, ok, raw, fx, fy):
+    """The fields of a :class:`ResidualSample` after its point: (raw,
+    normalized, gradient norm, degenerate), for the residual `raw` of a
+    function with gradient (`fx`, `fy`) at `at`.  The normalized value is
+    raw / |grad|^3, and NaN where the gradient is degenerate.  A cube that
+    overflows fails the point."""
+    x, y = at
     gradient_norm = per_lane(math.hypot, fx, fy)
-    degenerate = gradient_norm <= _gradient_threshold(block.x, block.y)
-    normalized = np.where(degenerate, math.nan, raw / cube(gradient_norm, ok))
-    return raw, normalized, gradient_norm, degenerate
-
-
-# Residual formulas.  Each takes floats (one point) or lane vectors (a
-# block) and is the only place its formula is written.  Values at the
-# lanes of a block's invalid points are arbitrary; they are computed and
-# never read.
+    degenerate = gradient_norm <= _gradient_threshold(x, y)
+    # 1.0 stands in for a degenerate norm, whose normalized value is NaN.
+    denominator = cube(_where(degenerate, 1.0, gradient_norm), ok)
+    return raw, _where(degenerate, math.nan, raw / denominator), gradient_norm, degenerate
 
 
 def _flex(fx, fy, fxx, fxy, fyy):
@@ -201,8 +205,32 @@ def _second_order(table):
     return [table_partial(table, i, j) for i, j in _SECOND_ORDER]
 
 
-def _second_order_at(f, point):
-    return _second_order(evaluate_jet(as_expression(f), point, 2).table)
+def _residual(f, at, ok, *, christoffels=None, thomas=None, curvature=None, surface=None):
+    """The residual of f for exactly one structure, as :func:`_normalize`
+    gives it: a ChristoffelField, the four Thomas parameters (p1_22,
+    p1_12, p2_12, p2_11), a finite curvature or a surface height.  The
+    metric singularity of a curvature fails first, then f, then the
+    structure."""
+    if curvature is not None:
+        x, y = at
+        denom = _curvature_denominator(curvature, x, y, ok)
+    d = _second_order(table_at(f, at, 2, ok))
+    if christoffels is not None:
+        gammas = [table_at(getattr(christoffels, g.name), at, 0, ok) for g in fields(christoffels)]
+        raw = _covariant_flex(d, gammas)
+    elif thomas is not None:
+        raw = _projective_flex(d, thomas, ok)
+    elif curvature is not None:
+        raw = _constant_curvature_flex(d, curvature, x, y, denom)
+    else:
+        raw = _graph_surface_flex(d, _second_order(table_at(surface, at, 2, ok)))
+    return _normalize(at, ok, raw, d[0], d[1])
+
+
+def _sample(f, point, **structure) -> ResidualSample:
+    """The residual of :func:`_residual` at one point."""
+    point = (float(point[0]), float(point[1]))
+    return ResidualSample(point, *_residual(as_expression(f), point, None, **structure))
 
 
 def flex_of_jet(jet: TaylorJet) -> float:
@@ -213,7 +241,7 @@ def flex_of_jet(jet: TaylorJet) -> float:
 
 def flex(f, point) -> float:
     """Flex of the function at a point (zero for all straight level sets)."""
-    return _flex(*_second_order_at(f, point))
+    return _flex(*_second_order(table_at(as_expression(f), point, 2, None)))
 
 
 def flex_residual(f, gammas: ChristoffelField, point) -> ResidualSample:
@@ -223,9 +251,7 @@ def flex_residual(f, gammas: ChristoffelField, point) -> ResidualSample:
     the connection at that point.  Orientation: raw = Flex f minus the
     Christoffel terms.
     """
-    d = _second_order_at(f, point)
-    raw = _covariant_flex(d, gammas.components_at(point))
-    return _make_sample(point, raw, d[0], d[1])
+    return _sample(f, point, christoffels=gammas)
 
 
 def projective_flex_residual(f, pi: ThomasParameters, point) -> ResidualSample:
@@ -236,8 +262,7 @@ def projective_flex_residual(f, pi: ThomasParameters, point) -> ResidualSample:
         raw = P1_22 fx^3 - 3 P1_12 fx^2 fy - 3 P2_12 fx fy^2 + P2_11 fy^3
               - Flex f
     """
-    d = _second_order_at(f, point)
-    return _make_sample(point, _projective_flex(d, pi.as_tuple()), d[0], d[1])
+    return _sample(f, point, thomas=pi.as_tuple())
 
 
 def constant_curvature_residual(f, kappa: float, point) -> ResidualSample:
@@ -248,10 +273,7 @@ def constant_curvature_residual(f, kappa: float, point) -> ResidualSample:
     Raises ValueError for a kappa that is not finite.
     """
     _check_curvature(kappa)
-    x, y = float(point[0]), float(point[1])
-    denom = _curvature_denominator(kappa, x, y)
-    d = _second_order_at(f, point)
-    return _make_sample(point, _constant_curvature_flex(d, kappa, x, y, denom), d[0], d[1])
+    return _sample(f, point, curvature=kappa)
 
 
 def graph_surface_residual(f, z, point) -> ResidualSample:
@@ -261,9 +283,7 @@ def graph_surface_residual(f, z, point) -> ResidualSample:
                        (fy^2 z_xx - 2 fx fy z_xy + fx^2 z_yy)
                        / (1 + z_x^2 + z_y^2)
     """
-    d = _second_order_at(f, point)
-    z_terms = _second_order_at(z, point)
-    return _make_sample(point, _graph_surface_flex(d, z_terms), d[0], d[1])
+    return _sample(f, point, surface=as_expression(z))
 
 
 @dataclass(frozen=True)
@@ -282,6 +302,10 @@ class GridSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"grid bound {name} is not finite: {value!r}")
+        for name in ("nx", "ny"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"grid {name} must be an integer, got {value!r}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid needs nx >= 1 and ny >= 1")
         if self.xmax < self.xmin or self.ymax < self.ymin:
@@ -447,34 +471,6 @@ def _sweep(grid: GridSpec, kernels, k: int = 4) -> list[GridResiduals]:
     return results
 
 
-def _structure_terms(block: Block, ok, christoffels, thomas, curvature, surface):
-    """The structure's terms at a block, clearing the lanes of `ok` where it
-    is undefined, and the residual formula that takes (derivatives, terms,
-    ok)."""
-    if christoffels is not None:
-        terms = [
-            block.target(gamma, 0, ok)
-            for gamma in (
-                christoffels.gamma1_11,
-                christoffels.gamma1_12,
-                christoffels.gamma1_22,
-                christoffels.gamma2_11,
-                christoffels.gamma2_12,
-                christoffels.gamma2_22,
-            )
-        ]
-        return terms, lambda d, t, _: _covariant_flex(d, t)
-    if thomas is not None:
-        return list(thomas.as_tuple()), _projective_flex
-    if curvature is not None:
-        denom = _curvature_denominator(curvature, block.x, block.y, ok)
-        return [block.x, block.y, denom], (
-            lambda d, t, _: _constant_curvature_flex(d, curvature, *t)
-        )
-    terms = _second_order(block.target(surface, 2, ok))
-    return terms, lambda d, t, _: _graph_surface_flex(d, t)
-
-
 def residual_sweep(
     functions,
     grid: GridSpec,
@@ -508,15 +504,13 @@ def residual_sweep(
         )
     if curvature is not None:
         _check_curvature(curvature)
-    if surface is not None:
-        surface = as_expression(surface)
-
-    def residuals(f, block, ok):
-        terms, formula = _structure_terms(block, ok, christoffels, thomas, curvature, surface)
-        d = _second_order(block.target(f, 2, ok))
-        return normalize_lanes(block, ok, formula(d, terms, ok), d[0], d[1])
-
-    return _sweep(grid, [partial(residuals, as_expression(f)) for f in functions])
+    structure = {
+        "christoffels": christoffels,
+        "thomas": None if thomas is None else thomas.as_tuple(),
+        "curvature": curvature,
+        "surface": None if surface is None else as_expression(surface),
+    }
+    return _sweep(grid, [partial(_residual, as_expression(f), **structure) for f in functions])
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .exprlang import (
     evaluate,
     evaluate_jet,
 )
-from .taylor import np, partial_derivative
+from .taylor import fail, np, partial_derivative
 
 
 @dataclass(frozen=True)
@@ -72,10 +72,7 @@ class ThomasParameters:
     p2_11: float
 
     def __post_init__(self):
-        for name in ("p1_22", "p1_12", "p2_12", "p2_11"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"Thomas parameter {name} is not finite: {v!r}")
+        _check_thomas(self.as_tuple())
 
     @property
     def p2_22(self) -> float:
@@ -87,6 +84,14 @@ class ThomasParameters:
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p1_22, self.p1_12, self.p2_12, self.p2_11)
+
+
+def _check_thomas(values, ok=None):
+    """Fail (see :func:`~webgeo.taylor.fail`) a point whose Thomas
+    parameters (p1_22, p1_12, p2_12, p2_11) are not all finite."""
+    for name, v in zip(("p1_22", "p1_12", "p2_12", "p2_11"), values):
+        bad = not math.isfinite(v) if ok is None else ~np.isfinite(v)
+        fail(bad, ok, lambda: ValueError(f"Thomas parameter {name} is not finite: {v!r}"))
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,15 @@ their first derivatives, constrained by a vanishing curvature trace) forms
 a finite-type system: all second derivatives of sigma and tau are explicit
 in the state, and transporting a state along paths is path independent.
 
-Over a grid, :func:`fit_sweep`, :func:`dweb_sweep` and
-:func:`symmetry_sweep` evaluate a block of points at a time (see
-:class:`~webgeo.exprlang.Block`).  They run the same formulas as the
-single-point functions, on lane vectors instead of floats, so every value
-has the single-point bits; a point where the single-point function raises
-is skipped.  :func:`integrate_symmetric_connection` evaluates the (alpha,
-beta) samples of a path the same way, a block at a time.
+Each computation has one kernel that runs at a point or over a block of
+points (see :class:`~webgeo.exprlang.Block` and the note on kernels in
+:mod:`webgeo.geodesy`): ``_fit`` for the fit, ``_dweb_residuals`` for the
+residuals of f5..fd, ``_alpha_beta_jets`` for (alpha, beta).  The
+single-point functions call them at their point, and :func:`fit_sweep`,
+:func:`dweb_sweep` and :func:`symmetry_sweep` a block at a time, so every
+value has the single-point bits; a point where the single-point function
+raises is skipped.  :func:`integrate_symmetric_connection` evaluates the
+(alpha, beta) samples of a path the same way, a block at a time.
 """
 
 from __future__ import annotations
@@ -41,22 +43,20 @@ from dataclasses import astuple, dataclass
 from itertools import chain, islice, tee
 
 from . import geodesy
-from .exprlang import Block, EvaluationError, as_expression, evaluate_jet, to_source
+from .exprlang import Block, EvaluationError, as_expression, evaluate_jet, table_at, to_source
 from .geodesy import (
     GridResiduals,
     GridSpec,
     ResidualSample,
     WebPresentation,
     _flex,
-    _projective_flex,
+    _residual,
     _second_order,
     _sweep,
     cube,
     flex_of_jet,
-    normalize_lanes,
-    projective_flex_residual,
 )
-from .geometry import CurvatureMatrix, ThomasParameters, curvature_components
+from .geometry import CurvatureMatrix, ThomasParameters, _check_thomas, curvature_components
 from .taylor import (
     TaylorJet,
     _jet,
@@ -89,14 +89,6 @@ def _require_web(web, d: int | None = None, at_least: int | None = None):
     return web
 
 
-# The formulas below are written once, over floats at one point or over
-# lane vectors at a block of grid points, which run through
-# :meth:`~webgeo.exprlang.Block.run`.  `at` is the point or the Block, and
-# `ok` is None or the block's lane mask; every check fails a point through
-# :func:`~webgeo.taylor.fail`, which raises at one point and clears the
-# lanes of the points where the single-point call raises in a block.
-
-
 def _jet_at(f, at, order: int, ok) -> TaylorJet:
     """The jet of f at `at`."""
     if ok is None:
@@ -108,9 +100,7 @@ def _gradients_and_flexes(web: WebPresentation, at, ok=None):
     grads = []
     flexes = []
     for f in web.functions:
-        d = _second_order(_jet_at(f, at, 2, ok).table)
-        if ok is not None:
-            d = [np.broadcast_to(v, ok.shape) for v in d]
+        d = _second_order(table_at(f, at, 2, ok))
         grads.append((d[0], d[1]))
         flexes.append(_flex(*d))
     return grads, flexes
@@ -136,8 +126,8 @@ def _check_transversality(web: WebPresentation, grads, at, ok):
 
 def _fit(web: WebPresentation, at, ok=None):
     """(p1_22, p1_12, p2_12, p2_11) of a 4-web by the closed form of
-    :func:`fit_projective_structure`; in a block, the lanes where those
-    are not finite are cleared too."""
+    :func:`fit_projective_structure`; a point where those are not finite
+    fails as :class:`~webgeo.geometry.ThomasParameters` does."""
     grads, flexes = _gradients_and_flexes(web, at, ok)
     _check_transversality(web, grads, at, ok)
 
@@ -177,9 +167,7 @@ def _fit(web: WebPresentation, at, ok=None):
         p1_12 += weight * sum_x_prod_y / 3.0
         p2_12 -= weight * sum_y_prod_x / 3.0
     pi = (p1_22, p1_12, p2_12, p2_11)
-    if ok is not None:
-        for value in pi:
-            ok &= np.isfinite(value)
+    _check_thomas(pi, ok)
     return pi
 
 
@@ -432,16 +420,21 @@ def symmetry_sweep(f3, f4, grid: GridSpec):
     return (*out.columns, out.skipped)
 
 
+def _dweb_residuals(web: WebPresentation, at, ok=None):
+    """The residual fields of f5..fd (see :func:`geodesy._normalize`) for
+    the projective structure fitted to the leading 4-subweb; the fit fails
+    first."""
+    pi = _fit(WebPresentation(web.functions[:4]), at, ok)
+    return [_residual(f, at, ok, thomas=pi) for f in web.functions[4:]]
+
+
 def dweb_geodesic_residuals(web, point) -> list[ResidualSample]:
     """Geodesicity residuals of f5..fd for the projective structure fitted
     to the leading 4-subweb.  The web is geodesic at the point iff all of
     them vanish."""
     web = _require_web(web, at_least=5)
-    leading = WebPresentation(web.functions[:4])
-    pi = fit_projective_structure(leading, point)
-    return [
-        projective_flex_residual(f, pi, point) for f in web.functions[4:]
-    ]
+    point = (float(point[0]), float(point[1]))
+    return [ResidualSample(point, *fields) for fields in _dweb_residuals(web, point)]
 
 
 def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
@@ -450,21 +443,10 @@ def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
     bit for bit the single-point one.  A point where that function raises
     is skipped for every function."""
     web = _require_web(web, at_least=5)
-    leading = WebPresentation(web.functions[:4])
     rest = web.functions[4:]
-
-    def kernel(block, ok):
-        pi = _fit(leading, block, ok)
-        samples = []
-        for f in rest:
-            d = _second_order(block.target(f, 2, ok))
-            raw = _projective_flex(d, pi, ok)
-            samples.append(normalize_lanes(block, ok, raw, d[0], d[1]))
-        return samples
-
     series = [GridResiduals() for _ in rest]
     for block in grid.blocks():
-        samples, ok = block.run(lambda ok: kernel(block, ok))
+        samples, ok = block.run(lambda ok: _dweb_residuals(web, block, ok))
         for out, fields in zip(series, samples or [None] * len(rest)):
             out.add_block(block, ok, fields)
     return series

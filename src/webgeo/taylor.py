@@ -361,15 +361,16 @@ def compose_table(h, series, n: int):
 
 
 def per_lane(fn, *args):
-    """fn(*args) for floats; for lane vectors, fn called once per lane.
+    """fn(*args) for floats; otherwise fn called once per lane, a float
+    among lane vectors standing for every lane.
 
     Lane-by-lane calls keep every lane bitwise equal to the single-point
     result where numpy's vectorized transcendentals and powers round
     differently from `math` and Python floats.
     """
-    if isinstance(args[0], float):
+    if all(isinstance(a, float) for a in args):
         return fn(*args)
-    return np.array(list(map(fn, *(a.tolist() for a in args))), dtype=float)
+    return np.array(list(map(fn, *(a.tolist() for a in np.broadcast_arrays(*args)))), dtype=float)
 
 
 def _exp_or_inf(u: float) -> float:

@@ -129,6 +129,24 @@ def test_bad_render_step_exits_2(step, capsys):
     assert "step must be a finite positive number" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "--tol", "abc"], "--tol"),
+        ([*SYM_PATH_ARGS, "--path", "2.9,0.9; 3.1,0.9", "--step", "abc"], "--step"),
+        (["render", "--web", "x; y", "--domain", "0:1:0:1", "--svg", os.devnull,
+          "--step=abc"], "--step"),
+    ],
+)
+def test_non_numbers_are_named_invalid_float_values(argv, option, capsys):
+    """argparse names the type it wanted, as `invalid int value` does for
+    --leaves, and not the private parser function."""
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid float value: 'abc'" in err
+    assert "_tolerance" not in err and "_step" not in err
+
+
 def test_zero_tolerance_is_accepted(capsys):
     code, report = _run_json(["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "--tol", "0"], capsys)
     assert code == 0

@@ -133,6 +133,39 @@ def test_cauchy_datum_contracts():
         characteristic_roots(CauchyDatum("y", (0.0, 1.0)), (0, 0), scan_count=1)
 
 
+@pytest.mark.parametrize("scan_count", [2.5, 3.0, True, "400"])
+def test_scan_count_must_be_an_int(scan_count):
+    with pytest.raises(ValueError, match="must be an integer"):
+        characteristic_roots(CauchyDatum("y", (0.0, 1.0)), (0, 0), scan_count=scan_count)
+
+
+def test_scan_count_is_capped_before_anything_is_allocated(monkeypatch):
+    import tracemalloc
+
+    from webgeo import eulerweb
+
+    datum = CauchyDatum("y", (0.0, 1.0))
+    monkeypatch.setattr(eulerweb, "MAX_SCAN_COUNT", 10)
+    assert characteristic_roots(datum, (0, 0.5), scan_count=10)
+    with pytest.raises(ValueError, match="at most 10, got 11"):
+        characteristic_roots(datum, (0, 0.5), scan_count=11)
+    monkeypatch.undo()
+
+    def evaluated(*_):
+        raise AssertionError("the datum was evaluated")
+
+    monkeypatch.setattr(CauchyDatum, "value", evaluated)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="at most"):
+            characteristic_roots(datum, (0, 0.5), scan_count=eulerweb.MAX_SCAN_COUNT + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a scan of MAX_SCAN_COUNT + 1 parameter values would take megabytes
+    assert peak < 64 * 1024
+
+
 def test_generate_parabola_tangent_foliation():
     datum = CauchyDatum("-2*sqrt(-y)", (-16.0, -0.04))
     sample = generate_linear_web([datum], Rect(-2, 2, -4, 2), 9)

@@ -300,6 +300,32 @@ def test_grid_spec_caps_the_point_count():
         GridSpec(0, 1, 0, 1, 10**9, 10**9)
 
 
+def test_single_point_residuals_fail_in_a_fixed_order():
+    """The metric singularity of a curvature fails before f; otherwise f
+    fails before the structure."""
+    f = parse("sqrt(x)")  # undefined at x < 0
+    with pytest.raises(EvaluationError, match="metric singularity"):
+        constant_curvature_residual(f, -1.0, (-2.0, 0.0))
+    undefined = parse("ln(x)")
+    gammas = ChristoffelField(*([undefined] * 6))
+    for residual in (
+        lambda: flex_residual(f, gammas, (-1.0, 0.5)),
+        lambda: graph_surface_residual(f, undefined, (-1.0, 0.5)),
+    ):
+        with pytest.raises(EvaluationError, match="sqrt"):
+            residual()
+    with pytest.raises(EvaluationError, match="ln"):
+        flex_residual("x", gammas, (-1.0, 0.5))
+
+
+@pytest.mark.parametrize("nx, ny", [(2.5, 2), (2, 3.0), (True, 2), (2, False), ("3", 3)])
+def test_grid_spec_takes_only_int_counts(nx, ny):
+    # A float count used to pass here and fail later in range(); True was
+    # taken as a one-column grid.
+    with pytest.raises(ValueError, match="must be an integer"):
+        GridSpec(0, 1, 0, 1, nx, ny)
+
+
 @pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
 def test_non_finite_curvature_is_rejected(kappa):
     from webgeo import geodesic_web_report

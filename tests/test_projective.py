@@ -99,6 +99,14 @@ def test_fit_gauge_invariance(seed, relabels):
         assert rel_close(u, v, 1e-8)
 
 
+def test_dweb_fit_fails_before_the_further_functions():
+    # the fit of the leading 4-web is NaN at (4, 4); sqrt(x - 10) is
+    # undefined there
+    web = ["x", "y", "exp(60*x)+exp(60*y)", "x*y+x+2*y", "sqrt(x - 10)"]
+    with pytest.raises(ValueError, match="Thomas parameter p1_22 is not finite"):
+        dweb_geodesic_residuals(web, (4, 4))
+
+
 def test_web_size_contracts():
     with pytest.raises(ValueError):
         fit_projective_structure(["x", "y", "x+y", "x-y", "x*y"], (2, 1))
