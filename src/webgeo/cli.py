@@ -60,6 +60,7 @@ from .projective import (
 )
 from .render import (
     MAX_LEAVES,
+    MAX_RENDER_POINTS,
     Rect,
     compose_report,
     render_svg,
@@ -452,6 +453,7 @@ def _cmd_render(args) -> int:
     domain = _parse_rect(args.domain)
     leaves = []
     warnings = []
+    points = 0
     for index, f in enumerate(web):
         placed = 0
         for level_index in range(args.levels):
@@ -468,6 +470,14 @@ def _cmd_render(args) -> int:
                 continue
             leaves.append(leaf)
             placed += 1
+            points += len(leaf.points)
+            if points > MAX_RENDER_POINTS:
+                print(
+                    f"webgeo: the leaves hold more than {MAX_RENDER_POINTS} points "
+                    "(raise --step or lower --levels); SVG not written",
+                    file=sys.stderr,
+                )
+                return 1
         if placed == 0:
             warnings.append(f"no leaves traced for '{to_source(f)}'")
     if not leaves:

@@ -190,9 +190,13 @@ def characteristic_roots(
     as fine as the scan: raising `scan_count` never loses roots that a
     coarser scan found.  An empty list is a valid outcome (no
     characteristic through the point), not an error.  Raises ValueError,
-    before any evaluation, for a `scan_count` that is not an int from 2 to
-    MAX_SCAN_COUNT (a bool is not one).
+    before any evaluation, for a point that is not finite and for a
+    `scan_count` that is not an int from 2 to MAX_SCAN_COUNT (a bool is
+    not one).
     """
+    x, y = float(point[0]), float(point[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"point {(x, y)} is not finite")
     if isinstance(scan_count, bool) or not isinstance(scan_count, int):
         raise ValueError(f"scan_count must be an integer, got {scan_count!r}")
     if scan_count < 2:
@@ -200,8 +204,6 @@ def characteristic_roots(
     if scan_count > MAX_SCAN_COUNT:
         raise ValueError(f"scan_count must be at most {MAX_SCAN_COUNT}, got {scan_count}")
     lo, hi = datum.lambda_interval
-    x, y = float(point[0]), float(point[1])
-
     lams = [lo + (hi - lo) * k / (scan_count - 1) for k in range(scan_count)]
     values = [_characteristic_g(datum, (x, y), lam) for lam in lams]
 
@@ -371,11 +373,13 @@ def generate_linear_web(
     datum's interval whose lines meet the requested rectangle, clipped to
     it.  Leaves are labeled by lam, not by branch.  A datum whose lines
     never meet the rectangle yields an empty foliation with a warning
-    rather than an error.  Raises ValueError unless 1 <= leaves_per_foliation
-    <= MAX_LEAVES.
+    rather than an error.  Raises ValueError, before any evaluation, unless
+    leaves_per_foliation is an int (a bool is not one) from 1 to MAX_LEAVES.
     """
     if not data:
         raise ValueError("no Cauchy data supplied")
+    if isinstance(leaves_per_foliation, bool) or not isinstance(leaves_per_foliation, int):
+        raise ValueError(f"leaves_per_foliation must be an integer, got {leaves_per_foliation!r}")
     if not 1 <= leaves_per_foliation <= MAX_LEAVES:
         raise ValueError(f"leaves_per_foliation must be between 1 and {MAX_LEAVES}")
     seen = set()

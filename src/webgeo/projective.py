@@ -54,7 +54,6 @@ from .geodesy import (
     _second_order,
     _sweep,
     cube,
-    flex_of_jet,
 )
 from .geometry import CurvatureMatrix, ThomasParameters, _check_thomas, curvature_components
 from .taylor import (
@@ -315,11 +314,22 @@ def _alpha_beta_jets(f3, f4, at, ok=None):
     f3x, f3y, flex3 = _gradient_and_flex_jets(j3, 2)
     f4x, f4y, flex4 = _gradient_and_flex_jets(j4, 2)
     delta = f3x * f4y - f3y * f4x
-    _check_alpha_beta_denominators(
-        at, f3x.value, f3y.value, f4x.value, f4y.value, delta.value, ok
+    den3 = f3x * f3y * delta
+    den4 = f4x * f4y * delta
+    denominators = (
+        (f3x, "f3_x = 0"), (f3y, "f3_y = 0"), (f4x, "f4_x = 0"), (f4y, "f4_y = 0"),
+        (delta, "Delta = 0"),
+        (den3, "the product f3_x f3_y Delta underflows to 0"),
+        (den4, "the product f4_x f4_y Delta underflows to 0"),
     )
-    term3 = flex3 / (f3x * f3y * delta)
-    term4 = flex4 / (f4x * f4y * delta)
+    for value, why in denominators:
+        fail(
+            value.value == 0.0,
+            ok,
+            lambda: EvaluationError(f"invariant denominators vanish at {tuple(at)}: {why}"),
+        )
+    term3 = flex3 / den3
+    term4 = flex4 / den4
     return f4y * term3 - f3y * term4, f3x * term4 - f4x * term3
 
 
@@ -329,56 +339,19 @@ def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
         alpha = f4_y Flex f3 / (f3_x f3_y D) - f3_y Flex f4 / (f4_x f4_y D)
         beta  = -f4_x Flex f3 / (f3_x f3_y D) + f3_x Flex f4 / (f4_x f4_y D)
 
-    with D = f3_x f4_y - f3_y f4_x.  With jet_order=2 the same combination
-    is carried out in truncated jet arithmetic on order-4 jets of f3 and
-    f4, so first and second derivatives of alpha and beta come out exact to
-    truncation.  Each vanishing denominator factor is reported by name.
+    with D = f3_x f4_y - f3_y f4_x.  Both orders run one chain: the
+    combination is carried out in truncated jet arithmetic on order-4 jets
+    of f3 and f4, so the first and second derivatives of alpha and beta
+    come out exact to truncation; with jet_order=0 only the values are
+    kept.  Each vanishing denominator factor, and each of the products
+    f3_x f3_y D and f4_x f4_y D that underflows to 0, is reported by name.
     """
     if jet_order not in (0, 2):
         raise ValueError("jet_order must be 0 or 2")
-    f3 = as_expression(f3)
-    f4 = as_expression(f4)
-
+    alpha, beta = _alpha_beta_jets(as_expression(f3), as_expression(f4), point)
     if jet_order == 0:
-        j3 = evaluate_jet(f3, point, 2)
-        j4 = evaluate_jet(f4, point, 2)
-        f3x = partial_derivative(j3, 1, 0)
-        f3y = partial_derivative(j3, 0, 1)
-        f4x = partial_derivative(j4, 1, 0)
-        f4y = partial_derivative(j4, 0, 1)
-        delta = f3x * f4y - f3y * f4x
-        _check_alpha_beta_denominators(point, f3x, f3y, f4x, f4y, delta)
-        flex3 = flex_of_jet(j3)
-        flex4 = flex_of_jet(j4)
-        den3 = f3x * f3y * delta
-        den4 = f4x * f4y * delta
-        for name, value in (("f3_x f3_y Delta", den3), ("f4_x f4_y Delta", den4)):
-            if value == 0.0:
-                raise EvaluationError(
-                    f"invariant denominators vanish at {tuple(point)}: "
-                    f"the product {name} underflows to 0"
-                )
-        term3 = flex3 / den3
-        term4 = flex4 / den4
-        return AlphaBeta(
-            alpha=f4y * term3 - f3y * term4,
-            beta=-f4x * term3 + f3x * term4,
-        )
-
-    alpha, beta = _alpha_beta_jets(f3, f4, point)
+        return AlphaBeta(alpha.value, beta.value)
     return AlphaBeta(alpha.value, beta.value, alpha, beta)
-
-
-def _check_alpha_beta_denominators(at, f3x, f3y, f4x, f4y, delta, ok=None):
-    factors = {"f3_x": f3x, "f3_y": f3y, "f4_x": f4x, "f4_y": f4y, "Delta": delta}
-    for name, value in factors.items():
-        fail(
-            value == 0.0,
-            ok,
-            lambda: EvaluationError(
-                f"invariant denominators vanish at {tuple(at)}: {name} = 0"
-            ),
-        )
 
 
 def _symmetry_residuals(alpha: TaylorJet, beta: TaylorJet):
@@ -487,23 +460,29 @@ def finite_type_rhs(state: FiniteTypeState, ab: AlphaBeta):
 
     Returns (sigma_xx, sigma_xy, sigma_yy, tau_xx, tau_xy, tau_yy).
     """
+    ab._need_jets()
     return _second_derivatives(
         (state.sigma, state.tau, state.sigma_x, state.sigma_y, state.tau_x, state.tau_y),
-        _field_floats(ab),
+        _field(ab.alpha_jet.table, ab.beta_jet.table),
     )
 
 
-def _field_floats(ab: AlphaBeta) -> tuple:
+def _field(a, b) -> tuple:
     """(alpha, beta, alpha_x, alpha_y, beta_x, beta_y, alpha_xy, beta_xy),
-    what :func:`_second_derivatives` reads of a field sample."""
-    return (ab.alpha, ab.beta, ab.alpha_x, ab.alpha_y, ab.beta_x, ab.beta_y,
-            ab.alpha_xy, ab.beta_xy)
+    what :func:`_second_derivatives` reads of a field sample, from the
+    tables of the order-2 jets of alpha and beta: floats at a point, floats
+    or lane vectors in a block."""
+    return (
+        a[0][0], b[0][0], table_partial(a, 1, 0), table_partial(a, 0, 1),
+        table_partial(b, 1, 0), table_partial(b, 0, 1), table_partial(a, 1, 1),
+        table_partial(b, 1, 1),
+    )
 
 
 def _second_derivatives(state, field):
     """:func:`finite_type_rhs` on the state's six floats (sigma, tau,
     sigma_x, sigma_y, tau_x, tau_y) and the field's eight (see
-    :func:`_field_floats`)."""
+    :func:`_field`)."""
     s, t, sx, sy, tx, ty = state
     a, b, ax, ay, bx, by, axy, bxy = field
 
@@ -636,16 +615,9 @@ def _lane_floats(value, n: int) -> list[float]:
 
 def _field_columns(alpha: TaylorJet, beta: TaylorJet):
     """(field, r1, r2) from the order-2 jets of alpha and beta: the eight
-    values of :func:`_field_floats` and the residuals of
-    :func:`symmetric_conditions_residual`, floats at a point and floats or
-    lane vectors at a block."""
-    a, b = alpha.table, beta.table
-    field = (
-        a[0][0], b[0][0], table_partial(a, 1, 0), table_partial(a, 0, 1),
-        table_partial(b, 1, 0), table_partial(b, 0, 1), table_partial(a, 1, 1),
-        table_partial(b, 1, 1),
-    )
-    return (field, *_symmetry_residuals(alpha, beta))
+    values of :func:`_field` and the residuals of
+    :func:`symmetric_conditions_residual`."""
+    return (_field(alpha.table, beta.table), *_symmetry_residuals(alpha, beta))
 
 
 def _field_samples(f3, f4, points):

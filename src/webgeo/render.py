@@ -29,6 +29,11 @@ SEED_DEGENERACY_COEFF = 1e-10
 #: the CLI's `render --levels`.
 MAX_LEAVES = 10_000
 
+#: Most leaf points the CLI's `render` traces over all its leaves; past
+#: it the run writes no SVG.  A million points take about 170 MB while
+#: they are traced and drawn.
+MAX_RENDER_POINTS = 1_000_000
+
 #: The SVG canvas in pixels, and the blank margin around the domain.
 SVG_WIDTH, SVG_HEIGHT, SVG_MARGIN = 640, 480, 16.0
 

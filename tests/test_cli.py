@@ -647,6 +647,24 @@ def test_an_option_after_an_option_is_not_its_value(capsys):
     assert "argument --grid: expected one argument" in capsys.readouterr().err
 
 
+def test_render_bounds_its_leaf_points(tmp_path, monkeypatch, capsys):
+    import webgeo.cli
+
+    # each leaf of x from y = 0 to 1 in steps of 0.01 holds about 100 points
+    monkeypatch.setattr(webgeo.cli, "MAX_RENDER_POINTS", 150)
+    svg_path = tmp_path / "web.svg"
+    argv = ["render", "--web", "x", "--domain", "0:1:0:1", "--step", "0.01"]
+    argv += ["--svg", str(svg_path)]
+    assert run([*argv, "--levels", "1"]) == 0
+    capsys.readouterr()
+    svg_path.unlink()
+    assert run([*argv, "--levels", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "more than 150 points" in captured.err
+    assert not svg_path.exists()
+
+
 def test_render_rejects_tol_before_tracing(tmp_path, capsys):
     svg_path = tmp_path / "web.svg"
     argv = ["render", "--web", "x; y", "--domain", "0:1:0:1", "--svg", str(svg_path)]

@@ -166,6 +166,18 @@ def test_scan_count_is_capped_before_anything_is_allocated(monkeypatch):
     assert peak < 64 * 1024
 
 
+@pytest.mark.parametrize(
+    "point", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
+)
+def test_characteristic_roots_reject_a_point_that_is_not_finite(point, monkeypatch):
+    def evaluated(*_):
+        raise AssertionError("the datum was evaluated")
+
+    monkeypatch.setattr(CauchyDatum, "value", evaluated)
+    with pytest.raises(ValueError, match="is not finite"):
+        characteristic_roots(CauchyDatum("y^2", (-1.0, 1.0)), point)
+
+
 def test_generate_parabola_tangent_foliation():
     datum = CauchyDatum("-2*sqrt(-y)", (-16.0, -0.04))
     sample = generate_linear_web([datum], Rect(-2, 2, -4, 2), 9)
@@ -183,6 +195,13 @@ def test_generate_parabola_tangent_foliation():
 def test_generate_rejects_leaf_counts_out_of_range(leaves):
     datum = CauchyDatum("-2*sqrt(-y)", (-16.0, -0.04))
     with pytest.raises(ValueError, match="leaves_per_foliation"):
+        generate_linear_web([datum], Rect(-2, 2, -4, 2), leaves)
+
+
+@pytest.mark.parametrize("leaves", [True, 2.5, 3.0, "3"])
+def test_generate_rejects_a_leaf_count_that_is_not_an_int(leaves):
+    datum = CauchyDatum("-2*sqrt(-y)", (-16.0, -0.04))
+    with pytest.raises(ValueError, match="leaves_per_foliation must be an integer"):
         generate_linear_web([datum], Rect(-2, 2, -4, 2), leaves)
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -324,12 +326,45 @@ def test_transport_validates_path_and_step_before_evaluating():
 def test_alpha_beta_denominator_product_underflow_is_an_evaluation_error():
     # each factor is about 1e-110, their product with Delta underflows
     f3, f4 = "1e-110*x + 1e-110*y", "x - y"
-    with pytest.raises(EvaluationError, match="f3_x f3_y Delta underflows to 0"):
-        alpha_beta(f3, f4, (1, 1))
-    from webgeo.taylor import JetDomainError
+    for order in (0, 2):
+        with pytest.raises(EvaluationError, match="f3_x f3_y Delta underflows to 0"):
+            alpha_beta(f3, f4, (1, 1), jet_order=order)
 
-    with pytest.raises(JetDomainError):
-        alpha_beta(f3, f4, (1, 1), jet_order=2)
+
+def _workload_pairs():
+    """The (f3, f4) pairs of the symcheck and symintegrate workload jobs."""
+    data = Path(__file__).parent / "data" / "workload_jobs.json"
+    pairs = set()
+    for job in json.loads(data.read_text(encoding="utf-8")):
+        argv = job.get("argv", [""])
+        if argv[0] in ("symcheck", "symintegrate"):
+            options = dict(word.split("=", 1) for word in argv[1:])
+            pairs.add((options["--f3"], options["--f4"]))
+    return sorted(pairs)
+
+
+def test_alpha_beta_orders_share_one_chain():
+    """Without jets alpha_beta gives the bits of the order-2 values, sign of
+    zero included, and raises the same error where they raise."""
+
+    def outcome(f3, f4, point, order):
+        try:
+            ab = alpha_beta(f3, f4, point, jet_order=order)
+        except ValueError as exc:
+            return type(exc).__name__, str(exc)
+        return ab.alpha.hex(), ab.beta.hex()
+
+    # the float formula returned nan, nan here
+    for order in (0, 2):
+        with pytest.raises(EvaluationError):
+            alpha_beta("x+y", "exp(700*x) + y", (0.99, -0.86), jet_order=order)
+    rng = random.Random(17)
+    pairs = _workload_pairs()
+    assert len(pairs) > 100
+    for f3, f4 in pairs:
+        for _ in range(5):
+            point = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+            assert outcome(f3, f4, point, 0) == outcome(f3, f4, point, 2), (f3, f4, point)
 
 
 def test_linear_solve_cube_overflow_is_an_evaluation_error():
