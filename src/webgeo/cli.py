@@ -17,6 +17,14 @@ passes its results to one tail (`_finish`) that composes, writes and
 judges the report.  The grid commands take their numbers and verdicts
 from :func:`webgeo.geodesy.reduce_samples` and :func:`~webgeo.geodesy.judge`,
 so a NaN sample fails every verdict the same way.
+
+The parser and :func:`run` import only argparse, math and sys, and the
+constants they read from the package itself; each handler, and each
+helper it calls, imports the modules it uses when it runs.  So `--help`
+and usage errors load no other module of webgeo, and each subcommand
+loads only the modules it runs (see the README).  Every error the
+library raises for a value is a ValueError; a formula syntax error is
+turned into a usage error where the formula is parsed.
 """
 
 from __future__ import annotations
@@ -24,56 +32,23 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
 
-from .exprlang import EvaluationError, ParseError, parse, to_source
-from .eulerweb import (
-    CauchyDatum,
-    connection_euler_residual,
-    euler_residual,
-    euler_sweep,
-    generate_linear_web,
-)
-from .geodesy import (
+from . import (
     DEFAULT_TOLERANCE,
     GEODESIC_VERDICTS,
+    MAX_LEAVES,
     PASS_FAIL_VERDICTS,
     SYMMETRIC_VERDICTS,
-    GridSpec,
-    geodesic_web_report,
-    judge,
-    reduce_samples,
-    residual_sweep,
-    sequential_sum,
 )
-from .geometry import ChristoffelField, ThomasParameters
-from .projective import (
-    DegenerateWebError,
-    FiniteTypeState,
-    curvature_along,
-    dweb_sweep,
-    fit_projective_structure,
-    fit_sweep,
-    integrate_symmetric_connection,
-    path_step_count,
-    symmetry_sweep,
-)
-from .render import (
-    MAX_LEAVES,
-    MAX_RENDER_POINTS,
-    Rect,
-    compose_report,
-    render_svg,
-    trace_level_curve,
-    write_csv_grid,
-    write_report,
-)
+
 
 class _UsageError(Exception):
     pass
 
 
 def _parse_expr(text: str, what: str):
+    from .exprlang import ParseError, parse
+
     try:
         return parse(text)
     except ParseError as exc:
@@ -88,6 +63,8 @@ def _parse_web(text: str, what: str = "--web"):
 
 
 def _parse_grid(text: str) -> GridSpec:
+    from .geodesy import GridSpec
+
     pieces = text.split(":")
     if len(pieces) != 6:
         raise _UsageError(f"--grid: expected xmin:xmax:ymin:ymax:nx:ny, got {text!r}")
@@ -133,6 +110,8 @@ def _parse_path(text: str):
 
 
 def _parse_rect(text: str) -> Rect:
+    from .render import Rect
+
     pieces = text.split(":")
     if len(pieces) != 4:
         raise _UsageError(f"--domain: expected xmin:xmax:ymin:ymax, got {text!r}")
@@ -184,6 +163,8 @@ def _finish(args, command, inputs, grid, results, *, csv=None, **extra) -> int:
     `csv` when there are any) to --out or, without it or with ``--out -``,
     standard output, and return the exit code: 1 when the results' verdict
     misses --expect, else 0."""
+    from .render import compose_report, write_csv_grid, write_report
+
     if csv is not None and args.format == "csv":
         text = write_csv_grid(csv.samples())
     else:
@@ -204,6 +185,8 @@ def _finish(args, command, inputs, grid, results, *, csv=None, **extra) -> int:
 
 
 def _grid_stats(series) -> dict:
+    from .exprlang import EvaluationError
+
     stats = series.stats()
     if stats is None:
         raise EvaluationError("no valid samples on the requested grid")
@@ -211,6 +194,10 @@ def _grid_stats(series) -> dict:
 
 
 def _cmd_flex(args) -> int:
+    from .exprlang import to_source
+    from .geodesy import judge, residual_sweep
+    from .geometry import ChristoffelField
+
     f = _parse_expr(args.f, "--f")
     grid = _parse_grid(args.grid)
     zero = ChristoffelField(*([_parse_expr("0", "zero")] * 6))
@@ -228,6 +215,8 @@ def _cmd_flex(args) -> int:
 
 
 def _parse_structure(text: str):
+    from .geometry import ChristoffelField
+
     if text.startswith("constcurv:"):
         return {"curvature": _finite(text.split(":", 1)[1], "--christoffel constcurv")}
     if text.startswith("graph:"):
@@ -248,6 +237,9 @@ def _parse_structure(text: str):
 
 
 def _cmd_geodesic(args) -> int:
+    from .exprlang import to_source
+    from .geodesy import geodesic_web_report
+
     web = _parse_web(args.web)
     grid = _parse_grid(args.grid)
     structure = _parse_structure(args.christoffel)
@@ -262,6 +254,12 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    from dataclasses import asdict
+
+    from .exprlang import EvaluationError, to_source
+    from .geodesy import sequential_sum
+    from .projective import fit_projective_structure, fit_sweep
+
     web = _parse_web(args.web)
     if len(web) != 4:
         raise _UsageError(f"--web: fit needs exactly 4 functions, got {len(web)}")
@@ -290,6 +288,10 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_dweb(args) -> int:
+    from .exprlang import EvaluationError, to_source
+    from .geodesy import judge, reduce_samples
+    from .projective import dweb_sweep
+
     web = _parse_web(args.web)
     if len(web) < 5:
         raise _UsageError(f"--web: dweb needs at least 5 functions, got {len(web)}")
@@ -321,6 +323,10 @@ def _cmd_dweb(args) -> int:
 
 
 def _cmd_symcheck(args) -> int:
+    from .exprlang import EvaluationError, to_source
+    from .geodesy import judge, reduce_samples
+    from .projective import symmetry_sweep
+
     f3 = _parse_expr(args.f3, "--f3")
     f4 = _parse_expr(args.f4, "--f4")
     grid = _parse_grid(args.grid)
@@ -342,6 +348,16 @@ def _cmd_symcheck(args) -> int:
 
 
 def _cmd_symintegrate(args) -> int:
+    from dataclasses import asdict
+
+    from .exprlang import to_source
+    from .projective import (
+        FiniteTypeState,
+        curvature_along,
+        integrate_symmetric_connection,
+        path_step_count,
+    )
+
     f3 = _parse_expr(args.f3, "--f3")
     f4 = _parse_expr(args.f4, "--f4")
     path = _parse_path(args.path)
@@ -373,6 +389,11 @@ def _cmd_symintegrate(args) -> int:
 
 
 def _cmd_euler(args) -> int:
+    from .eulerweb import connection_euler_residual, euler_residual, euler_sweep
+    from .exprlang import to_source
+    from .geodesy import judge
+    from .geometry import ThomasParameters
+
     w = _parse_expr(args.w, "--w")
     pi = None
     if args.pi:
@@ -410,6 +431,9 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_lingen(args) -> int:
+    from .eulerweb import CauchyDatum, generate_linear_web
+    from .render import render_svg
+
     sources = [p.strip() for p in args.data.split(";")]
     if any(not s for s in sources):
         raise _UsageError("--data: empty datum entry")
@@ -449,6 +473,9 @@ def _cmd_lingen(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    from .exprlang import to_source
+    from .render import MAX_RENDER_POINTS, render_svg, trace_level_curve
+
     web = _parse_web(args.web)
     domain = _parse_rect(args.domain)
     leaves = []
@@ -466,7 +493,7 @@ def _cmd_render(args) -> int:
                 leaf = trace_level_curve(
                     f, seed, domain, step=args.step, foliation_index=index
                 )
-            except (EvaluationError, ValueError):
+            except ValueError:
                 continue
             leaves.append(leaf)
             placed += 1
@@ -653,10 +680,7 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"webgeo: {exc}", file=sys.stderr)
         return 2
-    except ParseError as exc:
-        print(f"webgeo: {exc}", file=sys.stderr)
-        return 2
-    except (DegenerateWebError, EvaluationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"webgeo: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import MAX_LEAVES
 from .exprlang import (
     EvaluationError,
     Expression,
@@ -46,7 +47,7 @@ from .exprlang import (
 )
 from .geodesy import GridResiduals, GridSpec, _sweep, cube
 from .geometry import ThomasParameters
-from .render import MAX_LEAVES, LeafPolyline, Rect
+from .render import LeafPolyline, Rect
 from .taylor import (
     TaylorJet,
     jet_constant,

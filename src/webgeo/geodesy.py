@@ -37,6 +37,7 @@ from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import NamedTuple
 
+from . import DEFAULT_TOLERANCE, GEODESIC_VERDICTS
 from .exprlang import (
     Block,
     EvaluationError,
@@ -60,8 +61,6 @@ from .taylor import (
     table_partial,
     take_lanes,
 )
-
-DEFAULT_TOLERANCE = 1e-8
 
 #: Gradients below ``DEGENERACY_COEFF * (1 + |x| + |y|)`` mark a sample
 #: degenerate: the foliation has no well-defined leaf direction there.
@@ -443,12 +442,6 @@ def reduce_samples(values) -> Reduction:
     # np.maximum keeps a NaN wherever it comes; max() only when it is first.
     largest = float(np.maximum.reduce(magnitudes))
     return Reduction(largest, sequential_sum(magnitudes) / count, count)
-
-
-#: The two verdicts of each kind of check, the passing one first.
-GEODESIC_VERDICTS = ("geodesic", "non-geodesic")
-SYMMETRIC_VERDICTS = ("symmetric", "non-symmetric")
-PASS_FAIL_VERDICTS = ("pass", "fail")
 
 
 def judge(maxima, tolerance: float, labels=GEODESIC_VERDICTS) -> tuple[float, str]:

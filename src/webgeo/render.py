@@ -25,10 +25,6 @@ from .exprlang import EvaluationError, _gradient_function, as_expression, evalua
 #: Gradient norms below this (times 1 + |x| + |y|) refuse to seed a trace.
 SEED_DEGENERACY_COEFF = 1e-10
 
-#: Most leaves drawn per foliation: `generate_linear_web`'s leaves and
-#: the CLI's `render --levels`.
-MAX_LEAVES = 10_000
-
 #: Most leaf points the CLI's `render` traces over all its leaves; past
 #: it the run writes no SVG.  A million points take about 170 MB while
 #: they are traced and drawn.

@@ -467,13 +467,23 @@ def test_unreadable_curvature_exits_2(capsys):
 
 
 def test_symintegrate_reuses_the_endpoint_sample(monkeypatch, capsys):
-    import webgeo.cli
+    # Every (alpha, beta) comes from the path's blocks, the endpoint's jets
+    # too: the kernel never runs again at a single point.
+    import webgeo.projective
+    from webgeo.exprlang import Block
 
-    def again(*args, **kwargs):
-        raise AssertionError("alpha_beta evaluated again at the endpoint")
+    kernel = webgeo.projective._alpha_beta_jets
+    blocks = []
 
-    monkeypatch.setattr(webgeo.cli, "alpha_beta", again, raising=False)
+    def spy(f3, f4, at, ok=None):
+        if not isinstance(at, Block):
+            raise AssertionError(f"alpha and beta evaluated again at the point {at}")
+        blocks.append(at)
+        return kernel(f3, f4, at, ok)
+
+    monkeypatch.setattr(webgeo.projective, "_alpha_beta_jets", spy)
     assert run([*SYM_PATH_ARGS, "--path", "2.9,0.9; 3.1,0.9", "--step", "0.05"]) == 0
+    assert blocks
 
 
 def test_overflowing_transport_stays_quiet(capsys):
@@ -648,10 +658,10 @@ def test_an_option_after_an_option_is_not_its_value(capsys):
 
 
 def test_render_bounds_its_leaf_points(tmp_path, monkeypatch, capsys):
-    import webgeo.cli
+    import webgeo.render
 
     # each leaf of x from y = 0 to 1 in steps of 0.01 holds about 100 points
-    monkeypatch.setattr(webgeo.cli, "MAX_RENDER_POINTS", 150)
+    monkeypatch.setattr(webgeo.render, "MAX_RENDER_POINTS", 150)
     svg_path = tmp_path / "web.svg"
     argv = ["render", "--web", "x", "--domain", "0:1:0:1", "--step", "0.01"]
     argv += ["--svg", str(svg_path)]
