@@ -414,6 +414,30 @@ def test_deep_unary_minus_is_a_parse_error():
     assert evaluate(parse("-" * MAX_NESTING + "x"), (2.0, 0.0)) == 2.0
 
 
+_CHAIN = "+".join(["x"] * MAX_DEPTH)
+
+
+@pytest.mark.parametrize(
+    "source, position",
+    [
+        ("+".join(["x"] * (MAX_DEPTH + 1)), 399),
+        ("*".join(["x"] * (MAX_DEPTH + 1)), 399),
+        ("-(" + _CHAIN + ")", 0),
+        ("(" + _CHAIN + ")^2", 402),
+        ("sin(" + _CHAIN + ")", 0),
+    ],
+    ids=["sum-chain", "product-chain", "minus", "power", "call"],
+)
+def test_too_deep_trees_are_a_parse_error_at_the_node_token(source, position):
+    """A tree one level past MAX_DEPTH fails at the token of the node that
+    would make it too deep: the operator, the minus sign, the exponent or
+    the function name."""
+    with pytest.raises(ParseError) as err:
+        parse(source)
+    assert err.value.position == position
+    assert err.value.message == f"expression tree deeper than {MAX_DEPTH} levels"
+
+
 def test_operator_overloading_builds_same_trees():
     x = Variable("x")
     y = Variable("y")
