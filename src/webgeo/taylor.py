@@ -587,11 +587,9 @@ def table_arith(op: str, a, b, order: int, ok):
         return [[u - v for u, v in zip(ra, rb)] for ra, rb in zip(a, b)]
     if op == "*":
         return mul_table(a, b, order)
-    if op == "/":
-        message = "division by a jet with zero constant term"
-        fail(b[0][0] == 0.0, ok, lambda: JetDomainError(message))
-        return div_table(a, b, order)
-    raise JetError(f"unknown jet operation {op!r}")
+    message = "division by a jet with zero constant term"
+    fail(b[0][0] == 0.0, ok, lambda: JetDomainError(message))
+    return div_table(a, b, order)
 
 
 def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):

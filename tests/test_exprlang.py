@@ -438,6 +438,81 @@ def test_too_deep_trees_are_a_parse_error_at_the_node_token(source, position):
     assert err.value.message == f"expression tree deeper than {MAX_DEPTH} levels"
 
 
+def _operator_chain(terms: int):
+    tree = X
+    for _ in range(terms):
+        tree = tree + X
+    return tree
+
+
+def _deepest_chain():
+    """A sum of MAX_DEPTH levels, the deepest tree there is."""
+    return _operator_chain(MAX_DEPTH - 1)
+
+
+#: Trees that are not formulas, each built by a function, with the error
+#: its construction raises and the field the message names.
+MALFORMED = {
+    "variable-z": (lambda: Variable("z"), ValueError, "Variable.name"),
+    "call-abs": (lambda: Call("abs", X), ValueError, "Call.func"),
+    "unary-pos": (lambda: Unary("pos", X), ValueError, "Unary.op"),
+    "binary-percent": (lambda: Binary("%", X, Y), ValueError, "Binary.op"),
+    "string-constant": (lambda: Constant("2"), ValueError, "Constant.value"),
+    "nan-constant": (lambda: Constant(math.nan), ValueError, "Constant.value"),
+    "infinite-constant": (lambda: Constant(-math.inf), ValueError, "Constant.value"),
+    "bool-constant": (lambda: Constant(True), ValueError, "Constant.value"),
+    "huge-int-constant": (lambda: Constant(10**400), ValueError, "Constant.value"),
+    "variable-exponent": (lambda: Binary("^", X, Y), ValueError, "Binary.right"),
+    "operator-variable-exponent": (lambda: X**Y, ValueError, "Binary.right"),
+    "bool-index": (lambda: PartialDerivative(X * X, True, 0), ValueError, "PartialDerivative.dx"),
+    "float-index": (lambda: PartialDerivative(X, 0, 1.0), ValueError, "PartialDerivative.dy"),
+    "negative-index": (lambda: PartialDerivative(X, -1, 2), ValueError, "PartialDerivative.dx"),
+    "order-past-max": (
+        lambda: PartialDerivative(X, 2, MAX_ORDER - 1), ValueError, "PartialDerivative.dy"
+    ),
+    "string-child": (lambda: Unary("neg", "x"), TypeError, "Unary.child"),
+    "float-operand": (lambda: Binary("+", X, 1.0), TypeError, "Binary.right"),
+    "missing-argument": (lambda: Call("sin", None), TypeError, "Call.arg"),
+    "string-target": (
+        lambda: PartialDerivative("x*y", 1, 0), TypeError, "PartialDerivative.target"
+    ),
+    "operator-chain-3000": (lambda: _operator_chain(3000), ValueError, "Binary.left"),
+    "deep-right-operand": (lambda: Binary("*", Y, _deepest_chain()), ValueError, "Binary.right"),
+    "deep-minus": (lambda: -_deepest_chain(), ValueError, "Unary.child"),
+    "deep-call": (lambda: Call("exp", _deepest_chain()), ValueError, "Call.arg"),
+    "deep-derivative": (
+        lambda: PartialDerivative(_deepest_chain(), 1, 0), ValueError, "PartialDerivative.target"
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, field", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_trees_are_rejected_when_built(build, error, field):
+    """Each node checks its fields and the depth of its tree when it is
+    built, so no walk, printer or compiled function ever meets a malformed
+    tree: the error is raised at construction and names the field."""
+    with pytest.raises(error) as err:
+        build()
+    assert type(err.value) is error
+    assert str(err.value).startswith(field) or str(err.value).endswith(f"at {field}")
+    if "deep" in str(err.value):
+        assert str(err.value) == f"expression tree deeper than {MAX_DEPTH} levels at {field}"
+
+
+def test_hand_built_trees_are_checked_like_parsed_ones():
+    """An int constant is stored as a float, so a hand-built power evaluates
+    as its parsed twin; the deepest tree builds and every walk reads it."""
+    power = Binary("^", X, Constant(2))
+    assert power == parse("x^2") and type(power.right.value) is float
+    assert evaluate(power, (3, 1)) == 9.0
+    assert evaluate_gradient(power, (3, 1)) == (9.0, 6.0, 0.0)
+    deepest = _deepest_chain()
+    assert deepest == parse("+".join(["x"] * MAX_DEPTH))
+    assert evaluate(deepest, (1, 0)) == MAX_DEPTH
+    assert evaluate_jet(deepest, (1, 0), 2).c(1, 0) == MAX_DEPTH
+    assert parse(to_source(deepest)) == deepest
+
+
 def test_operator_overloading_builds_same_trees():
     x = Variable("x")
     y = Variable("y")
