@@ -20,8 +20,10 @@ so a NaN sample fails every verdict the same way.
 
 The parser and :func:`run` import only argparse, math and sys, and the
 constants they read from the package itself; each handler, and each
-helper it calls, imports the modules it uses when it runs.  So `--help`
-and usage errors load no other module of webgeo, and each subcommand
+helper it calls, imports the modules it uses when it runs, and each
+handler parses all its option text before it imports the modules that
+compute.  So `--help` and usage errors load no other module of webgeo, a
+formula syntax error loads only the formula language, and each subcommand
 loads only the modules it runs (see the README).  Every error the
 library raises for a value is a ValueError; a formula syntax error is
 turned into a usage error where the formula is parsed.
@@ -194,12 +196,13 @@ def _grid_stats(series) -> dict:
 
 
 def _cmd_flex(args) -> int:
+    f = _parse_expr(args.f, "--f")
+    grid = _parse_grid(args.grid)
+
     from .exprlang import to_source
     from .geodesy import judge, residual_sweep
     from .geometry import ChristoffelField
 
-    f = _parse_expr(args.f, "--f")
-    grid = _parse_grid(args.grid)
     zero = ChristoffelField(*([_parse_expr("0", "zero")] * 6))
     (series,) = residual_sweep([f], grid, christoffels=zero)
     stats = _grid_stats(series)
@@ -215,8 +218,6 @@ def _cmd_flex(args) -> int:
 
 
 def _parse_structure(text: str):
-    from .geometry import ChristoffelField
-
     if text.startswith("constcurv:"):
         return {"curvature": _finite(text.split(":", 1)[1], "--christoffel constcurv")}
     if text.startswith("graph:"):
@@ -229,6 +230,8 @@ def _parse_structure(text: str):
                 "--christoffel custom: expected six semicolon-separated "
                 "components g1_11; g1_12; g1_22; g2_11; g2_12; g2_22"
             )
+        from .geometry import ChristoffelField
+
         return {"christoffels": ChristoffelField(*comps)}
     raise _UsageError(
         f"--christoffel: expected constcurv:<kappa>, graph:<expr>, or "
@@ -237,12 +240,13 @@ def _parse_structure(text: str):
 
 
 def _cmd_geodesic(args) -> int:
+    web = _parse_web(args.web)
+    structure = _parse_structure(args.christoffel)
+    grid = _parse_grid(args.grid)
+
     from .exprlang import to_source
     from .geodesy import geodesic_web_report
 
-    web = _parse_web(args.web)
-    grid = _parse_grid(args.grid)
-    structure = _parse_structure(args.christoffel)
     results = geodesic_web_report(web, grid, tolerance=args.tol, **structure)
     notes = results.pop("notes", [])
     inputs = {
@@ -254,24 +258,25 @@ def _cmd_geodesic(args) -> int:
 
 
 def _cmd_fit(args) -> int:
+    web = _parse_web(args.web)
+    if len(web) != 4:
+        raise _UsageError(f"--web: fit needs exactly 4 functions, got {len(web)}")
+    point = None if args.point is None else _parse_point(args.point)
+    grid = None if point is not None else _parse_grid(args.grid)
+
     from dataclasses import asdict
 
     from .exprlang import EvaluationError, to_source
     from .geodesy import sequential_sum
     from .projective import fit_projective_structure, fit_sweep
 
-    web = _parse_web(args.web)
-    if len(web) != 4:
-        raise _UsageError(f"--web: fit needs exactly 4 functions, got {len(web)}")
     inputs = {"web": [to_source(f) for f in web]}
-    if args.point is not None:
-        point = _parse_point(args.point)
+    if point is not None:
         pi = fit_projective_structure(web, point)
         inputs["point"] = list(point)
         results = {"pi": asdict(pi)}
         grid_dict = None
     else:
-        grid = _parse_grid(args.grid)
         grid_dict = grid.as_dict()
         columns, skipped = fit_sweep(web, grid)
         count = len(columns[0])
@@ -288,14 +293,15 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_dweb(args) -> int:
-    from .exprlang import EvaluationError, to_source
-    from .geodesy import judge, reduce_samples
-    from .projective import dweb_sweep
-
     web = _parse_web(args.web)
     if len(web) < 5:
         raise _UsageError(f"--web: dweb needs at least 5 functions, got {len(web)}")
     grid = _parse_grid(args.grid)
+
+    from .exprlang import EvaluationError, to_source
+    from .geodesy import judge, reduce_samples
+    from .projective import dweb_sweep
+
     series = dweb_sweep(web, grid)
     per_function = []
     for idx, (f, samples) in enumerate(zip(web[4:], series)):
@@ -323,13 +329,14 @@ def _cmd_dweb(args) -> int:
 
 
 def _cmd_symcheck(args) -> int:
+    f3 = _parse_expr(args.f3, "--f3")
+    f4 = _parse_expr(args.f4, "--f4")
+    grid = _parse_grid(args.grid)
+
     from .exprlang import EvaluationError, to_source
     from .geodesy import judge, reduce_samples
     from .projective import symmetry_sweep
 
-    f3 = _parse_expr(args.f3, "--f3")
-    f4 = _parse_expr(args.f4, "--f4")
-    grid = _parse_grid(args.grid)
     r1, r2, skipped = symmetry_sweep(f3, f4, grid)
     r1, r2 = reduce_samples(r1), reduce_samples(r2)
     if not r1.samples:
@@ -348,6 +355,11 @@ def _cmd_symcheck(args) -> int:
 
 
 def _cmd_symintegrate(args) -> int:
+    f3 = _parse_expr(args.f3, "--f3")
+    f4 = _parse_expr(args.f4, "--f4")
+    path = _parse_path(args.path)
+    initial_values = _parse_floats(args.initial, 6, "--initial")
+
     from dataclasses import asdict
 
     from .exprlang import to_source
@@ -358,10 +370,6 @@ def _cmd_symintegrate(args) -> int:
         path_step_count,
     )
 
-    f3 = _parse_expr(args.f3, "--f3")
-    f4 = _parse_expr(args.f4, "--f4")
-    path = _parse_path(args.path)
-    initial_values = _parse_floats(args.initial, 6, "--initial")
     initial = FiniteTypeState(*initial_values)
     try:
         path_step_count(path, args.step)
@@ -389,24 +397,25 @@ def _cmd_symintegrate(args) -> int:
 
 
 def _cmd_euler(args) -> int:
+    w = _parse_expr(args.w, "--w")
+    values = _parse_floats(args.pi, 4, "--pi") if args.pi else None
+    if args.point is not None:
+        point = _parse_point(args.point)
+        if args.format == "csv":
+            raise _UsageError("--format csv needs --grid")
+    else:
+        grid = _parse_grid(args.grid)
+
     from .eulerweb import connection_euler_residual, euler_residual, euler_sweep
     from .exprlang import to_source
     from .geodesy import judge
     from .geometry import ThomasParameters
 
-    w = _parse_expr(args.w, "--w")
-    pi = None
-    if args.pi:
-        values = _parse_floats(args.pi, 4, "--pi")
-        pi = ThomasParameters(*values)
-
+    pi = None if values is None else ThomasParameters(*values)
     inputs = {"w": to_source(w), "tolerance": args.tol}
     if pi is not None:
         inputs["pi"] = [pi.p1_22, pi.p1_12, pi.p2_12, pi.p2_11]
     if args.point is not None:
-        point = _parse_point(args.point)
-        if args.format == "csv":
-            raise _UsageError("--format csv needs --grid")
         if pi is None:
             value = euler_residual(w, point)
         else:
@@ -416,7 +425,6 @@ def _cmd_euler(args) -> int:
         results = {"residual": value, "verdict": verdict}
         return _finish(args, "euler", inputs, None, results)
 
-    grid = _parse_grid(args.grid)
     series = euler_sweep(w, grid, pi)
     stats = _grid_stats(series)
     worst, verdict = judge([stats["max_normalized"]], args.tol, PASS_FAIL_VERDICTS)
@@ -431,9 +439,6 @@ def _cmd_euler(args) -> int:
 
 
 def _cmd_lingen(args) -> int:
-    from .eulerweb import CauchyDatum, generate_linear_web
-    from .render import render_svg
-
     sources = [p.strip() for p in args.data.split(";")]
     if any(not s for s in sources):
         raise _UsageError("--data: empty datum entry")
@@ -441,14 +446,18 @@ def _cmd_lingen(args) -> int:
     if len(interval_pieces) != 2:
         raise _UsageError(f"--lambda: expected lo:hi, got {args.lam!r}")
     interval = tuple(_finite(p, "--lambda") for p in interval_pieces)
+    exprs = [_parse_expr(source, "--data") for source in sources]
+    domain = _parse_rect(args.domain)
+
+    from .eulerweb import CauchyDatum, generate_linear_web
+    from .render import render_svg
+
     data = []
-    for source in sources:
-        expr = _parse_expr(source, "--data")
+    for expr in exprs:
         try:
             data.append(CauchyDatum(expr, interval))
         except ValueError as exc:
             raise _UsageError(f"--data: {exc}") from None
-    domain = _parse_rect(args.domain)
     try:
         sample = generate_linear_web(data, domain, args.leaves)
     except ValueError as exc:
@@ -473,11 +482,12 @@ def _cmd_lingen(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    web = _parse_web(args.web)
+    domain = _parse_rect(args.domain)
+
     from .exprlang import to_source
     from .render import MAX_RENDER_POINTS, render_svg, trace_level_curve
 
-    web = _parse_web(args.web)
-    domain = _parse_rect(args.domain)
     leaves = []
     warnings = []
     points = 0

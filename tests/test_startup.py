@@ -62,6 +62,7 @@ WEB4 = "x; y; x+y; x*y"
 #: The modules of webgeo, besides the package and ``cli``, that each kind
 #: of command loads.
 PARSER = ()
+FORMULA = ("exprlang", "taylor")
 TRACING = ("exprlang", "render", "taylor")
 EULER = ("eulerweb", "exprlang", "geodesy", "geometry", "render", "taylor")
 FIT = ("exprlang", "geodesy", "geometry", "projective", "render", "taylor")
@@ -69,6 +70,12 @@ FIT = ("exprlang", "geodesy", "geometry", "projective", "render", "taylor")
 CASES = {
     "help": (["--help"], 0, PARSER),
     "usage-error": (["flex"], 2, PARSER),
+    "formula-syntax-error": (["flex", "--f", "x+", "--grid", "0:1:0:1:3:3"], 2, FORMULA),
+    "graph-syntax-error": (
+        ["geodesic", "--web", "x; y", "--christoffel", "graph:x^", "--grid", "0:1:0:1:3:3"],
+        2,
+        FORMULA,
+    ),
     "render": (
         ["render", "--web", "x; y; x+y", "--domain", "0:1:0:1", "--levels", "5",
          "--svg", "web.svg"],
