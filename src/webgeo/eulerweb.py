@@ -86,10 +86,10 @@ class CauchyDatum:
                 f"Cauchy data must be a function of y alone, got '{to_source(w0)}'"
             )
         lo, hi = float(lambda_interval[0]), float(lambda_interval[1])
-        if not lo < hi:
-            raise ValueError(f"empty parameter interval ({lo}, {hi})")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"parameter interval ({lo}, {hi}) must be finite")
+        if not lo < hi:
+            raise ValueError(f"empty parameter interval ({lo}, {hi})")
         object.__setattr__(self, "w0", w0)
         object.__setattr__(self, "lambda_interval", (lo, hi))
 

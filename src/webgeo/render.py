@@ -55,10 +55,10 @@ class Rect:
     ymax: float
 
     def __post_init__(self):
-        if not (self.xmax > self.xmin and self.ymax > self.ymin):
-            raise ValueError("rectangle must have positive extent")
         if not all(map(math.isfinite, (self.xmin, self.xmax, self.ymin, self.ymax))):
             raise ValueError("rectangle bounds must be finite")
+        if not (self.xmax > self.xmin and self.ymax > self.ymin):
+            raise ValueError("rectangle must have positive extent")
 
     def contains(self, point) -> bool:
         x, y = point

@@ -292,3 +292,9 @@ def test_generate_reports_domain_incompatibility():
 def test_cauchy_datum_interval_must_be_finite(interval):
     with pytest.raises(ValueError, match="must be finite"):
         CauchyDatum("y", interval)
+
+
+@pytest.mark.parametrize("interval", [(math.nan, 1.0), (0.0, math.nan)])
+def test_a_nan_cauchy_datum_bound_is_named_non_finite(interval):
+    with pytest.raises(ValueError, match="must be finite"):
+        CauchyDatum("y", interval)

@@ -395,6 +395,16 @@ def test_rect_bounds_must_be_finite(bounds):
         Rect(*bounds)
 
 
+@pytest.mark.parametrize("position", range(4))
+def test_a_nan_rect_bound_is_named_non_finite(position):
+    """A NaN bound fails every comparison, so it is caught as non-finite
+    before the extent is checked."""
+    bounds = [0.0, 1.0, 0.0, 1.0]
+    bounds[position] = math.nan
+    with pytest.raises(ValueError, match="rectangle bounds must be finite"):
+        Rect(*bounds)
+
+
 # 1e308*(1 + x) overflows to inf for x above about 0.797, where the sine's
 # derivative then raises a math domain error: the leaf must end there.
 OVERFLOWING_SINE = "x + y + 1e-310*sin(1e308+1e308*x)"
