@@ -139,7 +139,9 @@ class _Node:
 
     _value_code = None
     _gradient_code = None
-    _depth = 1  # a leaf; each inner node records its own when it is built
+    # A leaf; each inner node writes its own to __dict__ when it is built, as
+    # the constructors write every field they set (the classes are frozen).
+    _depth = 1
 
     def __getstate__(self):
         """State for copy and pickle: the fields, without compiled code."""
@@ -161,19 +163,16 @@ def _require(node, ok: bool, field: str, requirement: str):
         raise ValueError(f"{type(node).__name__}.{field} must be {requirement}, got {got!r}")
 
 
-def _record_depth(node, *fields):
-    """Record the depth of `node` over the children in its `fields`, each
-    of which must be a node, the tree at most MAX_DEPTH deep."""
-    depth = 0
-    for field in fields:
-        child = getattr(node, field)
-        if not isinstance(child, _Node):
-            got = type(child).__name__
-            raise TypeError(f"{type(node).__name__}.{field} must be a node, got {got}")
-        if child._depth >= MAX_DEPTH:
-            raise ValueError(f"{_TOO_DEEP} at {type(node).__name__}.{field}")
-        depth = max(depth, child._depth)
-    object.__setattr__(node, "_depth", 1 + depth)
+def _depth_under(node, field: str) -> int:
+    """The depth of the child in `node`'s `field`, which must be a node
+    less than MAX_DEPTH deep."""
+    child = node.__dict__[field]
+    if not isinstance(child, _Node):
+        got = type(child).__name__
+        raise TypeError(f"{type(node).__name__}.{field} must be a node, got {got}")
+    if child._depth >= MAX_DEPTH:
+        raise ValueError(f"{_TOO_DEEP} at {type(node).__name__}.{field}")
+    return child._depth
 
 
 @dataclass(frozen=True)
@@ -184,7 +183,7 @@ class Constant(_Node):
         real = isinstance(self.value, (int, float)) and not isinstance(self.value, bool)
         finite = real and abs(self.value) <= sys.float_info.max
         _require(self, finite, "value", "a finite real number")
-        object.__setattr__(self, "value", float(self.value))
+        self.__dict__["value"] = float(self.value)
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ class Unary(_Node):
 
     def __post_init__(self):
         _require(self, self.op == "neg", "op", "'neg'")
-        _record_depth(self, "child")
+        self.__dict__["_depth"] = 1 + _depth_under(self, "child")
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,8 @@ class Binary(_Node):
 
     def __post_init__(self):
         _require(self, self.op in _BINARY_OPS, "op", "one of + - * / ^")
-        _record_depth(self, "left", "right")
+        left, right = _depth_under(self, "left"), _depth_under(self, "right")
+        self.__dict__["_depth"] = 1 + (left if left > right else right)
         if self.op == "^":
             _require(self, isinstance(self.right, Constant), "right", "a Constant exponent")
 
@@ -225,7 +225,7 @@ class Call(_Node):
 
     def __post_init__(self):
         _require(self, self.func in FUNCTION_NAMES, "func", "one of " + " ".join(FUNCTION_NAMES))
-        _record_depth(self, "arg")
+        self.__dict__["_depth"] = 1 + _depth_under(self, "arg")
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,7 @@ class PartialDerivative(_Node):
             _require(self, type(index) is int and index >= 0, field, "an int >= 0")
         within = self.dx + self.dy <= MAX_ORDER
         _require(self, within, "dy", f"at most MAX_ORDER - dx = {MAX_ORDER - self.dx}")
-        _record_depth(self, "target")
+        self.__dict__["_depth"] = 1 + _depth_under(self, "target")
 
 
 Expression = Constant | Variable | Unary | Binary | Call | PartialDerivative
