@@ -8,6 +8,7 @@ import pytest
 
 from webgeo import (
     CauchyDatum,
+    CharacteristicSolution,
     Rect,
     ThomasParameters,
     characteristic_roots,
@@ -166,6 +167,20 @@ def test_scan_count_is_capped_before_anything_is_allocated(monkeypatch):
     assert peak < 64 * 1024
 
 
+def test_solution_value_needs_exactly_one_branch():
+    solution = CharacteristicSolution(CauchyDatum("-2*sqrt(-y)", (-20.0, -1e-6)))
+    with pytest.raises(ValueError, match=r"expected exactly one characteristic root .* found 2"):
+        solution.value((2, 3))
+
+
+def test_solution_jet_is_refused_at_a_near_double_root():
+    # (2, 4) lies on y = x^2, the caustic of the tangent lines: lam = -4 is
+    # a double root there, g'(-4) = 2/sqrt(4) - 1 = 0
+    solution = CharacteristicSolution(CauchyDatum("-2*sqrt(-y)", (-20.0, -1e-6)))
+    with pytest.raises(ValueError, match="near-double"):
+        solution.jet((2.0, 4.0), 2, lam=-4.0)
+
+
 @pytest.mark.parametrize(
     "point", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0), (0.0, -math.inf)]
 )
@@ -203,6 +218,13 @@ def test_generate_rejects_a_leaf_count_that_is_not_an_int(leaves):
     datum = CauchyDatum("-2*sqrt(-y)", (-16.0, -0.04))
     with pytest.raises(ValueError, match="leaves_per_foliation must be an integer"):
         generate_linear_web([datum], Rect(-2, 2, -4, 2), leaves)
+
+
+def test_generate_places_a_single_leaf_midway():
+    sample = generate_linear_web([CauchyDatum("y", (-1.0, 1.0))], Rect(-1, 1, -1, 1), 1)
+    (foliation,) = sample.foliations
+    assert foliation.lambda_values == (0.0,)
+    assert foliation.leaves[0].points == ((-1.0, 0.0), (1.0, 0.0))
 
 
 def test_generate_pencils():

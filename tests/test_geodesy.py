@@ -241,6 +241,11 @@ def test_web_report_structure_validation():
         geodesic_web_report(["x"], grid, christoffels=FLAT, curvature=1.0)
 
 
+def test_web_report_needs_a_function():
+    with pytest.raises(ValueError, match="web has no functions"):
+        geodesic_web_report([], GridSpec(0, 1, 0, 1, 3, 3), curvature=0.0)
+
+
 def test_web_report_all_points_invalid():
     grid = GridSpec(10.0, 11.0, 10.0, 11.0, 3, 3)
     with pytest.raises(ValueError):

@@ -33,8 +33,10 @@ from webgeo.exprlang import (
     Call,
     Constant,
     EvaluationError,
+    PartialDerivative,
     X,
     Y,
+    evaluate,
     parse,
     to_source,
 )
@@ -252,6 +254,36 @@ def test_overflow_inside_a_node_is_not_hidden_by_a_zero_factor():
     skipped, samples = loop(lambda p: flex_residual(f, FLAT, p), grid)
     assert skipped == [[1e-300, 0.0], [1e-300, 1.0]]
     assert_same(residual_sweep([f], grid, christoffels=FLAT)[0], skipped, samples)
+
+
+@pytest.mark.parametrize(
+    "formula, xs, ys, message",
+    [
+        pytest.param("exp(800*x)", np.linspace(0.8, 1.0, 9), np.zeros(9), "math range error",
+                     id="exp-overflow"),
+        # D[2,0] takes 2! times a coefficient of 1e308 (1 + y): inf at y = 1,
+        # where math.sin raises
+        pytest.param(Call("sin", PartialDerivative(parse("5e307*x^2*(1+y)"), 2, 0)),
+                     [0.0, 0.0], [1.0, -1.0], "math domain error", id="sin-of-inf"),
+    ],
+)
+def test_block_values_clear_the_lanes_where_math_raises(formula, xs, ys, message):
+    """A `math` function that raises at some lanes sends the block value
+    walk lane by lane: it clears exactly the lanes where the single-point
+    value raises, and keeps the bits of the others."""
+    e = parse(formula) if isinstance(formula, str) else formula
+    values, ok = Block(xs, ys).evaluate(e, 0)
+    raised = []
+    for k, point in enumerate(zip(xs, ys)):
+        try:
+            want = evaluate(e, point)
+        except EvaluationError as exc:
+            assert message in str(exc)
+            raised.append(k)
+            continue
+        assert bits(values[k]) == bits(want)
+    assert 0 < len(raised) < len(xs)
+    assert [k for k, valid in enumerate(ok) if not valid] == raised
 
 
 def test_residual_sweep_runs_each_function_once_per_block(monkeypatch):
