@@ -34,7 +34,7 @@ def square_loop(center, half):
 
 def transport(f3, f4, center, label):
     start = square_loop(center, 0.1)[0]
-    ab = alpha_beta(f3, f4, start, jet_order=2)
+    ab = alpha_beta(f3, f4, start)
     # satisfy the trace constraint at the start point
     shift = -(ab.alpha_x - ab.beta_y) / 3.0
     initial = FiniteTypeState(0.2, -0.1, 0.15 + shift, 0.33, -0.21, 0.15)
@@ -47,7 +47,7 @@ def transport(f3, f4, center, label):
     print(f"    trace constraint end: {result.constraint_residual:+.3e}")
     for warning in result.warnings:
         print(f"    warning: {warning}")
-    curvature = curvature_along(result.state, alpha_beta(f3, f4, start, jet_order=2))
+    curvature = curvature_along(result.state, alpha_beta(f3, f4, start))
     print(f"    curvature trace:      {curvature.trace:+.3e}")
 
 

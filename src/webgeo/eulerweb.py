@@ -56,10 +56,8 @@ from .taylor import (
     table_partial,
 )
 
-DEFAULT_SCAN_COUNT = 400
-
-#: Largest scan_count characteristic_roots accepts.
-MAX_SCAN_COUNT = 100_000
+#: Parameter values of each datum scanned for sign changes of g.
+SCAN_COUNT = 400
 
 #: Parameter values of each datum probed for lines that meet the domain.
 PROBE_COUNT = 512
@@ -177,35 +175,23 @@ def _characteristic_g_prime(datum: CauchyDatum, point, lam: float) -> float:
     return slope * point[0] - 1.0
 
 
-def characteristic_roots(
-    datum: CauchyDatum,
-    point,
-    scan_count: int = DEFAULT_SCAN_COUNT,
-) -> list[CharacteristicRoot]:
+def characteristic_roots(datum: CauchyDatum, point) -> list[CharacteristicRoot]:
     """All parameter values lam in the datum's interval that solve the
     characteristic system at `point`, each paired with the transported
     slope w0(lam).
 
-    A uniform scan locates sign changes of g, each bracket is bisected to
-    width 1e-14 and polished with one Newton step.  Root isolation is only
-    as fine as the scan: raising `scan_count` never loses roots that a
-    coarser scan found.  An empty list is a valid outcome (no
-    characteristic through the point), not an error.  Raises ValueError,
-    before any evaluation, for a point that is not finite and for a
-    `scan_count` that is not an int from 2 to MAX_SCAN_COUNT (a bool is
-    not one).
+    A uniform scan of SCAN_COUNT parameter values locates sign changes of
+    g, each bracket is bisected to width 1e-14 and polished with one
+    Newton step.  Root isolation is only as fine as the scan: a finer scan
+    never loses roots that a coarser one found.  An empty list is a valid
+    outcome (no characteristic through the point), not an error.  Raises
+    ValueError, before any evaluation, for a point that is not finite.
     """
     x, y = float(point[0]), float(point[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point {(x, y)} is not finite")
-    if isinstance(scan_count, bool) or not isinstance(scan_count, int):
-        raise ValueError(f"scan_count must be an integer, got {scan_count!r}")
-    if scan_count < 2:
-        raise ValueError(f"scan_count must be at least 2, got {scan_count}")
-    if scan_count > MAX_SCAN_COUNT:
-        raise ValueError(f"scan_count must be at most {MAX_SCAN_COUNT}, got {scan_count}")
     lo, hi = datum.lambda_interval
-    lams = [lo + (hi - lo) * k / (scan_count - 1) for k in range(scan_count)]
+    lams = [lo + (hi - lo) * k / (SCAN_COUNT - 1) for k in range(SCAN_COUNT)]
     values = [_characteristic_g(datum, (x, y), lam) for lam in lams]
 
     found: list[float] = []
@@ -217,14 +203,14 @@ def characteristic_roots(
                 return
         found.append(lam)
 
-    for k in range(scan_count - 1):
+    for k in range(SCAN_COUNT - 1):
         a, b = lams[k], lams[k + 1]
         ga, gb = values[k], values[k + 1]
         if ga == 0.0:
             record(a)
             continue
         if gb == 0.0:
-            if k == scan_count - 2:
+            if k == SCAN_COUNT - 2:
                 record(b)
             continue
         if ga * gb > 0.0:
@@ -331,9 +317,6 @@ class LinearWebSample:
 
     domain: Rect
     foliations: tuple[FoliationSample, ...]
-
-    def leaf_count(self) -> int:
-        return sum(len(f.leaves) for f in self.foliations)
 
     def all_leaves(self) -> list[LeafPolyline]:
         leaves = []

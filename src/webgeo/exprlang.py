@@ -938,6 +938,8 @@ def _math_lanes(fn, u):
     try:
         return per_lane(fn, u)
     except (ValueError, OverflowError):
+        # exp past its range, or sin of a derivative that table_partial
+        # scaled to inf: without this retry the error escapes Block.run.
         pass
 
     def guarded(v):

@@ -33,7 +33,7 @@ version.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import partial
 from typing import NamedTuple
 
@@ -42,7 +42,6 @@ from .exprlang import (
     Block,
     EvaluationError,
     Expression,
-    Variable,
     as_expression,
     table_at,
     to_source,
@@ -511,27 +510,18 @@ class WebPresentation:
     """An ordered family of d >= 3 foliations given by level sets."""
 
     functions: tuple[Expression, ...]
-    normalized: bool = field(init=False)
 
     def __init__(self, functions):
         funcs = tuple(as_expression(f) for f in functions)
         if len(funcs) < 3:
             raise ValueError(f"a web needs at least 3 functions, got {len(funcs)}")
         object.__setattr__(self, "functions", funcs)
-        object.__setattr__(
-            self,
-            "normalized",
-            funcs[0] == Variable("x") and funcs[1] == Variable("y"),
-        )
 
     def __len__(self):
         return len(self.functions)
 
     def __iter__(self):
         return iter(self.functions)
-
-    def sources(self) -> list[str]:
-        return [to_source(f) for f in self.functions]
 
 
 def _web_functions(web) -> list[Expression]:

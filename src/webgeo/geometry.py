@@ -107,10 +107,6 @@ class CurvatureMatrix:
     def trace(self) -> float:
         return self.r1_112 + self.r2_212
 
-    @property
-    def det(self) -> float:
-        return self.r1_112 * self.r2_212 - self.r1_212 * self.r2_112
-
 
 def thomas_from_christoffels(gammas: ChristoffelField, point) -> ThomasParameters:
     """Thomas parameters of a connection, evaluated at a point."""

@@ -232,65 +232,51 @@ def fit_by_linear_solve(web, point) -> ThomasParameters:
 @dataclass(frozen=True)
 class AlphaBeta:
     """The two projective invariants of a normalized 4-web at a point,
-    optionally with their order-2 jets (for derivative extraction)."""
+    with their order-2 jets (for derivative extraction)."""
 
     alpha: float
     beta: float
-    alpha_jet: TaylorJet | None = None
-    beta_jet: TaylorJet | None = None
-
-    def _need_jets(self):
-        if self.alpha_jet is None or self.beta_jet is None:
-            raise ValueError("AlphaBeta was built without jets (jet_order=0)")
+    alpha_jet: TaylorJet
+    beta_jet: TaylorJet
 
     @property
     def alpha_x(self) -> float:
-        self._need_jets()
         return partial_derivative(self.alpha_jet, 1, 0)
 
     @property
     def alpha_y(self) -> float:
-        self._need_jets()
         return partial_derivative(self.alpha_jet, 0, 1)
 
     @property
     def alpha_xx(self) -> float:
-        self._need_jets()
         return partial_derivative(self.alpha_jet, 2, 0)
 
     @property
     def alpha_xy(self) -> float:
-        self._need_jets()
         return partial_derivative(self.alpha_jet, 1, 1)
 
     @property
     def alpha_yy(self) -> float:
-        self._need_jets()
         return partial_derivative(self.alpha_jet, 0, 2)
 
     @property
     def beta_x(self) -> float:
-        self._need_jets()
         return partial_derivative(self.beta_jet, 1, 0)
 
     @property
     def beta_y(self) -> float:
-        self._need_jets()
         return partial_derivative(self.beta_jet, 0, 1)
 
     @property
     def beta_xx(self) -> float:
-        self._need_jets()
         return partial_derivative(self.beta_jet, 2, 0)
 
     @property
     def beta_xy(self) -> float:
-        self._need_jets()
         return partial_derivative(self.beta_jet, 1, 1)
 
     @property
     def beta_yy(self) -> float:
-        self._need_jets()
         return partial_derivative(self.beta_jet, 0, 2)
 
 
@@ -333,24 +319,21 @@ def _alpha_beta_jets(f3, f4, at, ok=None):
     return f4y * term3 - f3y * term4, f3x * term4 - f4x * term3
 
 
-def alpha_beta(f3, f4, point, jet_order: int = 0) -> AlphaBeta:
-    """The invariants (alpha, beta) of the normalized web (x, y, f3, f4):
+def alpha_beta(f3, f4, point) -> AlphaBeta:
+    """The invariants (alpha, beta) of the normalized web (x, y, f3, f4),
+    with their order-2 jets:
 
         alpha = f4_y Flex f3 / (f3_x f3_y D) - f3_y Flex f4 / (f4_x f4_y D)
         beta  = -f4_x Flex f3 / (f3_x f3_y D) + f3_x Flex f4 / (f4_x f4_y D)
 
-    with D = f3_x f4_y - f3_y f4_x.  Both orders run one chain: the
-    combination is carried out in truncated jet arithmetic on order-4 jets
-    of f3 and f4, so the first and second derivatives of alpha and beta
-    come out exact to truncation; with jet_order=0 only the values are
-    kept.  Each vanishing denominator factor, and each of the products
+    with D = f3_x f4_y - f3_y f4_x.  The combination is carried out in
+    truncated jet arithmetic on order-4 jets of f3 and f4, so the first
+    and second derivatives of alpha and beta, which the symmetry
+    conditions and the transport read, come out exact to truncation.
+    Each vanishing denominator factor, and each of the products
     f3_x f3_y D and f4_x f4_y D that underflows to 0, is reported by name.
     """
-    if jet_order not in (0, 2):
-        raise ValueError("jet_order must be 0 or 2")
     alpha, beta = _alpha_beta_jets(as_expression(f3), as_expression(f4), point)
-    if jet_order == 0:
-        return AlphaBeta(alpha.value, beta.value)
     return AlphaBeta(alpha.value, beta.value, alpha, beta)
 
 
@@ -460,7 +443,6 @@ def finite_type_rhs(state: FiniteTypeState, ab: AlphaBeta):
 
     Returns (sigma_xx, sigma_xy, sigma_yy, tau_xx, tau_xy, tau_yy).
     """
-    ab._need_jets()
     return _second_derivatives(
         (state.sigma, state.tau, state.sigma_x, state.sigma_y, state.tau_x, state.tau_y),
         _field(ab.alpha_jet.table, ab.beta_jet.table),

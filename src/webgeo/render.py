@@ -25,6 +25,9 @@ from .exprlang import EvaluationError, _gradient_function, as_expression, evalua
 #: Gradient norms below this (times 1 + |x| + |y|) refuse to seed a trace.
 SEED_DEGENERACY_COEFF = 1e-10
 
+#: Most steps a trace takes in each direction from its seed.
+MAX_LEAF_STEPS = 20000
+
 #: Most leaf points the CLI's `render` traces over all its leaves; past
 #: it the run writes no SVG.  A million points take about 170 MB while
 #: they are traced and drawn.
@@ -102,21 +105,18 @@ def trace_level_curve(
     seed,
     domain: Rect,
     step: float = 1e-3,
-    max_points: int = 20000,
     foliation_index: int = 0,
 ) -> LeafPolyline:
     """Trace the level curve of f through `seed` inside `domain`.
 
     The polyline runs in both directions from the seed until it leaves the
     rectangle, closes a loop (the seed is then appended again so closed
-    leaves end where they start), or reaches `max_points` per direction.
-    Raises ValueError for a step that is not finite and positive, and for
-    a `max_points` that is not a positive int (a bool is not one).
+    leaves end where they start), or has taken MAX_LEAF_STEPS steps in
+    that direction.  Raises ValueError for a step that is not finite and
+    positive.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be a finite positive number, got {step!r}")
-    if isinstance(max_points, bool) or not isinstance(max_points, int) or max_points < 1:
-        raise ValueError(f"max_points must be a positive integer, got {max_points!r}")
     f = as_expression(f)
     seed = (float(seed[0]), float(seed[1]))
     if not domain.contains(seed):
@@ -146,7 +146,7 @@ def trace_level_curve(
         x, y = seed
         closed = False
         escaped_seed = False
-        for _ in range(max_points):
+        for _ in range(MAX_LEAF_STEPS):
             try:
                 k1x, k1y = velocity(x, y, sign)
                 k2x, k2y = velocity(x + half * k1x, y + half * k1y, sign)
@@ -176,21 +176,17 @@ def trace_level_curve(
     return LeafPolyline(foliation_index, level, combined)
 
 
-def render_svg(
-    leaves,
-    domain: Rect,
-    style: dict | None = None,
-) -> str:
+def render_svg(leaves, domain: Rect) -> str:
     """Standalone SVG 1.1 document with one path element per leaf.
 
     Output is deterministic for identical input: coordinates are formatted
-    with fixed precision and leaves are emitted in the order given.
-    `style` may map a foliation index to {"color": ..., "width": ...}.
+    with fixed precision and leaves are emitted in the order given.  Each
+    foliation index i is drawn in colour i mod 8 of a fixed palette, with
+    a stroke 1.2 pixels wide.
     """
     leaves = list(leaves)
     if not leaves:
         raise ValueError("no leaves to render")
-    style = style or {}
 
     x0, y0 = domain.xmin, domain.ymin
     sx = (SVG_WIDTH - 2.0 * SVG_MARGIN) / (domain.xmax - x0)
@@ -203,16 +199,14 @@ def render_svg(
         f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
     ]
     for leaf in leaves:
-        entry = style.get(leaf.foliation_index, {})
-        color = entry.get("color", _PALETTE[leaf.foliation_index % len(_PALETTE)])
-        stroke = entry.get("width", 1.2)
+        color = _PALETTE[leaf.foliation_index % len(_PALETTE)]
         path_data = "M " + " L ".join([
             f"{SVG_MARGIN + (x - x0) * sx:.4f} {top - (y - y0) * sy:.4f}"
             for x, y in leaf.points
         ])
         lines.append(
             f'<path d="{path_data}" fill="none" stroke="{color}" '
-            f'stroke-width="{stroke}"/>'
+            'stroke-width="1.2"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"

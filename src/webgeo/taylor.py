@@ -159,11 +159,6 @@ class TaylorJet:
         arr.setflags(write=False)
         return arr
 
-    @property
-    def n_coefficients(self) -> int:
-        """Number of stored coefficients, (order+1)(order+2)/2."""
-        return (self.order + 1) * (self.order + 2) // 2
-
     def c(self, i: int, j: int) -> float:
         """Normalized coefficient c[i][j]."""
         if i < 0 or j < 0 or i + j > self.order:

@@ -260,7 +260,7 @@ def test_criterion_09_symmetric_structure():
     assert worst >= 1e-3
 
     start = (1.9, 0.4)
-    ab0 = alpha_beta("x+y", "x*y + x^3", start, jet_order=2)
+    ab0 = alpha_beta("x+y", "x*y + x^3", start)
     shift = -(ab0.alpha_x - ab0.beta_y) / 3.0
     perturbed_initial = FiniteTypeState(0.2, -0.1, 0.15 + shift, 0.33, -0.21, 0.15)
     perturbed = integrate_symmetric_connection(
@@ -303,7 +303,7 @@ def test_criterion_10_euler_bridge():
     result = integrate_symmetric_connection(
         "x+y", "x*y", initial, [(2.9, 0.9), (3.1, 0.9), (3.1, 1.1)], step=1e-3
     )
-    ab_end = alpha_beta("x+y", "x*y", result.endpoint, jet_order=2)
+    ab_end = alpha_beta("x+y", "x*y", result.endpoint)
     assert abs(curvature_along(result.state, ab_end).trace) <= 1e-8
     _passed(10, "geodesicity residual = -fx^3 * Euler residual; transported trace stays 0")
 

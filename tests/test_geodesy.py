@@ -263,10 +263,7 @@ def test_web_presentation_contract():
     with pytest.raises(ValueError):
         WebPresentation(["x", "y"])
     web = WebPresentation(["x", "y", "x+y"])
-    assert web.normalized
     assert len(web) == 3
-    other = WebPresentation(["x*y", "y", "x"])
-    assert not other.normalized
 
 
 def test_grid_spec_contract():

@@ -79,3 +79,49 @@ def test_a_bare_import_loads_no_module_and_each_loads_when_read():
     assert result["loaded"] == [
         "webgeo", "webgeo.exprlang", "webgeo.geodesy", "webgeo.geometry", "webgeo.taylor",
     ]
+
+
+# Every defaulted parameter of the public surface: the functions of
+# ``__all__`` and the public methods (``__init__`` included) of its classes.
+# A library parameter that no caller outside the tests and demos sets is a
+# module constant instead, so a new one fails here until it is recorded.
+DEFAULTED_PARAMETERS = {
+    ("CharacteristicSolution.jet", "lam"): None,
+    ("EvaluationError.__init__", "subexpression"): None,
+    ("compose_report", "notes"): None,
+    ("compose_report", "warnings"): None,
+    ("geodesic_web_report", "christoffels"): None,
+    ("geodesic_web_report", "curvature"): None,
+    ("geodesic_web_report", "surface"): None,
+    ("geodesic_web_report", "thomas"): None,
+    ("geodesic_web_report", "tolerance"): webgeo.DEFAULT_TOLERANCE,
+    ("jet_elementary", "exponent"): None,
+    ("trace_level_curve", "foliation_index"): 0,
+    ("trace_level_curve", "step"): 1e-3,
+}
+
+
+def _public_callables():
+    for name in webgeo.__all__:
+        value = getattr(webgeo, name)
+        if inspect.isclass(value):
+            for attr, member in vars(value).items():
+                if attr.startswith("_") and attr != "__init__":
+                    continue
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                if inspect.isfunction(member):
+                    yield f"{name}.{attr}", member
+        elif callable(value):
+            yield name, value
+
+
+def test_the_defaulted_public_parameters_are_the_recorded_ones():
+    found = {
+        (qualname, parameter.name): parameter.default
+        for qualname, fn in _public_callables()
+        for parameter in inspect.signature(fn).parameters.values()
+        if parameter.default is not inspect.Parameter.empty
+    }
+    assert found == DEFAULTED_PARAMETERS
+    assert len(found) == 12

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import json
 import random
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -120,12 +118,10 @@ def test_alpha_beta_worked_example():
     ab = alpha_beta(*SYMMETRIC_PAIR, (2, 1))
     assert ab.alpha == pytest.approx(2.0)
     assert ab.beta == pytest.approx(-2.0)
-    with pytest.raises(ValueError):
-        _ = ab.alpha_x  # no jets requested
 
 
 def test_alpha_beta_jet_derivatives():
-    ab = alpha_beta(*SYMMETRIC_PAIR, (2, 1), jet_order=2)
+    ab = alpha_beta(*SYMMETRIC_PAIR, (2, 1))
     # alpha = 2/(x - y), beta = -2/(x - y); u = 1 at (2, 1)
     assert ab.alpha_x == pytest.approx(-2.0)
     assert ab.alpha_y == pytest.approx(2.0)
@@ -142,6 +138,9 @@ def test_alpha_beta_degenerate_point():
     with pytest.raises(EvaluationError) as err:
         alpha_beta("x+y", "x*y", (1, 1))
     assert "Delta" in str(err.value)
+    # the order-4 jet of f4 overflows; the float formula returned nan, nan here
+    with pytest.raises(EvaluationError):
+        alpha_beta("x+y", "exp(700*x) + y", (0.99, -0.86))
 
 
 def test_alpha_beta_matches_fit(rng):
@@ -195,15 +194,15 @@ def test_finite_type_rhs_zero_field():
     ab = AlphaBeta(
         alpha=0.0,
         beta=0.0,
-        alpha_jet=alpha_beta("x+y", "x-y", (0.5, 0.2), jet_order=2).alpha_jet,
-        beta_jet=alpha_beta("x+y", "x-y", (0.5, 0.2), jet_order=2).beta_jet,
+        alpha_jet=alpha_beta("x+y", "x-y", (0.5, 0.2)).alpha_jet,
+        beta_jet=alpha_beta("x+y", "x-y", (0.5, 0.2)).beta_jet,
     )
     assert finite_type_rhs(state, ab) == (0, 0, 0, 0, 0, 0)
 
 
 def test_finite_type_rhs_worked_example():
     state = FiniteTypeState(0, 0, 0, 0, 0, 0)
-    ab = alpha_beta(*SYMMETRIC_PAIR, (2, 1), jet_order=2)
+    ab = alpha_beta(*SYMMETRIC_PAIR, (2, 1))
     values = finite_type_rhs(state, ab)
     assert values == pytest.approx((0, 0, 0, 0, 0, 0), abs=1e-12)
 
@@ -214,7 +213,7 @@ def test_finite_type_rhs_cross_check_with_full_system(rng):
     for _ in range(15):
         state = FiniteTypeState(*(rng.uniform(-1, 1) for _ in range(6)))
         point = (rng.uniform(1.5, 2.5), rng.uniform(0.2, 0.8))
-        ab = alpha_beta(*SYMMETRIC_PAIR, point, jet_order=2)
+        ab = alpha_beta(*SYMMETRIC_PAIR, point)
         s, t = state.sigma, state.tau
         sx, sy = state.sigma_x, state.sigma_y
         tx, ty = state.tau_x, state.tau_y
@@ -267,7 +266,7 @@ def test_loop_closure_symmetric_web():
 
 def test_loop_defect_perturbed_web():
     start = (1.9, 0.4)
-    ab0 = alpha_beta(*PERTURBED_PAIR, start, jet_order=2)
+    ab0 = alpha_beta(*PERTURBED_PAIR, start)
     shift = -(ab0.alpha_x - ab0.beta_y) / 3.0
     initial = FiniteTypeState(0.2, -0.1, 0.15 + shift, 0.33, -0.21, 0.15)
     result = integrate_symmetric_connection(
@@ -326,45 +325,8 @@ def test_transport_validates_path_and_step_before_evaluating():
 def test_alpha_beta_denominator_product_underflow_is_an_evaluation_error():
     # each factor is about 1e-110, their product with Delta underflows
     f3, f4 = "1e-110*x + 1e-110*y", "x - y"
-    for order in (0, 2):
-        with pytest.raises(EvaluationError, match="f3_x f3_y Delta underflows to 0"):
-            alpha_beta(f3, f4, (1, 1), jet_order=order)
-
-
-def _workload_pairs():
-    """The (f3, f4) pairs of the symcheck and symintegrate workload jobs."""
-    data = Path(__file__).parent / "data" / "workload_jobs.json"
-    pairs = set()
-    for job in json.loads(data.read_text(encoding="utf-8")):
-        argv = job.get("argv", [""])
-        if argv[0] in ("symcheck", "symintegrate"):
-            options = dict(word.split("=", 1) for word in argv[1:])
-            pairs.add((options["--f3"], options["--f4"]))
-    return sorted(pairs)
-
-
-def test_alpha_beta_orders_share_one_chain():
-    """Without jets alpha_beta gives the bits of the order-2 values, sign of
-    zero included, and raises the same error where they raise."""
-
-    def outcome(f3, f4, point, order):
-        try:
-            ab = alpha_beta(f3, f4, point, jet_order=order)
-        except ValueError as exc:
-            return type(exc).__name__, str(exc)
-        return ab.alpha.hex(), ab.beta.hex()
-
-    # the float formula returned nan, nan here
-    for order in (0, 2):
-        with pytest.raises(EvaluationError):
-            alpha_beta("x+y", "exp(700*x) + y", (0.99, -0.86), jet_order=order)
-    rng = random.Random(17)
-    pairs = _workload_pairs()
-    assert len(pairs) > 100
-    for f3, f4 in pairs:
-        for _ in range(5):
-            point = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-            assert outcome(f3, f4, point, 0) == outcome(f3, f4, point, 2), (f3, f4, point)
+    with pytest.raises(EvaluationError, match="f3_x f3_y Delta underflows to 0"):
+        alpha_beta(f3, f4, (1, 1))
 
 
 def test_linear_solve_cube_overflow_is_an_evaluation_error():
@@ -373,8 +335,8 @@ def test_linear_solve_cube_overflow_is_an_evaluation_error():
 
 
 def test_curvature_along_trace():
-    ab = alpha_beta(*SYMMETRIC_PAIR, (2.5, 0.5), jet_order=2)
-    flat_ab = alpha_beta("x+y", "x-y", (2.5, 0.5), jet_order=2)
+    ab = alpha_beta(*SYMMETRIC_PAIR, (2.5, 0.5))
+    flat_ab = alpha_beta("x+y", "x-y", (2.5, 0.5))
     zero = curvature_along(FiniteTypeState(0, 0, 0, 0, 0, 0), flat_ab)
     assert zero.trace == 0.0
 
@@ -401,7 +363,7 @@ def test_transport_rejects_a_non_finite_initial_state_before_evaluating():
 def test_transport_returns_the_field_sample_at_its_endpoint(path):
     initial = FiniteTypeState(0.2, -0.1, 0.15, 0.33, -0.21, 0.15)
     result = integrate_symmetric_connection(*SYMMETRIC_PAIR, initial, path, step=0.05)
-    at_end = alpha_beta(*SYMMETRIC_PAIR, result.endpoint, jet_order=2)
+    at_end = alpha_beta(*SYMMETRIC_PAIR, result.endpoint)
     sample = result.endpoint_alpha_beta
     assert sample.alpha_jet.base_point == at_end.alpha_jet.base_point == path[-1]
     assert (sample.alpha, sample.beta) == (at_end.alpha, at_end.beta)

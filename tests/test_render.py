@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +26,7 @@ from webgeo import (
     write_csv_grid,
     write_report,
 )
+from webgeo import render
 from webgeo.cli import run
 from webgeo.exprlang import X, Y
 from webgeo.geodesy import ResidualSample
@@ -79,18 +81,13 @@ def test_trace_level_drift(rng):
         seed = sample_point(rng, box)
         domain = Rect(box[0], box[1], box[2], box[3])
         try:
-            leaf = trace_level_curve(f, seed, domain, step=1e-3, max_points=500)
+            with mock.patch.object(render, "MAX_LEAF_STEPS", 500):
+                leaf = trace_level_curve(f, seed, domain, step=1e-3)
         except ValueError:
             continue
         level = evaluate(f, seed)
         for point in leaf.points[:: max(1, len(leaf.points) // 50)]:
             assert abs(evaluate(f, point) - level) <= 1e-6 * (1.0 + abs(level))
-
-
-@pytest.mark.parametrize("max_points", [0, -3, 2.5, True, False, "10", None])
-def test_trace_max_points_must_be_a_positive_int(max_points):
-    with pytest.raises(ValueError, match="max_points must be a positive integer"):
-        trace_level_curve("x+y", (0.5, 0.5), Rect(0, 1, 0, 1), max_points=max_points)
 
 
 # The gradient code checks only powers and the final gradient, so at
@@ -141,14 +138,6 @@ def test_render_svg_empty_error():
         render_svg([], Rect(0, 1, 0, 1))
 
 
-def test_render_svg_styles():
-    domain = Rect(0, 1, 0, 1)
-    leaf = LeafPolyline(0, 0.0, [(0, 0), (1, 1)])
-    svg = render_svg([leaf], domain, style={0: {"color": "#123456", "width": 3}})
-    assert 'stroke="#123456"' in svg
-    assert 'stroke-width="3"' in svg
-
-
 # ------------------------------------------ the SVG writer against its reference
 #
 # `render_svg` writes each point with one f-string.  The reference below is
@@ -157,11 +146,10 @@ def test_render_svg_styles():
 # equal, character for character.
 
 
-def reference_render_svg(leaves, domain, style=None):
+def reference_render_svg(leaves, domain):
     leaves = list(leaves)
     if not leaves:
         raise ValueError("no leaves to render")
-    style = style or {}
 
     sx = (SVG_WIDTH - 2.0 * SVG_MARGIN) / (domain.xmax - domain.xmin)
     sy = (SVG_HEIGHT - 2.0 * SVG_MARGIN) / (domain.ymax - domain.ymin)
@@ -177,16 +165,14 @@ def reference_render_svg(leaves, domain, style=None):
         f'width="{SVG_WIDTH}" height="{SVG_HEIGHT}" viewBox="0 0 {SVG_WIDTH} {SVG_HEIGHT}">',
     ]
     for leaf in leaves:
-        entry = style.get(leaf.foliation_index, {})
-        color = entry.get("color", _PALETTE[leaf.foliation_index % len(_PALETTE)])
-        stroke = entry.get("width", 1.2)
+        color = _PALETTE[leaf.foliation_index % len(_PALETTE)]
         coords = [viewport(p) for p in leaf.points]
         parts = [f"M {coords[0][0]:.4f} {coords[0][1]:.4f}"]
         parts.extend(f"L {px:.4f} {py:.4f}" for px, py in coords[1:])
         path_data = " ".join(parts)
         lines.append(
             f'<path d="{path_data}" fill="none" stroke="{color}" '
-            f'stroke-width="{stroke}"/>'
+            'stroke-width="1.2"/>'
         )
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
@@ -208,7 +194,7 @@ _SVG_SPECIAL = [0.0, -0.0, 1e300, -1e300, 1.7e308, -1.7e308, math.inf, -math.inf
 
 @st.composite
 def svg_problems(draw):
-    """(leaves, domain, style): points inside and outside the domain."""
+    """(leaves, domain): points inside and outside the domain."""
     domain = draw(st.sampled_from(_SVG_DOMAINS))
 
     def coordinate(lo, hi):
@@ -231,19 +217,14 @@ def svg_problems(draw):
         min_size=1,
         max_size=6,
     ))
-    entry = st.fixed_dictionaries({}, optional={
-        "color": st.sampled_from(["#123456", "red", "none"]),
-        "width": st.sampled_from([0, 3, 0.5, 2.25]),
-    })
-    style = draw(st.one_of(st.none(), st.dictionaries(st.integers(-3, 20), entry, max_size=4)))
-    return leaves, domain, style
+    return leaves, domain
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(svg_problems())
 def test_render_svg_matches_its_reference(problem):
-    leaves, domain, style = problem
-    assert render_svg(leaves, domain, style) == reference_render_svg(leaves, domain, style)
+    leaves, domain = problem
+    assert render_svg(leaves, domain) == reference_render_svg(leaves, domain)
 
 
 def test_write_report_roundtrip_and_key_order():
@@ -579,7 +560,7 @@ def leaf_problems(draw):
 def test_tracer_matches_its_reference(problem, foliation_index):
     formula, seed, domain, step, max_points = problem
     args = (formula, seed, domain)
-    kwargs = {"step": step, "max_points": max_points, "foliation_index": foliation_index}
-    assert trace_outcome(trace_level_curve, *args, **kwargs) == trace_outcome(
-        reference_trace, *args, **kwargs
-    )
+    kwargs = {"step": step, "foliation_index": foliation_index}
+    with mock.patch.object(render, "MAX_LEAF_STEPS", max_points):
+        got = trace_outcome(trace_level_curve, *args, **kwargs)
+    assert got == trace_outcome(reference_trace, *args, max_points=max_points, **kwargs)

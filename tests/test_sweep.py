@@ -712,7 +712,7 @@ def reference_transport(f3, f4, initial, path, step):
 
     def sample(point):
         nonlocal max_sym
-        ab = alpha_beta(f3, f4, point, jet_order=2)
+        ab = alpha_beta(f3, f4, point)
         r1, r2 = symmetric_conditions_residual(f3, f4, point)
         max_sym = max(max_sym, abs(r1), abs(r2))
         return ab
@@ -801,7 +801,7 @@ def assert_transport_matches(f3, f4, initial, path, step, block):
     assert got.warnings == warnings
     assert got.endpoint == (float(path[-1][0]), float(path[-1][1]))
     assert alpha_beta_bits(got.endpoint_alpha_beta) == alpha_beta_bits(
-        alpha_beta(f3, f4, path[-1], jet_order=2)
+        alpha_beta(f3, f4, path[-1])
     )
     return got
 
@@ -817,7 +817,7 @@ def constrained_state(f3, f4, point, values):
     given where alpha_beta raises there)."""
     s, t, sy, tx, ty = values
     try:
-        ab = alpha_beta(f3, f4, point, jet_order=2)
+        ab = alpha_beta(f3, f4, point)
     except ValueError:
         return FiniteTypeState(s, t, 0.0, sy, tx, ty)
     return FiniteTypeState(s, t, ty - (ab.alpha_x - ab.beta_y) / 3.0, sy, tx, ty)
