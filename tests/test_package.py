@@ -124,4 +124,3 @@ def test_the_defaulted_public_parameters_are_the_recorded_ones():
         if parameter.default is not inspect.Parameter.empty
     }
     assert found == DEFAULTED_PARAMETERS
-    assert len(found) == 12
