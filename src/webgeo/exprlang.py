@@ -154,6 +154,7 @@ class _Node:
 #: rather than a RecursionError in every later walk.
 MAX_DEPTH = 200
 _TOO_DEEP = f"expression tree deeper than {MAX_DEPTH} levels"
+_ONE_OF_FUNCTIONS = "one of " + " ".join(FUNCTION_NAMES)
 
 
 def _require(node, ok: bool, field: str, requirement: str):
@@ -224,7 +225,7 @@ class Call(_Node):
     arg: "Expression"
 
     def __post_init__(self):
-        _require(self, self.func in FUNCTION_NAMES, "func", "one of " + " ".join(FUNCTION_NAMES))
+        _require(self, self.func in FUNCTION_NAMES, "func", _ONE_OF_FUNCTIONS)
         self.__dict__["_depth"] = 1 + _depth_under(self, "arg")
 
 
@@ -1004,7 +1005,7 @@ class _Walker:
                         self.fail(left == 0.0, ok, node, "zero raised to a negative power")
                     if not isinstance(left, float):
                         left = np.where(ok, left, 1.0)
-                    value = per_lane(lambda v: _power_or_inf(v, p), left)
+                    value = _power_or_inf(left, p)
             else:
                 right = self.value(node.right, ok)
                 if node.op == "+":
@@ -1024,9 +1025,12 @@ class _Walker:
                 self.fail(u < 0.0, ok, node, "sqrt of negative value")
             if node.func == "ln":
                 self.fail(u <= 0.0, ok, node, "ln of non-positive value")
-            if not isinstance(u, float):
-                u = np.where(ok, u, 1.0)
-            value = _math_lanes(_MATH_FUNCTIONS[node.func], u)
+            if isinstance(u, float):
+                value = _math_lanes(_MATH_FUNCTIONS[node.func], u)
+            elif node.func == "sqrt":  # correctly rounded, as math.sqrt is
+                value = np.sqrt(np.where(ok, u, 1.0))
+            else:
+                value = _math_lanes(_MATH_FUNCTIONS[node.func], np.where(ok, u, 1.0))
             self.fail(~np.isfinite(value), ok, node, "non-finite result")
             return value
         # a derivative node

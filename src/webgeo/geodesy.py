@@ -59,6 +59,7 @@ from .taylor import (
     per_lane,
     table_partial,
     take_lanes,
+    _power_or_inf,
 )
 
 #: Gradients below ``DEGENERACY_COEFF * (1 + |x| + |y|)`` mark a sample
@@ -91,21 +92,16 @@ def _gradient_threshold(x, y):
     return DEGENERACY_COEFF * (1.0 + abs(x) + abs(y))
 
 
-def _cube_or_nan(v: float) -> float:
-    try:
-        return v**3
-    except OverflowError:
-        return math.nan
-
-
 def cube(v, ok=None):
-    """v**3 as Python computes it for a float, lane by lane for a lane
-    vector.  A cube that overflows fails its point: at one point (`ok`
-    None) it raises :class:`EvaluationError`, in a block it clears the
-    point's lane of `ok`."""
-    c = per_lane(_cube_or_nan, v)
-    # x != x holds for NaN only, for a float or lane by lane.
-    fail((c != c) & (v == v), ok, lambda: EvaluationError(f"cube of {v!r} overflows"))
+    """v**3 as Python computes it for a float, and with the same bits
+    (``np.float_power``) for a lane vector.  A cube that overflows fails
+    its point: at one point (`ok` None) it raises
+    :class:`EvaluationError`, in a block it clears the point's lane of
+    `ok`."""
+    c = _power_or_inf(v, 3.0)
+    # v - v == 0.0 holds where v is finite, for a float or lane by lane.
+    overflowed = (c - c != 0.0) & (v - v == 0.0)
+    fail(overflowed, ok, lambda: EvaluationError(f"cube of {v!r} overflows"))
     return c
 
 

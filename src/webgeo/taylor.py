@@ -24,11 +24,12 @@ each TaylorJet operator runs them once for a point or for a block: the
 same float operations run for every point at once, and each point gets
 the bits its own jet would.  Failures are per point: where a jet at a
 point raises, a jet at a block clears that point's lane in a validity mask.
-Transcendental constant terms and Python powers are computed lane by lane
-with `math` and Python floats, whose rounding numpy's vectorized versions
-do not always match.  So a jet formula (the order-4 to order-2 chain of
-the projective invariants) is written once and runs at a point or at a
-block.
+Transcendental constant terms are computed lane by lane with `math`,
+whose rounding numpy's vectorized versions do not always match; powers
+and square roots over lanes run `np.float_power` and `np.sqrt`, which
+give the bits of Python's ``**`` and `math.sqrt`.  So a jet formula (the
+order-4 to order-2 chain of the projective invariants) is written once
+and runs at a point or at a block.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import importlib.util
 import math
 import operator
 import sys
+from itertools import repeat
 
 
 def _lazy_numpy():
@@ -302,29 +304,45 @@ def jet_sub(a: TaylorJet, b: TaylorJet) -> TaylorJet:
 def mul_table(la, lb, n: int):
     """Truncated Cauchy product of two coefficient tables of order n.
 
-    Entries are floats or lane vectors.  A float entry of `la` equal to
-    zero is skipped; a lane that holds zero adds +0.0 instead, which leaves
-    every accumulated sum unchanged, so each lane gets the same bits as a
-    single-point product.
+    Entries are floats or lane vectors.  A term with a float factor equal
+    to zero, from either table, is skipped: a lane whose other factor is
+    finite adds ±0.0 instead, which leaves every sum unchanged (a sum from
+    +0.0 is never -0.0), so each lane gets the bits of a point product.
+    Both tables must therefore be finite in every valid lane: the operands
+    of `table_arith` are, and `compose_table` and `table_elementary` check
+    each table they multiply.  Those checks move no failure: without the
+    skip in `lb`, a non-finite entry of `la` meets b[0][0] (0.0 * inf is
+    NaN) and reaches the final table, whose check fails the same way.
     """
     out = [[0.0] * (n + 1 - i) for i in range(n + 1)]
+    # The terms b[r][c] that are not a float zero, by degree r + c.
+    terms_b = [
+        (r, d - r, b)
+        for d in range(n + 1)
+        for r in range(d + 1)
+        if not (type(b := lb[r][d - r]) is float and b == 0.0)
+    ]
     for p in range(n + 1):
         row_a = la[p]
         for q in range(n + 1 - p):
             apq = row_a[q]
             if type(apq) is float and apq == 0.0:
                 continue
-            for i in range(p, n + 1):
-                row_b = lb[i - p]
-                row_out = out[i]
-                for j in range(q, n + 1 - i):
-                    row_out[j] += apq * row_b[j - q]
+            room = n - p - q
+            for r, c, b in terms_b:
+                if r + c > room:
+                    break
+                out[p + r][q + c] += apq * b
     return out
 
 
 def div_table(la, lb, n: int):
     """Truncated quotient of two coefficient tables, solved degree by
-    degree.  The divisor's constant term must be nonzero (callers check)."""
+    degree.  The divisor's constant term must be nonzero (callers check).
+
+    No zero factor is skipped, unlike in `mul_table`: a sum starts from an
+    entry of `la`, which may be -0.0, and -0.0 minus a product -0.0 is
+    +0.0, so a skip would give a point other bits than a lane."""
     b00 = lb[0][0]
     out = [[0.0] * (n + 1 - i) for i in range(n + 1)]
     out[0][0] = la[0][0] / b00
@@ -343,14 +361,15 @@ def div_table(la, lb, n: int):
     return out
 
 
-def compose_table(h, series, n: int):
+def compose_table(h, series, n: int, ok, context: str):
     """Table of g(a) given the univariate Taylor coefficients of g at a's
     constant term, where `h` is a's table with its constant term zeroed
-    (Horner evaluation)."""
+    (Horner evaluation).  The accumulator is checked before each product
+    (see `mul_table`); the caller checks the result."""
     acc = [[0.0] * (n + 1 - i) for i in range(n + 1)]
     acc[0][0] = series[n]
     for k in range(n - 1, -1, -1):
-        acc = mul_table(acc, h, n)
+        acc = mul_table(check_table(acc, ok, context), h, n)
         acc[0][0] = acc[0][0] + series[k]
     return acc
 
@@ -360,12 +379,13 @@ def per_lane(fn, *args):
     among lane vectors standing for every lane.
 
     Lane-by-lane calls keep every lane bitwise equal to the single-point
-    result where numpy's vectorized transcendentals and powers round
-    differently from `math` and Python floats.
+    result where numpy's vectorized transcendentals round differently
+    from `math`.
     """
     if all(isinstance(a, float) for a in args):
         return fn(*args)
-    return np.array(list(map(fn, *(a.tolist() for a in np.broadcast_arrays(*args)))), dtype=float)
+    lanes = [repeat(a) if isinstance(a, float) else a.tolist() for a in args]
+    return np.array(list(map(fn, *lanes)), dtype=float)
 
 
 def _exp_or_inf(u: float) -> float:
@@ -375,9 +395,14 @@ def _exp_or_inf(u: float) -> float:
         return math.inf
 
 
-def _power_or_inf(v: float, p: float) -> float:
-    """v**p for a float v inside the power's domain, or inf where Python
-    raises OverflowError, so the caller's finiteness check fails it."""
+def _power_or_inf(v, p: float):
+    """v**p for v inside the power's domain.  For a float, Python's power,
+    or inf where it raises OverflowError, so the caller's finiteness check
+    fails it; for a lane vector, ``np.float_power``, which runs the same
+    libm ``pow`` and so gives every lane the float's bits (±inf where
+    Python raises)."""
+    if not isinstance(v, float):
+        return np.float_power(v, p)
     try:
         return v**p
     except OverflowError:
@@ -388,10 +413,11 @@ def _series(fn: str, u, n: int, p: float | None = None):
     """Univariate Taylor coefficients of an elementary function at u, a
     float or a lane vector inside the function's domain."""
     if fn == "sqrt":
-        coeffs = [per_lane(math.sqrt, u)]
+        # np.sqrt is correctly rounded, as IEEE requires of math.sqrt too
+        coeffs = [math.sqrt(u) if isinstance(u, float) else np.sqrt(u)]
         p = 0.5
     elif fn == "pow_const":
-        coeffs = [per_lane(lambda v: _power_or_inf(v, p), u)]
+        coeffs = [_power_or_inf(u, p)]
     elif fn == "exp":
         e = per_lane(_exp_or_inf, u)
         return [e / _FACTORIAL[k] for k in range(n + 1)]
@@ -564,7 +590,7 @@ def variable_table(lanes, axis: str, order: int):
 
 def check_table(table, ok, context: str):
     """Clear the lanes holding a non-finite coefficient; raise when a float
-    entry is not finite."""
+    entry is not finite.  Returns the table."""
     for row in table:
         for v in row:
             if isinstance(v, float):
@@ -572,6 +598,7 @@ def check_table(table, ok, context: str):
                     raise JetDomainError(f"non-finite coefficient produced by {context}")
             else:
                 ok &= np.isfinite(v)
+    return table
 
 
 def table_arith(op: str, a, b, order: int, ok):
@@ -598,12 +625,13 @@ def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
             if k < 0:
                 message = "negative power of a jet with zero constant term"
                 fail(u == 0.0, ok, lambda: JetDomainError(message))
+            # Each power is checked before it is multiplied (see mul_table).
             return _integer_power(
                 a,
                 k,
                 constant_table(1.0, order),
-                lambda s, t: mul_table(s, t, order),
-                lambda s, t: div_table(s, t, order),
+                lambda s, t: check_table(mul_table(s, t, order), ok, fn),
+                lambda s, t: check_table(div_table(s, t, order), ok, fn),
             )
     # Valid lanes hold finite values, so u <= 0.0 is where u > 0.0 fails.
     if fn == "pow_const":
@@ -618,7 +646,7 @@ def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
     fail(_non_finite(series[0]), ok, lambda: JetDomainError(f"{overflow} at constant term {u!r}"))
     h = [list(row) for row in a]
     h[0][0] = 0.0
-    return compose_table(h, series, order)
+    return compose_table(h, series, order, ok, fn)
 
 
 def table_derivative(table, axis: str, order: int):

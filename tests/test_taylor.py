@@ -482,6 +482,94 @@ def _check_block_against_points(order, lanes, data, program):
                     assert _bits(float(lane)) == _bits(point_jet.table[i][j])
 
 
+def _lane_jets(entries, order):
+    """The block jet whose entry (i, j) is the lane vector entries[i, j]
+    (the float 0.0 where `entries` has none), its lane mask, and the
+    point jet of each lane, whose entries are floats."""
+    lanes = len(next(iter(entries.values())))
+    block = Block(np.arange(lanes, dtype=float), np.zeros(lanes))
+    ok = np.ones(lanes, dtype=bool)
+
+    def table(entry):
+        return [[entry(i, j) for j in range(order + 1 - i)] for i in range(order + 1)]
+
+    def lane(k):
+        return table(lambda i, j: float(entries[i, j][k]) if (i, j) in entries else 0.0)
+
+    def vector(i, j):
+        return np.array(entries[i, j], dtype=float) if (i, j) in entries else 0.0
+
+    points = [_jet(lane(k), order, (float(k), 0.0)) for k in range(lanes)]
+    return _jet(table(vector), order, block, ok), ok, points
+
+
+def _assert_lane_bits(block_jet, k, point_jet):
+    for row, point_row in zip(block_jet.table, point_jet.table, strict=True):
+        for entry, value in zip(row, point_row, strict=True):
+            lane = entry[k] if isinstance(entry, np.ndarray) else entry
+            assert _bits(float(lane)) == _bits(value)
+
+
+def test_a_power_whose_square_overflows_fails_its_point_and_only_its_lane():
+    # At lane 0 the square holds inf at [2][0] and the cube multiplies it
+    # by a[0][0] = 0.0: a float at the point, a lane vector in the block.
+    block_jet, ok, points = _lane_jets({(0, 0): [0.0, 1.0], (1, 0): [1e300, 2.0]}, 2)
+    with pytest.raises(JetDomainError, match="^non-finite coefficient produced by pow_const$"):
+        points[0] ** 3.0
+    with np.errstate(all="ignore"):
+        cubed = block_jet**3.0
+    assert ok.tolist() == [False, True]
+    _assert_lane_bits(cubed, 1, points[1] ** 3.0)
+
+
+def test_a_series_whose_horner_accumulator_overflows_fails_its_point_and_only_its_lane():
+    # ln's fourth coefficient at 1e-80 is -inf; at lane 0 every other
+    # entry is zero, a float at the point and a lane vector in the block.
+    block_jet, ok, points = _lane_jets({(0, 0): [1e-80, 2.0], (1, 0): [0.0, 0.5]}, 4)
+    with pytest.raises(JetDomainError, match="^non-finite coefficient produced by ln$"):
+        jet_elementary("ln", points[0])
+    with np.errstate(all="ignore"):
+        logarithm = jet_elementary("ln", block_jet)
+    assert ok.tolist() == [False, True]
+    _assert_lane_bits(logarithm, 1, jet_elementary("ln", points[1]))
+
+
+def test_a_quotient_with_signed_zero_entries_has_the_point_bits_in_every_lane():
+    # (-0.0 - 1.0 * -0.0) is +0.0: a division that skipped the zero
+    # factors would give -0.0 at the point and +0.0 in the block.
+    entries = {(0, 0): [2.0, -3.0], (1, 0): [-0.0, 1.0], (0, 2): [0.0, -0.0], (2, 1): [-0.0, -0.0]}
+    block_jet, ok, points = _lane_jets(entries, 4)
+    quotient = block_jet / block_jet
+    assert ok.tolist() == [True, True]
+    for k, point in enumerate(points):
+        _assert_lane_bits(quotient, k, point / point)
+
+
+def test_numpy_float_power_and_sqrt_give_pythons_bits():
+    # Powers and square roots over a block run numpy, at a point Python:
+    # a numpy that rounds these differently must fail here, not move a
+    # report.  Where Python raises OverflowError, float_power gives ±inf.
+    rng = random.Random(6)
+    magnitudes = [rng.uniform(1.0, 10.0) * 10.0 ** rng.randint(-320, 307) for _ in range(6000)]
+    magnitudes += [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e103, 1.7976931348623157e308]
+    for p in (3.0, 7.0, 2.0, -1.0, -2.0, 0.5, -0.5, 1.5, -1.5, 2.5, 0.3):
+        bases = magnitudes + ([-v for v in magnitudes] if p.is_integer() else [])
+        bases = [v for v in bases if v != 0.0 or p > 0.0]
+        expected = []
+        for v in bases:
+            try:
+                expected.append(v**p)
+            except OverflowError:
+                expected.append(math.copysign(math.inf, v) if p % 2.0 == 1.0 else math.inf)
+        with np.errstate(over="ignore"):
+            got = np.float_power(np.array(bases), p).tolist()
+        assert [_bits(v) for v in got] == [_bits(v) for v in expected], p
+    roots = magnitudes + [-0.0, math.inf]
+    assert [_bits(v) for v in np.sqrt(np.array(roots)).tolist()] == [
+        _bits(math.sqrt(v)) for v in roots
+    ]
+
+
 # ------------------------------------- the failure rule and the block runner
 
 
