@@ -19,14 +19,22 @@ from :func:`webgeo.geodesy.reduce_samples` and :func:`~webgeo.geodesy.judge`,
 so a NaN sample fails every verdict the same way.
 
 The parser and :func:`run` import only argparse, math and sys, and the
-constants they read from the package itself; each handler, and each
-helper it calls, imports the modules it uses when it runs, and each
-handler parses all its option text before it imports the modules that
-compute.  So `--help` and usage errors load no other module of webgeo, a
-formula syntax error loads only the formula language, and each subcommand
-loads only the modules it runs (see the README).  Every error the
-library raises for a value is a ValueError; a formula syntax error is
-turned into a usage error where the formula is parsed.
+constants they read from the package itself.  Handlers and their helpers
+reach the library as attributes of the package, ``webgeo.<module>.<name>``:
+the package imports a module when it is first read (PEP 562), and from
+then on the module is a plain attribute, a dict lookup where an import
+statement would cost a microsecond on every call.  Each handler parses
+all its option text before it reads the modules that compute.  So
+`--help` and usage errors load no other module of webgeo, a formula syntax
+error loads only the formula language, and each subcommand loads only the
+modules it runs (see the README).  Every error the library raises for a
+value is a ValueError; a formula syntax error is turned into a usage error
+where the formula is parsed.
+
+:func:`run` hands a subcommand's arguments straight to that subcommand's
+parser, as argparse's top-level pass would after reading the subcommand
+name, and only other argument lists (help, `--`, no subcommand) to the
+top-level parser.
 """
 
 from __future__ import annotations
@@ -34,6 +42,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+
+import webgeo
 
 from . import (
     DEFAULT_TOLERANCE,
@@ -49,11 +59,10 @@ class _UsageError(Exception):
 
 
 def _parse_expr(text: str, what: str):
-    from .exprlang import ParseError, parse
-
+    exprlang = webgeo.exprlang
     try:
-        return parse(text)
-    except ParseError as exc:
+        return exprlang.parse(text)
+    except exprlang.ParseError as exc:
         raise _UsageError(f"{what}: {exc}") from None
 
 
@@ -65,8 +74,6 @@ def _parse_web(text: str, what: str = "--web"):
 
 
 def _parse_grid(text: str) -> GridSpec:
-    from .geodesy import GridSpec
-
     pieces = text.split(":")
     if len(pieces) != 6:
         raise _UsageError(f"--grid: expected xmin:xmax:ymin:ymax:nx:ny, got {text!r}")
@@ -76,7 +83,7 @@ def _parse_grid(text: str) -> GridSpec:
     except ValueError as exc:
         raise _UsageError(f"--grid: {exc}") from None
     try:
-        return GridSpec(xmin, xmax, ymin, ymax, nx, ny)
+        return webgeo.geodesy.GridSpec(xmin, xmax, ymin, ymax, nx, ny)
     except ValueError as exc:
         raise _UsageError(f"--grid: {exc}") from None
 
@@ -112,13 +119,11 @@ def _parse_path(text: str):
 
 
 def _parse_rect(text: str) -> Rect:
-    from .render import Rect
-
     pieces = text.split(":")
     if len(pieces) != 4:
         raise _UsageError(f"--domain: expected xmin:xmax:ymin:ymax, got {text!r}")
     try:
-        return Rect(*(_finite(p, "--domain") for p in pieces))
+        return webgeo.render.Rect(*(_finite(p, "--domain") for p in pieces))
     except ValueError as exc:
         raise _UsageError(f"--domain: {exc}") from None
 
@@ -165,12 +170,11 @@ def _finish(args, command, inputs, grid, results, *, csv=None, **extra) -> int:
     `csv` when there are any) to --out or, without it or with ``--out -``,
     standard output, and return the exit code: 1 when the results' verdict
     misses --expect, else 0."""
-    from .render import compose_report, write_csv_grid, write_report
-
+    render = webgeo.render
     if csv is not None and args.format == "csv":
-        text = write_csv_grid(csv.samples())
+        text = render.write_csv_grid(csv.samples())
     else:
-        text = write_report(compose_report(command, inputs, grid, results, **extra))
+        text = render.write_report(render.compose_report(command, inputs, grid, results, **extra))
     if args.out and args.out != "-":
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -187,11 +191,9 @@ def _finish(args, command, inputs, grid, results, *, csv=None, **extra) -> int:
 
 
 def _grid_stats(series) -> dict:
-    from .exprlang import EvaluationError
-
     stats = series.stats()
     if stats is None:
-        raise EvaluationError("no valid samples on the requested grid")
+        raise webgeo.exprlang.EvaluationError("no valid samples on the requested grid")
     return stats
 
 
@@ -199,21 +201,17 @@ def _cmd_flex(args) -> int:
     f = _parse_expr(args.f, "--f")
     grid = _parse_grid(args.grid)
 
-    from .exprlang import to_source
-    from .geodesy import judge, residual_sweep
-    from .geometry import ChristoffelField
-
-    zero = ChristoffelField(*([_parse_expr("0", "zero")] * 6))
-    (series,) = residual_sweep([f], grid, christoffels=zero)
+    geodesy = webgeo.geodesy
+    series = geodesy.flex_sweep(f, grid)
     stats = _grid_stats(series)
-    worst, verdict = judge([stats["max_normalized"]], args.tol)
+    worst, verdict = geodesy.judge([stats["max_normalized"]], args.tol)
     results = {
         "per_foliation": [stats],
         "verdict": verdict,
         "max_normalized": worst,
         "tolerance": args.tol,
     }
-    inputs = {"f": to_source(f), "tolerance": args.tol}
+    inputs = {"f": webgeo.exprlang.to_source(f), "tolerance": args.tol}
     return _finish(args, "flex", inputs, grid.as_dict(), results, csv=series)
 
 
@@ -230,9 +228,7 @@ def _parse_structure(text: str):
                 "--christoffel custom: expected six semicolon-separated "
                 "components g1_11; g1_12; g1_22; g2_11; g2_12; g2_22"
             )
-        from .geometry import ChristoffelField
-
-        return {"christoffels": ChristoffelField(*comps)}
+        return {"christoffels": webgeo.geometry.ChristoffelField(*comps)}
     raise _UsageError(
         f"--christoffel: expected constcurv:<kappa>, graph:<expr>, or "
         f"custom:<six exprs>, got {text!r}"
@@ -244,10 +240,8 @@ def _cmd_geodesic(args) -> int:
     structure = _parse_structure(args.christoffel)
     grid = _parse_grid(args.grid)
 
-    from .exprlang import to_source
-    from .geodesy import geodesic_web_report
-
-    results = geodesic_web_report(web, grid, tolerance=args.tol, **structure)
+    to_source = webgeo.exprlang.to_source
+    results = webgeo.geodesy.geodesic_web_report(web, grid, tolerance=args.tol, **structure)
     notes = results.pop("notes", [])
     inputs = {
         "web": [to_source(f) for f in web],
@@ -266,23 +260,21 @@ def _cmd_fit(args) -> int:
 
     from dataclasses import asdict
 
-    from .exprlang import EvaluationError, to_source
-    from .geodesy import sequential_sum
-    from .projective import fit_projective_structure, fit_sweep
-
-    inputs = {"web": [to_source(f) for f in web]}
+    exprlang, projective = webgeo.exprlang, webgeo.projective
+    inputs = {"web": [exprlang.to_source(f) for f in web]}
     if point is not None:
-        pi = fit_projective_structure(web, point)
+        pi = projective.fit_projective_structure(web, point)
         inputs["point"] = list(point)
         results = {"pi": asdict(pi)}
         grid_dict = None
     else:
         grid_dict = grid.as_dict()
-        columns, skipped = fit_sweep(web, grid)
+        columns, skipped = projective.fit_sweep(web, grid)
         count = len(columns[0])
         if count == 0:
-            raise EvaluationError("web is degenerate on the whole grid")
+            raise exprlang.EvaluationError("web is degenerate on the whole grid")
         names = ("p1_22", "p1_12", "p2_12", "p2_11")
+        sequential_sum = webgeo.geodesy.sequential_sum
         results = {
             "pi": {n: sequential_sum(c) / count for n, c in zip(names, columns)},
             "max_spread": max(max(c) - min(c) for c in columns),
@@ -298,14 +290,12 @@ def _cmd_dweb(args) -> int:
         raise _UsageError(f"--web: dweb needs at least 5 functions, got {len(web)}")
     grid = _parse_grid(args.grid)
 
-    from .exprlang import EvaluationError, to_source
-    from .geodesy import judge, reduce_samples
-    from .projective import dweb_sweep
-
-    series = dweb_sweep(web, grid)
+    exprlang, geodesy = webgeo.exprlang, webgeo.geodesy
+    to_source = exprlang.to_source
+    series = webgeo.projective.dweb_sweep(web, grid)
     per_function = []
     for idx, (f, samples) in enumerate(zip(web[4:], series)):
-        reduced = reduce_samples(samples.valid())
+        reduced = geodesy.reduce_samples(samples.valid())
         per_function.append(
             {
                 "index": idx + 5,
@@ -315,8 +305,8 @@ def _cmd_dweb(args) -> int:
             }
         )
     if all(entry["samples"] == 0 for entry in per_function):
-        raise EvaluationError("no valid samples on the requested grid")
-    worst, verdict = judge([entry["max_normalized"] for entry in per_function], args.tol)
+        raise exprlang.EvaluationError("no valid samples on the requested grid")
+    worst, verdict = geodesy.judge([entry["max_normalized"] for entry in per_function], args.tol)
     results = {
         "per_function": per_function,
         "skipped_points": series[0].skipped,
@@ -333,15 +323,12 @@ def _cmd_symcheck(args) -> int:
     f4 = _parse_expr(args.f4, "--f4")
     grid = _parse_grid(args.grid)
 
-    from .exprlang import EvaluationError, to_source
-    from .geodesy import judge, reduce_samples
-    from .projective import symmetry_sweep
-
-    r1, r2, skipped = symmetry_sweep(f3, f4, grid)
-    r1, r2 = reduce_samples(r1), reduce_samples(r2)
+    exprlang, geodesy = webgeo.exprlang, webgeo.geodesy
+    r1, r2, skipped = webgeo.projective.symmetry_sweep(f3, f4, grid)
+    r1, r2 = geodesy.reduce_samples(r1), geodesy.reduce_samples(r2)
     if not r1.samples:
-        raise EvaluationError("no valid samples on the requested grid")
-    _, verdict = judge([r1.largest, r2.largest], args.tol, SYMMETRIC_VERDICTS)
+        raise exprlang.EvaluationError("no valid samples on the requested grid")
+    _, verdict = geodesy.judge([r1.largest, r2.largest], args.tol, SYMMETRIC_VERDICTS)
     results = {
         "r1": {"max": r1.largest, "mean": r1.mean},
         "r2": {"max": r2.largest, "mean": r2.mean},
@@ -350,7 +337,7 @@ def _cmd_symcheck(args) -> int:
         "verdict": verdict,
         "tolerance": args.tol,
     }
-    inputs = {"f3": to_source(f3), "f4": to_source(f4), "tolerance": args.tol}
+    inputs = {"f3": exprlang.to_source(f3), "f4": exprlang.to_source(f4), "tolerance": args.tol}
     return _finish(args, "symcheck", inputs, grid.as_dict(), results)
 
 
@@ -362,21 +349,14 @@ def _cmd_symintegrate(args) -> int:
 
     from dataclasses import asdict
 
-    from .exprlang import to_source
-    from .projective import (
-        FiniteTypeState,
-        curvature_along,
-        integrate_symmetric_connection,
-        path_step_count,
-    )
-
-    initial = FiniteTypeState(*initial_values)
+    projective = webgeo.projective
+    initial = projective.FiniteTypeState(*initial_values)
     try:
-        path_step_count(path, args.step)
+        projective.path_step_count(path, args.step)
     except ValueError as exc:
         raise _UsageError(f"--path: {exc}") from None
-    result = integrate_symmetric_connection(f3, f4, initial, path, step=args.step)
-    curvature = curvature_along(result.state, result.endpoint_alpha_beta)
+    result = projective.integrate_symmetric_connection(f3, f4, initial, path, step=args.step)
+    curvature = projective.curvature_along(result.state, result.endpoint_alpha_beta)
     verdict = PASS_FAIL_VERDICTS[0 if abs(result.constraint_residual) <= args.tol else 1]
     results = {
         "state": asdict(result.state),
@@ -386,6 +366,7 @@ def _cmd_symintegrate(args) -> int:
         "curvature": {**asdict(curvature), "trace": curvature.trace},
         "verdict": verdict,
     }
+    to_source = webgeo.exprlang.to_source
     inputs = {
         "f3": to_source(f3),
         "f4": to_source(f4),
@@ -406,28 +387,24 @@ def _cmd_euler(args) -> int:
     else:
         grid = _parse_grid(args.grid)
 
-    from .eulerweb import connection_euler_residual, euler_residual, euler_sweep
-    from .exprlang import to_source
-    from .geodesy import judge
-    from .geometry import ThomasParameters
-
-    pi = None if values is None else ThomasParameters(*values)
-    inputs = {"w": to_source(w), "tolerance": args.tol}
+    eulerweb = webgeo.eulerweb
+    pi = None if values is None else webgeo.geometry.ThomasParameters(*values)
+    inputs = {"w": webgeo.exprlang.to_source(w), "tolerance": args.tol}
     if pi is not None:
         inputs["pi"] = [pi.p1_22, pi.p1_12, pi.p2_12, pi.p2_11]
     if args.point is not None:
         if pi is None:
-            value = euler_residual(w, point)
+            value = eulerweb.euler_residual(w, point)
         else:
-            value = connection_euler_residual(w, pi, point)
+            value = eulerweb.connection_euler_residual(w, pi, point)
         inputs["point"] = list(point)
         verdict = PASS_FAIL_VERDICTS[0 if abs(value) <= args.tol else 1]
         results = {"residual": value, "verdict": verdict}
         return _finish(args, "euler", inputs, None, results)
 
-    series = euler_sweep(w, grid, pi)
+    series = eulerweb.euler_sweep(w, grid, pi)
     stats = _grid_stats(series)
-    worst, verdict = judge([stats["max_normalized"]], args.tol, PASS_FAIL_VERDICTS)
+    worst, verdict = webgeo.geodesy.judge([stats["max_normalized"]], args.tol, PASS_FAIL_VERDICTS)
     results = {
         "max_residual": worst,
         "mean_residual": stats["mean_normalized"],
@@ -449,17 +426,15 @@ def _cmd_lingen(args) -> int:
     exprs = [_parse_expr(source, "--data") for source in sources]
     domain = _parse_rect(args.domain)
 
-    from .eulerweb import CauchyDatum, generate_linear_web
-    from .render import render_svg
-
+    eulerweb = webgeo.eulerweb
     data = []
     for expr in exprs:
         try:
-            data.append(CauchyDatum(expr, interval))
+            data.append(eulerweb.CauchyDatum(expr, interval))
         except ValueError as exc:
             raise _UsageError(f"--data: {exc}") from None
     try:
-        sample = generate_linear_web(data, domain, args.leaves)
+        sample = eulerweb.generate_linear_web(data, domain, args.leaves)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     leaves = sample.all_leaves()
@@ -470,7 +445,7 @@ def _cmd_lingen(args) -> int:
             print("webgeo: no leaves meet the domain; SVG not written", file=sys.stderr)
             return 1
         with open(svg_path, "w", encoding="utf-8") as handle:
-            handle.write(render_svg(leaves, domain))
+            handle.write(webgeo.render.render_svg(leaves, domain))
     inputs = {
         "data": [d.source() for d in data],
         "lambda_interval": list(interval),
@@ -485,9 +460,7 @@ def _cmd_render(args) -> int:
     web = _parse_web(args.web)
     domain = _parse_rect(args.domain)
 
-    from .exprlang import to_source
-    from .render import MAX_RENDER_POINTS, render_svg, trace_level_curve
-
+    to_source, render = webgeo.exprlang.to_source, webgeo.render
     leaves = []
     warnings = []
     points = 0
@@ -500,7 +473,7 @@ def _cmd_render(args) -> int:
                 domain.ymin + frac * (domain.ymax - domain.ymin),
             )
             try:
-                leaf = trace_level_curve(
+                leaf = render.trace_level_curve(
                     f, seed, domain, step=args.step, foliation_index=index
                 )
             except ValueError:
@@ -508,9 +481,9 @@ def _cmd_render(args) -> int:
             leaves.append(leaf)
             placed += 1
             points += len(leaf.points)
-            if points > MAX_RENDER_POINTS:
+            if points > render.MAX_RENDER_POINTS:
                 print(
-                    f"webgeo: the leaves hold more than {MAX_RENDER_POINTS} points "
+                    f"webgeo: the leaves hold more than {render.MAX_RENDER_POINTS} points "
                     "(raise --step or lower --levels); SVG not written",
                     file=sys.stderr,
                 )
@@ -521,7 +494,7 @@ def _cmd_render(args) -> int:
         print("webgeo: nothing traced; SVG not written", file=sys.stderr)
         return 1
     with open(args.svg, "w", encoding="utf-8") as handle:
-        handle.write(render_svg(leaves, domain))
+        handle.write(render.render_svg(leaves, domain))
     inputs = {
         "web": [to_source(f) for f in web],
         "domain": domain.as_dict(),
@@ -674,15 +647,40 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER: argparse.ArgumentParser | None = None
+#: The subcommand parsers of _PARSER, by name.
+_COMMANDS: dict = {}
+
+
+def _parse_args(argv: list) -> argparse.Namespace:
+    """``_PARSER.parse_args(argv)``, parsed once.
+
+    argparse's top-level pass hands every argument after a subcommand name
+    to that subcommand's parser and then reports any it leaves over, so
+    such an argument list goes straight to the subcommand's parser, with
+    the same namespace, output and exit.  Any other list (help, a usage
+    error, ``--``, no argument) goes through the top-level parser.
+    """
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
+        return _PARSER.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _PARSER.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def run(argv) -> int:
     """Run the CLI on an argument list and return the exit code."""
-    global _PARSER
+    global _PARSER, _COMMANDS
     if _PARSER is None:
         _PARSER = _build_parser()
+        (_COMMANDS,) = (
+            action.choices
+            for action in _PARSER._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
     try:
-        args = _PARSER.parse_args(argv)
+        args = _parse_args(list(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -157,79 +157,102 @@ _TOO_DEEP = f"expression tree deeper than {MAX_DEPTH} levels"
 _ONE_OF_FUNCTIONS = "one of " + " ".join(FUNCTION_NAMES)
 
 
-def _require(node, ok: bool, field: str, requirement: str):
-    """A ValueError naming `node`'s `field` unless `ok`."""
-    if not ok:
-        got = getattr(node, field)
-        raise ValueError(f"{type(node).__name__}.{field} must be {requirement}, got {got!r}")
+_FLOAT_MAX = sys.float_info.max
+
+# Each node class is a frozen dataclass (its fields give eq, hash and repr)
+# with its own __init__, which checks the arguments and then writes the
+# fields, and an inner node's depth after them.  A leaf sets its one field
+# through object.__setattr__, which keeps the instance without a __dict__
+# object until one is asked for (64 bytes less per leaf); an inner node
+# writes its fields and depth into __dict__, faster than a call for each.
+_set_field = object.__setattr__
 
 
-def _depth_under(node, field: str) -> int:
-    """The depth of the child in `node`'s `field`, which must be a node
+def _invalid(node, field: str, got, requirement: str):
+    """Raise the ValueError that names `node`'s `field`, given `got`."""
+    raise ValueError(f"{type(node).__name__}.{field} must be {requirement}, got {got!r}")
+
+
+def _depth_under(node, field: str, child) -> int:
+    """The depth of `child`, for `node`'s `field`, which must be a node
     less than MAX_DEPTH deep."""
-    child = node.__dict__[field]
     if not isinstance(child, _Node):
         got = type(child).__name__
         raise TypeError(f"{type(node).__name__}.{field} must be a node, got {got}")
-    if child._depth >= MAX_DEPTH:
+    depth = child._depth
+    if depth >= MAX_DEPTH:
         raise ValueError(f"{_TOO_DEEP} at {type(node).__name__}.{field}")
-    return child._depth
+    return depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Constant(_Node):
     value: float  # finite; stored as a float
 
-    def __post_init__(self):
-        real = isinstance(self.value, (int, float)) and not isinstance(self.value, bool)
-        finite = real and abs(self.value) <= sys.float_info.max
-        _require(self, finite, "value", "a finite real number")
-        self.__dict__["value"] = float(self.value)
+    def __init__(self, value):
+        real = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (real and abs(value) <= _FLOAT_MAX):
+            _invalid(self, "value", value, "a finite real number")
+        _set_field(self, "value", float(value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Variable(_Node):
     name: str
 
-    def __post_init__(self):
-        _require(self, self.name in ("x", "y"), "name", "'x' or 'y'")
+    def __init__(self, name):
+        if name not in ("x", "y"):
+            _invalid(self, "name", name, "'x' or 'y'")
+        _set_field(self, "name", name)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Unary(_Node):
     op: str
     child: "Expression"
 
-    def __post_init__(self):
-        _require(self, self.op == "neg", "op", "'neg'")
-        self.__dict__["_depth"] = 1 + _depth_under(self, "child")
+    def __init__(self, op, child):
+        if op != "neg":
+            _invalid(self, "op", op, "'neg'")
+        depth = _depth_under(self, "child", child)
+        fields = self.__dict__
+        fields["op"], fields["child"], fields["_depth"] = op, child, 1 + depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Binary(_Node):
     op: str
     left: "Expression"
     right: "Expression"
 
-    def __post_init__(self):
-        _require(self, self.op in _BINARY_OPS, "op", "one of + - * / ^")
-        left, right = _depth_under(self, "left"), _depth_under(self, "right")
-        self.__dict__["_depth"] = 1 + (left if left > right else right)
-        if self.op == "^":
-            _require(self, isinstance(self.right, Constant), "right", "a Constant exponent")
+    def __init__(self, op, left, right):
+        if op not in _BINARY_OPS:
+            _invalid(self, "op", op, "one of + - * / ^")
+        depth = _depth_under(self, "left", left)
+        right_depth = _depth_under(self, "right", right)
+        if op == "^" and not isinstance(right, Constant):
+            _invalid(self, "right", right, "a Constant exponent")
+        if right_depth > depth:
+            depth = right_depth
+        fields = self.__dict__
+        fields["op"], fields["left"], fields["right"] = op, left, right
+        fields["_depth"] = 1 + depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Call(_Node):
     func: str
     arg: "Expression"
 
-    def __post_init__(self):
-        _require(self, self.func in FUNCTION_NAMES, "func", _ONE_OF_FUNCTIONS)
-        self.__dict__["_depth"] = 1 + _depth_under(self, "arg")
+    def __init__(self, func, arg):
+        if func not in FUNCTION_NAMES:
+            _invalid(self, "func", func, _ONE_OF_FUNCTIONS)
+        depth = _depth_under(self, "arg", arg)
+        fields = self.__dict__
+        fields["func"], fields["arg"], fields["_depth"] = func, arg, 1 + depth
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PartialDerivative(_Node):
     """Numeric partial derivative of a wrapped expression.
 
@@ -245,13 +268,16 @@ class PartialDerivative(_Node):
     dx: int
     dy: int
 
-    def __post_init__(self):
-        for field in ("dx", "dy"):
-            index = getattr(self, field)
-            _require(self, type(index) is int and index >= 0, field, "an int >= 0")
-        within = self.dx + self.dy <= MAX_ORDER
-        _require(self, within, "dy", f"at most MAX_ORDER - dx = {MAX_ORDER - self.dx}")
-        self.__dict__["_depth"] = 1 + _depth_under(self, "target")
+    def __init__(self, target, dx, dy):
+        for field, index in (("dx", dx), ("dy", dy)):
+            if not (type(index) is int and index >= 0):
+                _invalid(self, field, index, "an int >= 0")
+        if dx + dy > MAX_ORDER:
+            _invalid(self, "dy", dy, f"at most MAX_ORDER - dx = {MAX_ORDER - dx}")
+        depth = _depth_under(self, "target", target)
+        fields = self.__dict__
+        fields["target"], fields["dx"], fields["dy"] = target, dx, dy
+        fields["_depth"] = 1 + depth
 
 
 Expression = Constant | Variable | Unary | Binary | Call | PartialDerivative

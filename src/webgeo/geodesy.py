@@ -200,11 +200,11 @@ def _second_order(table):
 
 
 def _residual(f, at, ok, *, christoffels=None, thomas=None, curvature=None, surface=None):
-    """The residual of f for exactly one structure, as :func:`_normalize`
+    """The residual of f for at most one structure, as :func:`_normalize`
     gives it: a ChristoffelField, the four Thomas parameters (p1_22,
-    p1_12, p2_12, p2_11), a finite curvature or a surface height.  The
-    metric singularity of a curvature fails first, then f, then the
-    structure."""
+    p1_12, p2_12, p2_11), a finite curvature or a surface height, and
+    with none the flat plane, raw = Flex f.  The metric singularity of a
+    curvature fails first, then f, then the structure."""
     if curvature is not None:
         x, y = at
         denom = _curvature_denominator(curvature, x, y, ok)
@@ -216,8 +216,10 @@ def _residual(f, at, ok, *, christoffels=None, thomas=None, curvature=None, surf
         raw = _projective_flex(d, thomas, ok)
     elif curvature is not None:
         raw = _constant_curvature_flex(d, curvature, x, y, denom)
-    else:
+    elif surface is not None:
         raw = _graph_surface_flex(d, _second_order(table_at(surface, at, 2, ok)))
+    else:
+        raw = _flex(*d)
     return _normalize(at, ok, raw, d[0], d[1])
 
 
@@ -457,6 +459,14 @@ def _sweep(grid: GridSpec, kernels, k: int = 4) -> list[GridResiduals]:
             values, ok = block.run(lambda ok: kernel(block, ok))
             out.add_block(block, ok, values)
     return results
+
+
+def flex_sweep(f, grid: GridSpec) -> GridResiduals:
+    """The flat-plane residual of f at every grid point: raw = Flex f, the
+    value of :func:`flex`, normalized by |grad f|^3.  No connection is
+    built; six zero Christoffel symbols in :func:`residual_sweep` give the
+    same samples up to the sign of a zero."""
+    return _sweep(grid, [partial(_residual, as_expression(f))])[0]
 
 
 def residual_sweep(

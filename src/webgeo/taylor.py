@@ -665,5 +665,13 @@ def take_lanes(value, ok):
 
 
 def table_partial(table, i: int, j: int):
-    """The raw partial derivative d^{i+j}/dx^i dy^j, as `partial_derivative`."""
-    return table[i][j] * _FACTORIAL[i] * _FACTORIAL[j]
+    """The raw partial derivative d^{i+j}/dx^i dy^j, as `partial_derivative`.
+
+    Only factorials above 1 multiply: ``v * 1.0`` is `v`, bit for bit, for
+    every v that is not NaN, and a valid entry is finite."""
+    value = table[i][j]
+    if i > 1:
+        value = value * _FACTORIAL[i]
+    if j > 1:
+        value = value * _FACTORIAL[j]
+    return value

@@ -723,3 +723,83 @@ def test_each_command_declares_only_the_options_it_reads():
         ]
         expected = [(["--point", "--grid"], True)] if name in ("fit", "euler") else []
         assert groups == expected, name
+
+
+#: Argument lists that `run` parses with the subcommand's parser alone,
+#: and the ones that go through the top-level parser, with their exit codes.
+DISPATCH = {
+    "flex": (["flex", "--f", "x*y", "--grid", "0:1:0:1:3:3", "--format", "csv",
+              "--tol", "1e-6"], 0),
+    "geodesic": (["geodesic", "--web", "x; y", "--christoffel", "constcurv:0",
+                  "--grid", "0.1:0.5:0.1:0.5:3:3", "--expect", "geodesic"], 0),
+    "fit-point": (["fit", "--web", WEB4, "--point", "2,1"], 0),
+    "fit-grid": (["fit", "--web", WEB4, "--grid", "1:2:1:2:3:3", "--out", "report.json"], 0),
+    "dweb": (["dweb", "--web", "x; y; x+y; x-y; x+2*y", "--grid", "1:2:1:2:3:3"], 0),
+    "symcheck": (["symcheck", "--f3", "x+y", "--f4", "x*y", "--grid", "1.5:3:0.5:1:3:3"], 0),
+    "symintegrate": (["symintegrate", "--f3", "x+y", "--f4", "x*y", "--initial", "0,0,0,0,0,0",
+                      "--path", "2,0.5; 2.1,0.5", "--step", "0.05", "--tol", "1"], 0),
+    "euler": (["euler", "--w", "y/(1 - x)", "--point", "0.5,2", "--pi", "0.5,-1.25,0.75,2"], 0),
+    "lingen": (["lingen", "--data=-2*sqrt(-y)", "--lambda=-16:-0.04", "--domain=-2:2:-4:2",
+                "--leaves", "3", "--svg", "web.svg"], 0),
+    "render": (["render", "--web", "x; y", "--domain", "0:1:0:1", "--levels", "2",
+                "--step", "0.05", "--svg", "web.svg"], 0),
+    "help-after-subcommand": (["flex", "-h"], 0),
+    "help-after-options": (["euler", "--w", "x", "--help"], 0),
+    "unknown-option": (["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "--bogus", "1"], 2),
+    "extra-positionals": (["flex", "--f", "x", "stray", "--grid", "0:1:0:1:3:3", "words"], 2),
+    "abbreviated-option": (["flex", "--f", "x", "--gr", "0:1:0:1:3:3", "--form", "csv"], 0),
+    "ambiguous-abbreviation": (["euler", "--w", "x", "--p", "1,2"], 2),
+    "dash-value": (["render", "--web", "x^2 + y^2", "--domain", "-1:1:-1:1", "--levels", "2",
+                    "--step", "0.05", "--svg", "web.svg"], 0),
+    "dash-value-grid": (["flex", "--f", "x", "--grid", "-1:1:0:1:3:3"], 0),
+    "missing-option": (["flex", "--f", "x"], 2),
+    "bad-choice": (["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "--expect", "pass"], 2),
+    "double-dash-after-subcommand": (["flex", "--", "--f", "x"], 2),
+    "double-dash-first": (["--", "flex", "--f", "x", "--grid", "0:1:0:1:3:3"], 2),
+    "empty": ([], 2),
+    "help": (["--help"], 0),
+    "unknown-subcommand": (["flux", "--f", "x", "--grid", "0:1:0:1:3:3"], 2),
+    "option-first": (["--f", "x", "flex"], 2),
+}
+
+
+@pytest.mark.parametrize("argv, code", DISPATCH.values(), ids=DISPATCH.keys())
+def test_direct_dispatch_matches_the_top_level_parser(argv, code, tmp_path, monkeypatch, capsys):
+    """`run` parses a subcommand's arguments with that subcommand's parser
+    alone; exit code, stdout, stderr, written files and the namespace are
+    those of argparse's full pass through the top-level parser."""
+    from webgeo import cli
+
+    monkeypatch.chdir(tmp_path)
+
+    def outputs():
+        code = run(argv)
+        captured = capsys.readouterr()
+        written = {}
+        for path in sorted(tmp_path.iterdir()):
+            written[path.name] = path.read_bytes()
+            path.unlink()
+        return code, captured.out, captured.err, written
+
+    direct = outputs()
+    assert direct[0] == code, direct[2]
+    with monkeypatch.context() as patched:
+        patched.setattr(cli, "_parse_args", lambda words: cli._PARSER.parse_args(words))
+        assert outputs() == direct
+
+    def namespace(parse):
+        try:
+            args = vars(parse(list(argv)))
+        except SystemExit as exc:
+            args = exc.code
+        captured = capsys.readouterr()
+        return args, captured.out, captured.err
+
+    assert namespace(cli._parse_args) == namespace(cli._PARSER.parse_args)
+
+
+def test_direct_dispatch_reports_leftovers_as_the_top_level_parser(capsys):
+    assert run(["flex", "--f", "x", "--grid", "0:1:0:1:3:3", "a", "b"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: webgeo [-h]")
+    assert err.endswith("webgeo: error: unrecognized arguments: a b\n")

@@ -448,6 +448,68 @@ def test_flex_and_euler_cli_bytes(data, grid, fmt):
 
 
 @SETTINGS
+@given(data=st.data(), grid=grids(), block=st.integers(1, 40))
+def test_flat_plane_sweep_matches_the_point_kernel(data, grid, block):
+    """`flex_sweep`, the residual without a connection, gives every sample
+    the bits of the single-point kernel, and its raw value is
+    `geodesy.flex` at that point, bit for bit."""
+    f = data.draw(formulas(grid))
+    with block_size(block):
+        assert_sweep_matches(
+            lambda: geodesy.flex_sweep(f, grid), lambda p: geodesy._sample(f, p), grid
+        )
+        try:
+            series = geodesy.flex_sweep(f, grid)
+        except (OverflowError, ValueError):
+            return
+    for point, raw in zip(series.points, series.raw):
+        assert bits(raw) == bits(geodesy.flex(f, point)), point
+
+
+#: Formulas whose negated or divided-by-minus-one zero derivatives meet
+#: gradients of every sign on the grid below.
+NEGATED_ZEROS = [
+    "-(x + y)",
+    "-(0*x*x + y)",
+    "-(y - x)",
+    "-(x*0 + y)",
+    "sin(-x) + y",
+    "-sin(x) - sin(y)",
+    "sin(x)/(-1) + sin(y)/(-1)",
+    "sin(x)/(-1) + y",
+]
+
+
+@pytest.mark.parametrize("source", NEGATED_ZEROS)
+def test_flex_csv_keeps_the_bits_of_the_zero_connection(source):
+    """These CSV reports have the bytes of the covariant residual with six
+    zero Christoffel symbols, which `flex` computed before the flat-plane
+    kernel."""
+    grid = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
+    zero = residual_sweep([source], grid, christoffels=FLAT)[0]
+    argv = ["flex", f"--f={source}", f"--grid={grid_text(grid)}", "--format=csv"]
+    assert cli(argv) == (0, write_csv_grid(zero.samples()))
+
+
+def test_flex_csv_zero_sign_where_the_kernels_differ():
+    """Where f_xx, f_xy and f_yy are all -0.0 and f_x, f_y have opposite
+    signs, Flex f is -0.0, while the covariant form subtracts 0*f_x and
+    0*f_y and gives +0.0.  The CSV prints the flat-plane value; the JSON
+    report, which reduces |v|, is the same for both."""
+    source = "sin(x)/(-1) - (-y)"
+    grid = GridSpec(0.0, 0.0, -1.0, 1.0, 1, 3)
+    code, text = cli(["flex", f"--f={source}", f"--grid={grid_text(grid)}", "--format=csv"])
+    assert code == 0
+    rows = [f"0.0,{y!r},-0.0,-0.0,false" for y in grid.ys()]
+    assert text.splitlines()[1:] == rows
+    zero = residual_sweep([source], grid, christoffels=FLAT)[0]
+    assert [bits(v) for v in zero.raw] == [bits(0.0)] * 3
+    assert [bits(geodesy.flex(source, p)) for p in grid.points()] == [bits(-0.0)] * 3
+    json_argv = ["flex", f"--f={source}", f"--grid={grid_text(grid)}"]
+    assert cli(json_argv) == reference_flex(source, grid, "json")
+
+
+@SETTINGS
 @given(
     data=st.data(),
     grid=grids(),

@@ -28,7 +28,7 @@ from webgeo import (
     truncate_jet,
 )
 from webgeo.exprlang import Block, parse
-from webgeo.taylor import _jet, fail
+from webgeo.taylor import _jet, fail, table_partial
 
 
 def test_variable_seed_x():
@@ -633,3 +633,21 @@ def test_block_run_lets_other_errors_through():
 
     with pytest.raises(TypeError, match="not a domain error"):
         block.run(kernel)
+
+
+def test_table_partial_skips_factorials_of_one_bit_for_bit():
+    """A partial derivative multiplies its coefficient by i! and j! only
+    where they exceed 1, with the bits of the full product ``c * i! * j!``,
+    at a point and lane by lane."""
+    rng = random.Random(22)
+    pool = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.5, -2.75, 1e300, -8e307, 1.0 / 3.0]
+    for order in range(1, 5):
+        table = [[rng.choice(pool) for _ in range(order + 1 - i)] for i in range(order + 1)]
+        lanes = [[np.array([rng.choice(pool) for _ in range(5)]) for _ in row] for row in table]
+        for i in range(order + 1):
+            for j in range(order + 1 - i):
+                fi, fj = float(math.factorial(i)), float(math.factorial(j))
+                assert _bits(table_partial(table, i, j)) == _bits(table[i][j] * fi * fj), (i, j)
+                with np.errstate(over="ignore"):
+                    got, full = table_partial(lanes, i, j), lanes[i][j] * fi * fj
+                assert got.tobytes() == full.tobytes(), (i, j)
