@@ -269,7 +269,8 @@ def _cmd_fit(args) -> int:
         grid_dict = None
     else:
         grid_dict = grid.as_dict()
-        columns, skipped = projective.fit_sweep(web, grid)
+        series = projective._fit_grid(web, grid)
+        columns = series.vectors
         count = len(columns[0])
         if count == 0:
             raise exprlang.EvaluationError("web is degenerate on the whole grid")
@@ -277,9 +278,13 @@ def _cmd_fit(args) -> int:
         sequential_sum = webgeo.geodesy.sequential_sum
         results = {
             "pi": {n: sequential_sum(c) / count for n, c in zip(names, columns)},
-            "max_spread": max(max(c) - min(c) for c in columns),
+            # The values are finite.  Where they are all equal, Python's max
+            # and min pick the same one and the spread is +0.0, while
+            # np.max and np.min may pick zeros of opposite signs: 0.0 +
+            # turns their -0.0 into +0.0 and leaves every other spread.
+            "max_spread": max(0.0 + float(c.max() - c.min()) for c in columns),
             "points_used": count,
-            "skipped_points": skipped,
+            "skipped_points": series.skipped,
         }
     return _finish(args, "fit", inputs, grid_dict, results)
 
@@ -324,8 +329,8 @@ def _cmd_symcheck(args) -> int:
     grid = _parse_grid(args.grid)
 
     exprlang, geodesy = webgeo.exprlang, webgeo.geodesy
-    r1, r2, skipped = webgeo.projective.symmetry_sweep(f3, f4, grid)
-    r1, r2 = geodesy.reduce_samples(r1), geodesy.reduce_samples(r2)
+    series = webgeo.projective._symmetry_grid(f3, f4, grid)
+    r1, r2 = (geodesy.reduce_samples(v) for v in series.vectors)
     if not r1.samples:
         raise exprlang.EvaluationError("no valid samples on the requested grid")
     _, verdict = geodesy.judge([r1.largest, r2.largest], args.tol, SYMMETRIC_VERDICTS)
@@ -333,7 +338,7 @@ def _cmd_symcheck(args) -> int:
         "r1": {"max": r1.largest, "mean": r1.mean},
         "r2": {"max": r2.largest, "mean": r2.mean},
         "samples": r1.samples,
-        "skipped_points": skipped,
+        "skipped_points": series.skipped,
         "verdict": verdict,
         "tolerance": args.tol,
     }

@@ -23,11 +23,12 @@ that runs at one point or over a block of points (see
 at their point; :func:`residual_sweep` calls it a block at a time, the
 structure once per block for all foliations, so every sample has the bits
 of the single-point call.  Every grid sweep collects its samples and skipped
-points in a :class:`GridResiduals`.  :func:`reduce_samples` and
-:func:`judge` turn samples into the numbers and verdict of a report, for
-every grid command: a NaN sample makes the largest value NaN and fails the
-verdict, and a mean is a left-to-right sum, the same bits on every Python
-version.
+points in a :class:`GridResiduals`, which keeps them as the blocks' numpy
+vectors; they become Python values only in the lists a report or a
+caller reads.  :func:`reduce_samples` and :func:`judge` turn samples into
+the numbers and verdict of a report, for every grid command: a NaN sample
+makes the largest value NaN and fails the verdict, and a mean is a
+left-to-right sum, the same bits on every Python version.
 """
 
 from __future__ import annotations
@@ -334,10 +335,12 @@ class GridSpec:
 
     def blocks(self):
         """The lattice points in `points()` order, as successive
-        :class:`Block` s of at most BLOCK_POINTS points."""
-        xs, ys = self.xs(), self.ys()
-        px = xs * len(ys)
-        py = [y for y in ys for _ in xs]
+        :class:`Block` s of at most BLOCK_POINTS points.  The coordinate
+        vectors of the whole grid are built once, from `xs()` and `ys()`,
+        so every coordinate has the bits `points()` gives it; each block
+        holds a slice of them."""
+        xs, ys = np.array(self.xs()), np.array(self.ys())
+        px, py = np.tile(xs, len(ys)), np.repeat(ys, len(xs))
         for start in range(0, len(px), BLOCK_POINTS):
             stop = start + BLOCK_POINTS
             yield Block(px[start:stop], py[start:stop])
@@ -353,43 +356,86 @@ class GridSpec:
         }
 
 
+def _join(parts, dtype=float):
+    """One vector of the vectors `parts`, without a copy for one part."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(0, dtype)
+
+
 class GridResiduals:
-    """The samples of one computation over a grid, in grid order: `points`
-    lists the evaluated points, `columns` holds k parallel lists of values
-    at them, and `skipped` lists the points where it is undefined.
+    """The samples of one computation over a grid, in grid order.
+
+    The samples stay numpy vectors: for each block its coordinates, its
+    lane mask and the k value columns at its valid lanes, joined into
+    vectors over the grid when first read.  `vectors` holds the k value
+    columns, and :meth:`valid` and :meth:`stats` reduce them in numpy.
+
+    The list views are built from the vectors at each read, in Python
+    floats, bools and tuples: `points` lists the evaluated points,
+    `columns` holds k parallel lists of values at them, and `skipped`
+    lists the points, as [x, y], where the computation is undefined.
 
     A residual's four columns are the fields of :class:`ResidualSample`
     after its point: raw, normalized, gradient norm and degenerate.
     """
 
     def __init__(self, k: int = 4):
-        self.points: list[tuple[float, float]] = []
-        self.columns = tuple([] for _ in range(k))
-        self.skipped: list[list[float]] = []
-
-    raw = property(lambda self: self.columns[0])
-    normalized = property(lambda self: self.columns[1])
-    gradient_norm = property(lambda self: self.columns[2])
-    degenerate = property(lambda self: self.columns[3])
+        self._k = k
+        self._blocks = []
+        self._joined = None
 
     def add_block(self, block: Block, ok, values):
         """Append one block: the points where `ok` is False are skipped,
         the others get the k `values` (None when no point is valid) at
         their lanes (floats stand for every lane)."""
-        xs, ys = block.x.tolist(), block.y.tolist()
-        self.skipped.extend([x, y] for x, y, good in zip(xs, ys, ok.tolist()) if not good)
-        if values is None:
-            return
-        self.points.extend(zip(block.x[ok].tolist(), block.y[ok].tolist()))
-        for column, value in zip(self.columns, values):
-            column.extend(take_lanes(value, ok).tolist())
+        columns = None if values is None else [take_lanes(v, ok) for v in values]
+        self._blocks.append((block.x, block.y, ok, columns))
+        self._joined = None
+
+    def _vectors(self):
+        """(x, y, ok, columns): the coordinates and lane mask of every grid
+        point, and the k value columns at the valid ones."""
+        if self._joined is None:
+            blocks = self._blocks
+            filled = [b[3] for b in blocks if b[3] is not None]
+            columns = [_join(c) for c in zip(*filled)] if filled else [np.empty(0)] * self._k
+            x, y, ok = ([b[i] for b in blocks] for i in range(3))
+            self._joined = (_join(x), _join(y), _join(ok, bool), tuple(columns))
+        return self._joined
+
+    @property
+    def vectors(self) -> tuple:
+        """The k value columns as numpy vectors."""
+        return self._vectors()[3]
+
+    @property
+    def points(self) -> list[tuple[float, float]]:
+        x, y, ok, _ = self._vectors()
+        return list(zip(x[ok].tolist(), y[ok].tolist()))
+
+    @property
+    def skipped(self) -> list[list[float]]:
+        x, y, ok, _ = self._vectors()
+        return np.column_stack((x[~ok], y[~ok])).tolist()
+
+    @property
+    def columns(self) -> tuple[list, ...]:
+        return tuple(column.tolist() for column in self.vectors)
+
+    raw = property(lambda self: self.vectors[0].tolist())
+    normalized = property(lambda self: self.vectors[1].tolist())
+    gradient_norm = property(lambda self: self.vectors[2].tolist())
+    degenerate = property(lambda self: self.vectors[3].tolist())
 
     def samples(self) -> list[ResidualSample]:
         return [ResidualSample(*fields) for fields in zip(self.points, *self.columns)]
 
-    def valid(self) -> list[float]:
-        """The normalized residuals of the non-degenerate samples."""
-        return [v for v, bad in zip(self.normalized, self.degenerate) if not bad]
+    def valid(self):
+        """The normalized residuals of the non-degenerate samples, a numpy
+        vector."""
+        _, normalized, _, degenerate = self.vectors
+        return normalized[np.logical_not(degenerate)]
 
     def stats(self) -> dict | None:
         """Report fields over the non-degenerate samples; None when there
@@ -397,13 +443,12 @@ class GridResiduals:
         reduced = reduce_samples(self.valid())
         if not reduced.samples:
             return None
+        x, y, ok, (_, _, _, degenerate) = self._vectors()
         return {
             "samples": reduced.samples,
             "max_normalized": reduced.largest,
             "mean_normalized": reduced.mean,
-            "degenerate_points": [
-                list(p) for p, bad in zip(self.points, self.degenerate) if bad
-            ],
+            "degenerate_points": np.column_stack((x[ok], y[ok]))[degenerate].tolist(),
             "skipped_points": self.skipped,
         }
 

@@ -187,14 +187,20 @@ def fit_projective_structure(web, point) -> ThomasParameters:
     return ThomasParameters(*_fit(_require_web(web, d=4), point))
 
 
+def _fit_grid(web, grid: GridSpec) -> GridResiduals:
+    """The samples of :func:`fit_sweep`, as vectors."""
+    web = _require_web(web, d=4)
+    (out,) = _sweep(grid, [lambda block, ok: _fit(web, block, ok)])
+    return out
+
+
 def fit_sweep(web, grid: GridSpec):
     """The closed-form fit of a 4-web over a grid, a block of points at a
     time: (columns, skipped).  `columns` holds the values of p1_22, p1_12,
     p2_12 and p2_11, in grid order, at the points where
     :func:`fit_projective_structure` gives them, bit for bit; `skipped`
     lists the points where it raises."""
-    web = _require_web(web, d=4)
-    (out,) = _sweep(grid, [lambda block, ok: _fit(web, block, ok)])
+    out = _fit_grid(web, grid)
     return out.columns, out.skipped
 
 
@@ -362,10 +368,8 @@ def symmetric_conditions_residual(f3, f4, point) -> tuple[float, float]:
     return _symmetry_residuals(*_alpha_beta_jets(as_expression(f3), as_expression(f4), point))
 
 
-def symmetry_sweep(f3, f4, grid: GridSpec):
-    """(r1, r2, skipped): the residuals of :func:`symmetric_conditions_residual`
-    over a grid, a block of points at a time, in grid order at the points
-    where it gives them, bit for bit, and the points where it raises."""
+def _symmetry_grid(f3, f4, grid: GridSpec) -> GridResiduals:
+    """The samples of :func:`symmetry_sweep`, as vectors."""
     f3 = as_expression(f3)
     f4 = as_expression(f4)
 
@@ -373,6 +377,14 @@ def symmetry_sweep(f3, f4, grid: GridSpec):
         return _symmetry_residuals(*_alpha_beta_jets(f3, f4, block, ok))
 
     (out,) = _sweep(grid, [kernel], 2)
+    return out
+
+
+def symmetry_sweep(f3, f4, grid: GridSpec):
+    """(r1, r2, skipped): the residuals of :func:`symmetric_conditions_residual`
+    over a grid, a block of points at a time, in grid order at the points
+    where it gives them, bit for bit, and the points where it raises."""
+    out = _symmetry_grid(f3, f4, grid)
     return (*out.columns, out.skipped)
 
 

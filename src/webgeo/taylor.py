@@ -385,7 +385,8 @@ def per_lane(fn, *args):
     if all(isinstance(a, float) for a in args):
         return fn(*args)
     lanes = [repeat(a) if isinstance(a, float) else a.tolist() for a in args]
-    return np.array(list(map(fn, *lanes)), dtype=float)
+    count = next(len(a) for a in args if not isinstance(a, float))
+    return np.fromiter(map(fn, *lanes), dtype=float, count=count)
 
 
 def _exp_or_inf(u: float) -> float:
@@ -419,7 +420,15 @@ def _series(fn: str, u, n: int, p: float | None = None):
     elif fn == "pow_const":
         coeffs = [_power_or_inf(u, p)]
     elif fn == "exp":
-        e = per_lane(_exp_or_inf, u)
+        if isinstance(u, float):
+            e = _exp_or_inf(u)
+        else:
+            # math.exp straight over the lanes; only a block where it
+            # overflows pays for the guard at every lane.
+            try:
+                e = per_lane(math.exp, u)
+            except OverflowError:
+                e = per_lane(_exp_or_inf, u)
         return [e / _FACTORIAL[k] for k in range(n + 1)]
     elif fn == "ln":
         coeffs = [per_lane(math.log, u), 1.0 / u]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import math
 import struct
 
@@ -24,6 +25,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import webgeo
 from webgeo import geodesy
 from webgeo.cli import run
 from webgeo.eulerweb import connection_euler_residual, euler_residual, euler_sweep
@@ -322,6 +324,110 @@ def test_residual_sweep_runs_each_function_once_per_block(monkeypatch):
     assert list(map(id, top_level)) == [b for b in blocks for _ in range(3)]
     # three functions and six Christoffels, each evaluated once per block
     assert list(map(id, evaluated)) == [b for b in blocks for _ in range(9)]
+
+
+# Undefined on the row y = 0 (a division by zero), degenerate at (0, -1)
+# and (0, 1), where both partial derivatives vanish.
+ROW_GAP = "x*x + (y*y - 1)^2/(y*y)"
+ROW_GAP_GRID = GridSpec(-1.0, 1.0, -1.0, 1.0, 3, 3)
+# A 4-web fitted everywhere off that row, and an invariant pair defined
+# only at the corners.
+FIT_GAP = ["x", "y", "x + y", "x - y + (y*y - 1)^2/(y*y)"]
+SYMMETRY_GAP = ("exp(x) + y", "x + 2*y + 1/y")
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 9])
+def test_samples_keep_grid_order_across_blocks(block):
+    """With blocks of one row each, the middle block has no valid lane and
+    its kernel gives None; the samples of the blocks around it, and the
+    report fields, keep the point-by-point order."""
+    f = parse(ROW_GAP)
+    skipped, samples = loop(lambda p: geodesy._sample(f, p), ROW_GAP_GRID)
+    assert skipped == [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    assert [s.point for s in samples if s.degenerate] == [(0.0, -1.0), (0.0, 1.0)]
+    with block_size(block):
+        series = geodesy.flex_sweep(f, ROW_GAP_GRID)
+        (connected,) = residual_sweep([f], ROW_GAP_GRID, christoffels=FLAT)
+    for out in (series, connected):
+        assert_same(out, skipped, samples)
+        assert [bits(v) for v in out.gradient_norm] == [bits(s.gradient_norm) for s in samples]
+        assert repr(out.columns) == repr((out.raw, out.normalized, out.gradient_norm, out.degenerate))
+        assert out.stats() == reference_stats(skipped, samples)
+        assert out.valid().tolist() == [s.normalized for s in samples if not s.degenerate]
+
+
+def test_fit_and_symmetry_sweeps_keep_grid_order_across_blocks():
+    values, skipped = point_loop(
+        lambda p: fit_projective_structure(FIT_GAP, p).as_tuple(), ROW_GAP_GRID
+    )
+    pairs, pair_skipped = point_loop(
+        lambda p: symmetric_conditions_residual(*SYMMETRY_GAP, p), ROW_GAP_GRID
+    )
+    assert values and skipped and pairs and pair_skipped
+    with block_size(3):
+        columns, sweep_skipped = fit_sweep(FIT_GAP, ROW_GAP_GRID)
+        r1, r2, symmetry_skipped = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
+    assert sweep_skipped == skipped
+    assert [[bits(v) for v in c] for c in columns] == [
+        [bits(v) for v in c] for c in zip(*values)
+    ]
+    assert symmetry_skipped == pair_skipped
+    assert [bits(v) for v in r1] == [bits(v[0]) for v in pairs]
+    assert [bits(v) for v in r2] == [bits(v[1]) for v in pairs]
+
+
+@pytest.mark.parametrize(
+    "grid, block",
+    [
+        (GridSpec(0.0, 0.6, 0.1, 0.7, 7, 7), 5),
+        (GridSpec(-0.3, 0.7, 0.1, 1.1, 7, 11), 4),
+        (GridSpec(0.1, 0.7, -1.3, 1.9, 7, 300), None),
+        (GridSpec(1e-3, 2.0 / 3.0, 0.2, 0.2, 9, 1), 2),
+    ],
+)
+def test_blocks_hold_the_bits_of_points(grid, block):
+    """The blocks' coordinates, end to end, are `points()` bit for bit, for
+    steps that floats cannot represent exactly and a block size that does
+    not divide nx * ny."""
+    size = geodesy.BLOCK_POINTS if block is None else block
+    assert (grid.nx * grid.ny) % size
+    with block_size(size):
+        blocks = list(grid.blocks())
+    assert [len(b.x) for b in blocks[:-1]] == [size] * (len(blocks) - 1)
+    assert 0 < len(blocks[-1].x) < size
+    xs = [v for b in blocks for v in b.x.tolist()]
+    ys = [v for b in blocks for v in b.y.tolist()]
+    assert [(bits(x), bits(y)) for x, y in zip(xs, ys)] == [
+        (bits(x), bits(y)) for x, y in grid.points()
+    ]
+
+
+def python_only(value) -> bool:
+    """True when `value` is built of Python floats, bools, tuples and
+    lists alone (and the ResidualSample that holds them)."""
+    if type(value) in (tuple, list):
+        return all(python_only(v) for v in value)
+    if isinstance(value, geodesy.ResidualSample):
+        return all(python_only(getattr(value, name)) for name in value.__dataclass_fields__)
+    return type(value) in (float, bool)
+
+
+def test_public_views_hold_python_values():
+    f = parse(ROW_GAP)
+    with block_size(3):
+        series = geodesy.flex_sweep(f, ROW_GAP_GRID)
+        fitted = fit_sweep(FIT_GAP, ROW_GAP_GRID)
+        symmetric = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
+    views = [series.points, series.skipped, series.columns, series.degenerate, series.samples()]
+    for view in views + [fitted, symmetric]:
+        assert view and python_only(view), view
+    assert type(series.columns) is tuple
+    assert all(type(p) is tuple for p in series.points)
+    assert all(type(p) is list for p in series.skipped)
+    stats = series.stats()
+    assert python_only(stats["degenerate_points"]) and python_only(stats["skipped_points"])
+    assert type(stats["samples"]) is int
+    assert all(type(stats[k]) is float for k in ("max_normalized", "mean_normalized"))
 
 
 # ------------------------------------------------------- CLI report bytes
@@ -760,6 +866,32 @@ def test_fit_dweb_and_symcheck_cli_bytes(data, grid):
     f3, f4 = (to_source(f) for f in data.draw(invariant_pairs(grid, negative_powers=False)))
     argv = ["symcheck", f"--f3={f3}", f"--f4={f4}", f"--grid={grid_text(grid)}"]
     assert cli(argv) == reference_symcheck(f3, f4, grid), argv
+
+
+@pytest.mark.parametrize(
+    "column",
+    [
+        [0.0, -0.0] * 40 + [-0.0],
+        [-0.0] * 33 + [0.0] * 31,
+        [0.0] * 17,
+        [1.5, -0.0, 0.0, -2.25],
+        [-0.0, 3.0],
+    ],
+)
+def test_fit_spread_has_the_bits_of_python_max_and_min(monkeypatch, column):
+    """The fit's spread is read from the column vectors; a spread of equal
+    values is +0.0, as Python's max and min give it, whichever zeros numpy
+    picks."""
+
+    class Fitted:
+        vectors = tuple(np.array(column) for _ in range(4))
+        skipped = []
+
+    monkeypatch.setattr(webgeo.projective, "_fit_grid", lambda web, grid: Fitted())
+    code, text = cli(["fit", "--web=x; y; x + y; x - y", "--grid=0:1:0:1:2:2"])
+    assert code == 0
+    spread = json.loads(text)["results"]["max_spread"]
+    assert bits(spread) == bits(max(column) - min(column))
 
 
 # ------------------------------------------------ symintegrate: path transport
