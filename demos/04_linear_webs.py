@@ -22,7 +22,6 @@ from webgeo import (
     flex_of_jet,
     generate_linear_web,
     render_svg,
-    truncate_jet,
 )
 
 OUTPUT = Path(__file__).parent / "output"
@@ -65,7 +64,7 @@ def main():
     point = (1.8, 0.9)
     branch = max(solution.roots(point), key=lambda r: abs(r.lam))
     jet = solution.jet(point, 2, lam=branch.lam)
-    print(f"  at {point}: euler = {euler_residual_of_jet(truncate_jet(jet, 1)):+.3e}, "
+    print(f"  at {point}: euler = {euler_residual_of_jet(jet.truncate(1)):+.3e}, "
           f"flex = {flex_of_jet(jet):+.3e}")
 
     OUTPUT.mkdir(exist_ok=True)

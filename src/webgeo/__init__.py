@@ -51,9 +51,8 @@ __version__ = "0.1.0"
 #: Each module and the public names it defines.
 _EXPORTS = {
     "taylor": (
-        "MAX_ORDER", "JetDomainError", "JetError", "TaylorJet", "derivative_jet",
-        "jet_arith", "jet_constant", "jet_elementary", "jet_variable",
-        "partial_derivative", "truncate_jet",
+        "MAX_ORDER", "JetDomainError", "JetError", "TaylorJet", "jet_constant",
+        "jet_elementary", "jet_variable", "partial_derivative",
     ),
     "exprlang": (
         "Binary", "Call", "Constant", "EvaluationError", "Expression", "ParseError",

@@ -269,7 +269,7 @@ def _cmd_fit(args) -> int:
         grid_dict = None
     else:
         grid_dict = grid.as_dict()
-        series = projective._fit_grid(web, grid)
+        series = projective.fit_sweep(web, grid)
         columns = series.vectors
         count = len(columns[0])
         if count == 0:
@@ -329,7 +329,7 @@ def _cmd_symcheck(args) -> int:
     grid = _parse_grid(args.grid)
 
     exprlang, geodesy = webgeo.exprlang, webgeo.geodesy
-    series = webgeo.projective._symmetry_grid(f3, f4, grid)
+    series = webgeo.projective.symmetry_sweep(f3, f4, grid)
     r1, r2 = (geodesy.reduce_samples(v) for v in series.vectors)
     if not r1.samples:
         raise exprlang.EvaluationError("no valid samples on the requested grid")

@@ -58,12 +58,7 @@ from .taylor import (
     TaylorJet,
     check_table,
     constant_table,
-    derivative_jet,
     fail,
-    jet_add,
-    jet_div,
-    jet_mul,
-    jet_sub,
     np,
     partial_derivative,
     per_lane,
@@ -72,6 +67,7 @@ from .taylor import (
     table_elementary,
     table_partial,
     variable_table,
+    _CONTEXT as _ARITH_CONTEXT,
     _check_order,
     _integer_power,
     _jet,
@@ -625,9 +621,9 @@ def _partial_gradient(ref, x: float, y: float):
         )
     base = evaluate_jet(node.target, (x, y), needed)
     for _ in range(node.dx):
-        base = derivative_jet(base, "x")
+        base = base.derivative("x")
     for _ in range(node.dy):
-        base = derivative_jet(base, "y")
+        base = base.derivative("y")
     return base.value, partial_derivative(base, 1, 0), partial_derivative(base, 0, 1)
 
 
@@ -952,11 +948,8 @@ def evaluate_jet_with(e: Expression, bindings: dict) -> TaylorJet:
     return _jet(_Walker(None, None, tables).jet(e, order, None), order, base)
 
 
-#: The jet function of each arithmetic operator.  The walker does not
-#: dispatch through it; perfbench's tracing tests look it up.
-_JET_OPS = {"+": jet_add, "-": jet_sub, "*": jet_mul, "/": jet_div}
-
-_CONTEXT = {"+": "add", "-": "sub", "*": "mul", "/": "div", "^": "pow_const"}
+#: The error context of each binary operator: a TaylorJet operator's own.
+_CONTEXT = {**_ARITH_CONTEXT, "^": "pow_const"}
 
 
 def _math_lanes(fn, u):

@@ -377,7 +377,10 @@ class GridResiduals:
     lists the points, as [x, y], where the computation is undefined.
 
     A residual's four columns are the fields of :class:`ResidualSample`
-    after its point: raw, normalized, gradient norm and degenerate.
+    after its point, read by index: ``columns[0]`` raw, ``[1]`` normalized,
+    ``[2]`` gradient norm and ``[3]`` degenerate (``vectors`` alike).  The
+    fit's and the symmetry conditions' columns are listed where they are
+    swept.
     """
 
     def __init__(self, k: int = 4):
@@ -422,11 +425,6 @@ class GridResiduals:
     @property
     def columns(self) -> tuple[list, ...]:
         return tuple(column.tolist() for column in self.vectors)
-
-    raw = property(lambda self: self.vectors[0].tolist())
-    normalized = property(lambda self: self.vectors[1].tolist())
-    gradient_norm = property(lambda self: self.vectors[2].tolist())
-    degenerate = property(lambda self: self.vectors[3].tolist())
 
     def samples(self) -> list[ResidualSample]:
         return [ResidualSample(*fields) for fields in zip(self.points, *self.columns)]

@@ -187,21 +187,14 @@ def fit_projective_structure(web, point) -> ThomasParameters:
     return ThomasParameters(*_fit(_require_web(web, d=4), point))
 
 
-def _fit_grid(web, grid: GridSpec) -> GridResiduals:
-    """The samples of :func:`fit_sweep`, as vectors."""
+def fit_sweep(web, grid: GridSpec) -> GridResiduals:
+    """The closed-form fit of a 4-web over a grid, a block of points at a
+    time.  Its four columns hold p1_22, p1_12, p2_12 and p2_11, in grid
+    order, at the points where :func:`fit_projective_structure` gives
+    them, bit for bit; `skipped` lists the points where it raises."""
     web = _require_web(web, d=4)
     (out,) = _sweep(grid, [lambda block, ok: _fit(web, block, ok)])
     return out
-
-
-def fit_sweep(web, grid: GridSpec):
-    """The closed-form fit of a 4-web over a grid, a block of points at a
-    time: (columns, skipped).  `columns` holds the values of p1_22, p1_12,
-    p2_12 and p2_11, in grid order, at the points where
-    :func:`fit_projective_structure` gives them, bit for bit; `skipped`
-    lists the points where it raises."""
-    out = _fit_grid(web, grid)
-    return out.columns, out.skipped
 
 
 def fit_by_linear_solve(web, point) -> ThomasParameters:
@@ -368,8 +361,11 @@ def symmetric_conditions_residual(f3, f4, point) -> tuple[float, float]:
     return _symmetry_residuals(*_alpha_beta_jets(as_expression(f3), as_expression(f4), point))
 
 
-def _symmetry_grid(f3, f4, grid: GridSpec) -> GridResiduals:
-    """The samples of :func:`symmetry_sweep`, as vectors."""
+def symmetry_sweep(f3, f4, grid: GridSpec) -> GridResiduals:
+    """The residuals r1 and r2 of :func:`symmetric_conditions_residual`
+    over a grid, a block of points at a time: its two columns, in grid
+    order at the points where that function gives them, bit for bit, and
+    `skipped`, the points where it raises."""
     f3 = as_expression(f3)
     f4 = as_expression(f4)
 
@@ -378,14 +374,6 @@ def _symmetry_grid(f3, f4, grid: GridSpec) -> GridResiduals:
 
     (out,) = _sweep(grid, [kernel], 2)
     return out
-
-
-def symmetry_sweep(f3, f4, grid: GridSpec):
-    """(r1, r2, skipped): the residuals of :func:`symmetric_conditions_residual`
-    over a grid, a block of points at a time, in grid order at the points
-    where it gives them, bit for bit, and the points where it raises."""
-    out = _symmetry_grid(f3, f4, grid)
-    return (*out.columns, out.skipped)
 
 
 def _dweb_residuals(web: WebPresentation, at, ok=None):

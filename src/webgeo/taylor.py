@@ -280,7 +280,9 @@ _CONTEXT = {"+": "add", "-": "sub", "*": "mul", "/": "div"}
 
 
 def _arith(op: str, a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """a op b for op one of + - * /: the arithmetic of every jet."""
+    """a op b for op one of + - * /: the arithmetic of every jet.  A zero
+    constant term in a divisor is a singular point of the formula and
+    fails it (:class:`JetDomainError` at a point)."""
     context = _CONTEXT[op]
     if a.order != b.order:
         raise JetError(f"{context}: mismatched jet orders {a.order} and {b.order}")
@@ -291,14 +293,6 @@ def _arith(op: str, a: TaylorJet, b: TaylorJet) -> TaylorJet:
     table = table_arith(op, a.table, b.table, a.order, a.ok)
     check_table(table, a.ok, context)
     return _jet(table, a.order, a.base_point, a.ok)
-
-
-def jet_add(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    return _arith("+", a, b)
-
-
-def jet_sub(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    return _arith("-", a, b)
 
 
 def mul_table(la, lb, n: int):
@@ -457,32 +451,6 @@ def _series(fn: str, u, n: int, p: float | None = None):
     return coeffs
 
 
-def jet_mul(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """Truncated Cauchy product of two jets."""
-    return _arith("*", a, b)
-
-
-def jet_div(a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """Truncated quotient, solved degree by degree.
-
-    A zero constant term in the divisor signals a singular point of the
-    formula being evaluated and raises :class:`JetDomainError`.
-    """
-    return _arith("/", a, b)
-
-
-_ARITH = {"add": jet_add, "sub": jet_sub, "mul": jet_mul, "div": jet_div}
-
-
-def jet_arith(operation: str, a: TaylorJet, b: TaylorJet) -> TaylorJet:
-    """Dispatch one of the four arithmetic operations by name."""
-    try:
-        fn = _ARITH[operation]
-    except KeyError:
-        raise JetError(f"unknown jet operation {operation!r}") from None
-    return fn(a, b)
-
-
 def _integer_power(value, n: int, one, mul=operator.mul, div=operator.truediv):
     """value**n by binary exponentiation.  Works for floats, jets and
     coefficient tables alike, so every evaluation path shares the exact
@@ -534,16 +502,6 @@ def partial_derivative(a: TaylorJet, i: int, j: int) -> float:
     if i < 0 or j < 0 or i + j > a.order:
         check_derivative_index(i, j, a.order)
     return table_partial(a.table, i, j)
-
-
-def derivative_jet(a: TaylorJet, axis) -> TaylorJet:
-    """Jet of the partial derivative of `a` along `axis`, one order lower."""
-    return a.derivative(axis)
-
-
-def truncate_jet(a: TaylorJet, order: int) -> TaylorJet:
-    """Copy of `a` truncated to a lower (or equal) order."""
-    return a.truncate(order)
 
 
 # ------------------------------------------------------------ lane tables

@@ -27,7 +27,6 @@ from webgeo import (
     constant_curvature_metric,
     constant_curvature_residual,
     curvature_along,
-    derivative_jet,
     dweb_geodesic_residuals,
     evaluate,
     evaluate_jet,
@@ -44,7 +43,6 @@ from webgeo import (
     render_svg,
     symmetric_conditions_residual,
     trace_level_curve,
-    truncate_jet,
     write_report,
     compose_report,
 )
@@ -287,12 +285,12 @@ def test_criterion_10_euler_bridge():
             jet = evaluate_jet(f, point, 3)
         except Exception:
             continue
-        fx_jet = derivative_jet(jet, "x")
-        fy_jet = derivative_jet(jet, "y")
+        fx_jet = jet.derivative("x")
+        fy_jet = jet.derivative("y")
         fx = fx_jet.value
         if abs(fx) < 1e-3:
             continue
-        w_jet = truncate_jet(fy_jet, 1) / truncate_jet(fx_jet, 1)
+        w_jet = fy_jet.truncate(1) / fx_jet.truncate(1)
         raw = projective_flex_residual(f, pi, point).raw
         bridge = -(fx**3) * connection_euler_residual_of_jet(w_jet, pi)
         assert rel_close(raw, bridge, 1e-9)

@@ -398,7 +398,7 @@ def test_symcheck_jet_overflow_skips_the_point(capsys):
     assert report["results"]["samples"] == 8
 
 
-def test_fit_grid_lists_non_finite_fits(capsys):
+def test_fit_over_a_grid_lists_non_finite_fits(capsys):
     code, report = _run_json(
         ["fit", "--web", "; ".join(EXP_WEB), "--grid", "0.5:4:0.5:4:3:3"], capsys
     )

@@ -25,8 +25,6 @@ from webgeo import (
     parse,
     partial_derivative,
     projective_flex_residual,
-    truncate_jet,
-    derivative_jet,
 )
 from webgeo import eulerweb
 from conftest import CORPUS, rel_close, sample_point
@@ -65,12 +63,12 @@ def test_euler_bridge_identity(rng):
             jet = evaluate_jet(f, point, 3)
         except Exception:
             continue
-        fx_jet = derivative_jet(jet, "x")
-        fy_jet = derivative_jet(jet, "y")
+        fx_jet = jet.derivative("x")
+        fy_jet = jet.derivative("y")
         fx = fx_jet.value
         if abs(fx) < 1e-3:
             continue
-        w_jet = truncate_jet(fy_jet, 1) / truncate_jet(fx_jet, 1)
+        w_jet = fy_jet.truncate(1) / fx_jet.truncate(1)
         lhs = projective_flex_residual(f, pi, point).raw
         rhs = -(fx**3) * connection_euler_residual_of_jet(w_jet, pi)
         assert rel_close(lhs, rhs, 1e-9)
@@ -237,7 +235,7 @@ def test_generated_solution_satisfies_euler_and_flex(rng):
         if len(roots) != 1:
             continue
         jet2 = solution.jet(point, 2, lam=roots[0].lam)
-        assert abs(euler_residual_of_jet(truncate_jet(jet2, 1))) <= 1e-8
+        assert abs(euler_residual_of_jet(jet2.truncate(1))) <= 1e-8
         gradient = math.hypot(
             partial_derivative(jet2, 1, 0), partial_derivative(jet2, 0, 1)
         )

@@ -35,7 +35,7 @@ from webgeo import (
 )
 from webgeo.cli import run
 from webgeo.exprlang import FUNCTION_NAMES, MAX_DEPTH, MAX_NESTING, X, Y, _Compiler
-from webgeo.taylor import MAX_ORDER, _integer_power, _power_or_inf, derivative_jet
+from webgeo.taylor import MAX_ORDER, _integer_power, _power_or_inf
 from conftest import CORPUS, fd_partial, sample_point
 
 
@@ -700,9 +700,9 @@ def _reference_propagate(node, x, y):
         )
     base = evaluate_jet(node.target, (x, y), needed)
     for _ in range(node.dx):
-        base = derivative_jet(base, "x")
+        base = base.derivative("x")
     for _ in range(node.dy):
-        base = derivative_jet(base, "y")
+        base = base.derivative("y")
     return base.value, partial_derivative(base, 1, 0), partial_derivative(base, 0, 1)
 
 

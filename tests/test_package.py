@@ -48,6 +48,36 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
         exec("from webgeo import no_such_name", {})
 
 
+#: Second spellings of operations that have one: the jet operators and
+#: methods, the sweeps that return their GridResiduals, and its columns.
+ALIASES = {
+    "taylor": (
+        "jet_add", "jet_sub", "jet_mul", "jet_div", "_ARITH", "jet_arith",
+        "derivative_jet", "truncate_jet",
+    ),
+    "exprlang": ("_JET_OPS",),
+    "projective": ("_fit_grid", "_symmetry_grid"),
+}
+COLUMN_ALIASES = ("raw", "normalized", "gradient_norm", "degenerate")
+
+
+def test_each_operation_has_one_spelling():
+    for module, names in ALIASES.items():
+        module = getattr(webgeo, module)
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert name not in webgeo.__all__ and name not in dir(webgeo), name
+    for name in COLUMN_ALIASES:
+        assert not hasattr(webgeo.geodesy.GridResiduals, name), name
+    with pytest.raises(ImportError, match="truncate_jet"):
+        exec("from webgeo import truncate_jet", {})
+    grid = webgeo.GridSpec(0.5, 1.0, 0.5, 1.0, 2, 2)
+    fitted = webgeo.projective.fit_sweep(["x", "y", "x + y", "x - y"], grid)
+    symmetric = webgeo.projective.symmetry_sweep("x + y", "x - y^2", grid)
+    assert isinstance(fitted, webgeo.geodesy.GridResiduals) and len(fitted.columns) == 4
+    assert isinstance(symmetric, webgeo.geodesy.GridResiduals) and len(symmetric.columns) == 2
+
+
 SCRIPT = """
 import json, sys
 import webgeo

@@ -155,9 +155,10 @@ def loop(fn, grid: GridSpec):
 def assert_same(series, skipped, samples):
     assert series.skipped == skipped
     assert series.points == [s.point for s in samples]
-    assert series.degenerate == [s.degenerate for s in samples]
-    assert [bits(v) for v in series.raw] == [bits(s.raw) for s in samples]
-    assert [bits(v) for v in series.normalized] == [bits(s.normalized) for s in samples]
+    raw, normalized, _, degenerate = series.columns
+    assert degenerate == [s.degenerate for s in samples]
+    assert [bits(v) for v in raw] == [bits(s.raw) for s in samples]
+    assert [bits(v) for v in normalized] == [bits(s.normalized) for s in samples]
 
 
 def assert_sweep_matches(sweep, point_fn, grid):
@@ -350,8 +351,7 @@ def test_samples_keep_grid_order_across_blocks(block):
         (connected,) = residual_sweep([f], ROW_GAP_GRID, christoffels=FLAT)
     for out in (series, connected):
         assert_same(out, skipped, samples)
-        assert [bits(v) for v in out.gradient_norm] == [bits(s.gradient_norm) for s in samples]
-        assert repr(out.columns) == repr((out.raw, out.normalized, out.gradient_norm, out.degenerate))
+        assert [bits(v) for v in out.columns[2]] == [bits(s.gradient_norm) for s in samples]
         assert out.stats() == reference_stats(skipped, samples)
         assert out.valid().tolist() == [s.normalized for s in samples if not s.degenerate]
 
@@ -365,13 +365,14 @@ def test_fit_and_symmetry_sweeps_keep_grid_order_across_blocks():
     )
     assert values and skipped and pairs and pair_skipped
     with block_size(3):
-        columns, sweep_skipped = fit_sweep(FIT_GAP, ROW_GAP_GRID)
-        r1, r2, symmetry_skipped = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
-    assert sweep_skipped == skipped
-    assert [[bits(v) for v in c] for c in columns] == [
+        fitted = fit_sweep(FIT_GAP, ROW_GAP_GRID)
+        symmetric = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
+    assert fitted.skipped == skipped
+    assert [[bits(v) for v in c] for c in fitted.columns] == [
         [bits(v) for v in c] for c in zip(*values)
     ]
-    assert symmetry_skipped == pair_skipped
+    assert symmetric.skipped == pair_skipped
+    r1, r2 = symmetric.columns
     assert [bits(v) for v in r1] == [bits(v[0]) for v in pairs]
     assert [bits(v) for v in r2] == [bits(v[1]) for v in pairs]
 
@@ -418,8 +419,8 @@ def test_public_views_hold_python_values():
         series = geodesy.flex_sweep(f, ROW_GAP_GRID)
         fitted = fit_sweep(FIT_GAP, ROW_GAP_GRID)
         symmetric = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
-    views = [series.points, series.skipped, series.columns, series.degenerate, series.samples()]
-    for view in views + [fitted, symmetric]:
+    views = [series.points, series.skipped, series.columns, series.columns[3], series.samples()]
+    for view in views + [fitted.columns, fitted.skipped, symmetric.columns, symmetric.skipped]:
         assert view and python_only(view), view
     assert type(series.columns) is tuple
     assert all(type(p) is tuple for p in series.points)
@@ -568,7 +569,7 @@ def test_flat_plane_sweep_matches_the_point_kernel(data, grid, block):
             series = geodesy.flex_sweep(f, grid)
         except (OverflowError, ValueError):
             return
-    for point, raw in zip(series.points, series.raw):
+    for point, raw in zip(series.points, series.columns[0]):
         assert bits(raw) == bits(geodesy.flex(f, point)), point
 
 
@@ -609,7 +610,7 @@ def test_flex_csv_zero_sign_where_the_kernels_differ():
     rows = [f"0.0,{y!r},-0.0,-0.0,false" for y in grid.ys()]
     assert text.splitlines()[1:] == rows
     zero = residual_sweep([source], grid, christoffels=FLAT)[0]
-    assert [bits(v) for v in zero.raw] == [bits(0.0)] * 3
+    assert [bits(v) for v in zero.columns[0]] == [bits(0.0)] * 3
     assert [bits(geodesy.flex(source, p)) for p in grid.points()] == [bits(-0.0)] * 3
     json_argv = ["flex", f"--f={source}", f"--grid={grid_text(grid)}"]
     assert cli(json_argv) == reference_flex(source, grid, "json")
@@ -707,10 +708,10 @@ def test_fit_sweep_matches_fit_projective_structure(data, grid, block):
     web = data.draw(webs(grid, sizes=(4, 4)))
     values, skipped = point_loop(lambda p: fit_projective_structure(web, p).as_tuple(), grid)
     with block_size(block):
-        columns, sweep_skipped = fit_sweep(web, grid)
-    assert sweep_skipped == skipped
+        fitted = fit_sweep(web, grid)
+    assert fitted.skipped == skipped
     expected = list(zip(*values)) if values else [(), (), (), ()]
-    assert [[bits(v) for v in c] for c in columns] == [[bits(v) for v in c] for c in expected]
+    assert [[bits(v) for v in c] for c in fitted.columns] == [[bits(v) for v in c] for c in expected]
 
 
 @SETTINGS
@@ -731,8 +732,9 @@ def test_symmetry_sweep_matches_symmetric_conditions_residual(data, grid, block)
     f3, f4 = data.draw(invariant_pairs(grid))
     values, skipped = point_loop(lambda p: symmetric_conditions_residual(f3, f4, p), grid)
     with block_size(block):
-        r1, r2, sweep_skipped = symmetry_sweep(f3, f4, grid)
-    assert sweep_skipped == skipped
+        symmetric = symmetry_sweep(f3, f4, grid)
+    assert symmetric.skipped == skipped
+    r1, r2 = symmetric.columns
     assert [bits(v) for v in r1] == [bits(v[0]) for v in values]
     assert [bits(v) for v in r2] == [bits(v[1]) for v in values]
 
@@ -749,7 +751,7 @@ def test_sweeps_see_the_failures_of_every_kind():
     ]
     for sources, reason in cases:
         web = [parse(s) for s in sources]
-        _, skipped = fit_sweep(web, grid)
+        skipped = fit_sweep(web, grid).skipped
         assert skipped, reason
         with pytest.raises(ValueError, match=reason):
             fit_projective_structure(web, tuple(skipped[0]))
@@ -757,7 +759,7 @@ def test_sweeps_see_the_failures_of_every_kind():
         ("x*y", "x + y^2", "f3_x = 0"),
         ("exp(60*x)+exp(60*y)", "x*y+x+2*y", "non-finite coefficient produced by mul"),
     ):
-        _, _, skipped = symmetry_sweep(f3, f4, grid)
+        skipped = symmetry_sweep(f3, f4, grid).skipped
         assert skipped, reason
         with pytest.raises(ValueError, match=reason):
             symmetric_conditions_residual(f3, f4, tuple(skipped[-1]))
@@ -887,7 +889,7 @@ def test_fit_spread_has_the_bits_of_python_max_and_min(monkeypatch, column):
         vectors = tuple(np.array(column) for _ in range(4))
         skipped = []
 
-    monkeypatch.setattr(webgeo.projective, "_fit_grid", lambda web, grid: Fitted())
+    monkeypatch.setattr(webgeo.projective, "fit_sweep", lambda web, grid: Fitted())
     code, text = cli(["fit", "--web=x; y; x + y; x - y", "--grid=0:1:0:1:2:2"])
     assert code == 0
     spread = json.loads(text)["results"]["max_spread"]
