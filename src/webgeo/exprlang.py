@@ -61,7 +61,7 @@ from .taylor import (
     fail,
     np,
     partial_derivative,
-    per_lane,
+    per_lane_or_nan,
     table_arith,
     table_derivative,
     table_elementary,
@@ -952,25 +952,6 @@ def evaluate_jet_with(e: Expression, bindings: dict) -> TaylorJet:
 _CONTEXT = {**_ARITH_CONTEXT, "^": "pow_const"}
 
 
-def _math_lanes(fn, u):
-    """fn at u lane by lane; NaN where `math` raises (the caller's
-    non-finite check then fails that lane, as the float path raises)."""
-    try:
-        return per_lane(fn, u)
-    except (ValueError, OverflowError):
-        # exp past its range, or sin of a derivative that table_partial
-        # scaled to inf: without this retry the error escapes Block.run.
-        pass
-
-    def guarded(v):
-        try:
-            return fn(v)
-        except (ValueError, OverflowError):
-            return math.nan
-
-    return per_lane(guarded, u)
-
-
 class _Walker:
     """The tree walk: jets at one point or at a block of points, and values
     at a block.
@@ -1045,11 +1026,11 @@ class _Walker:
             if node.func == "ln":
                 self.fail(u <= 0.0, ok, node, "ln of non-positive value")
             if isinstance(u, float):
-                value = _math_lanes(_MATH_FUNCTIONS[node.func], u)
+                value = per_lane_or_nan(_MATH_FUNCTIONS[node.func], u)
             elif node.func == "sqrt":  # correctly rounded, as math.sqrt is
                 value = np.sqrt(np.where(ok, u, 1.0))
             else:
-                value = _math_lanes(_MATH_FUNCTIONS[node.func], np.where(ok, u, 1.0))
+                value = per_lane_or_nan(_MATH_FUNCTIONS[node.func], np.where(ok, u, 1.0))
             self.fail(~np.isfinite(value), ok, node, "non-finite result")
             return value
         # a derivative node

@@ -22,13 +22,14 @@ that runs at one point or over a block of points (see
 :class:`~webgeo.exprlang.Block`).  The single-point functions here call it
 at their point; :func:`residual_sweep` calls it a block at a time, the
 structure once per block for all foliations, so every sample has the bits
-of the single-point call.  Every grid sweep collects its samples and skipped
-points in a :class:`GridResiduals`, which keeps them as the blocks' numpy
-vectors; they become Python values only in the lists a report or a
-caller reads.  :func:`reduce_samples` and :func:`judge` turn samples into
-the numbers and verdict of a report, for every grid command: a NaN sample
-makes the largest value NaN and fails the verdict, and a mean is a
-left-to-right sum, the same bits on every Python version.
+of the single-point call.  Every grid sweep collects each block's samples
+and skipped points as it goes, and builds one :class:`GridResiduals` from
+them when it ends, which keeps them as numpy vectors; they become Python
+values only in the lists a report reads.  :func:`reduce_samples` and
+:func:`judge` turn samples into the numbers and verdict of a report, for
+every grid command: a NaN sample makes the largest value NaN and fails the
+verdict, and a mean is a left-to-right sum, the same bits on every Python
+version.
 """
 
 from __future__ import annotations
@@ -363,71 +364,46 @@ def _join(parts, dtype=float):
     return np.concatenate(parts) if parts else np.empty(0, dtype)
 
 
+def _block_part(block: Block, ok, values):
+    """One block's part of a :class:`GridResiduals`: (x, y, ok, columns),
+    its coordinates and lane mask, and the k `values` (None when no point
+    is valid) at its valid lanes (floats stand for every lane)."""
+    columns = None if values is None else [take_lanes(v, ok) for v in values]
+    return block.x, block.y, ok, columns
+
+
 class GridResiduals:
     """The samples of one computation over a grid, in grid order.
 
-    The samples stay numpy vectors: for each block its coordinates, its
-    lane mask and the k value columns at its valid lanes, joined into
-    vectors over the grid when first read.  `vectors` holds the k value
-    columns, and :meth:`valid` and :meth:`stats` reduce them in numpy.
-
-    The list views are built from the vectors at each read, in Python
-    floats, bools and tuples: `points` lists the evaluated points,
-    `columns` holds k parallel lists of values at them, and `skipped`
-    lists the points, as [x, y], where the computation is undefined.
+    Built once, when the sweep ends, from the `parts` it collected, one
+    (x, y, ok, columns) per block in grid order (see :func:`_block_part`):
+    they are joined into numpy vectors over the grid.  `vectors` holds the
+    k value columns at the valid points, and :meth:`valid` and
+    :meth:`stats` reduce them in numpy.  `skipped` lists the points, as
+    [x, y], where the computation is undefined, and :meth:`samples` the
+    others with their values, in Python floats, bools and tuples.
 
     A residual's four columns are the fields of :class:`ResidualSample`
-    after its point, read by index: ``columns[0]`` raw, ``[1]`` normalized,
-    ``[2]`` gradient norm and ``[3]`` degenerate (``vectors`` alike).  The
-    fit's and the symmetry conditions' columns are listed where they are
-    swept.
+    after its point, read by index: ``vectors[0]`` raw, ``[1]`` normalized,
+    ``[2]`` gradient norm and ``[3]`` degenerate.  The fit's and the
+    symmetry conditions' columns are listed where they are swept.
     """
 
-    def __init__(self, k: int = 4):
-        self._k = k
-        self._blocks = []
-        self._joined = None
-
-    def add_block(self, block: Block, ok, values):
-        """Append one block: the points where `ok` is False are skipped,
-        the others get the k `values` (None when no point is valid) at
-        their lanes (floats stand for every lane)."""
-        columns = None if values is None else [take_lanes(v, ok) for v in values]
-        self._blocks.append((block.x, block.y, ok, columns))
-        self._joined = None
-
-    def _vectors(self):
-        """(x, y, ok, columns): the coordinates and lane mask of every grid
-        point, and the k value columns at the valid ones."""
-        if self._joined is None:
-            blocks = self._blocks
-            filled = [b[3] for b in blocks if b[3] is not None]
-            columns = [_join(c) for c in zip(*filled)] if filled else [np.empty(0)] * self._k
-            x, y, ok = ([b[i] for b in blocks] for i in range(3))
-            self._joined = (_join(x), _join(y), _join(ok, bool), tuple(columns))
-        return self._joined
-
-    @property
-    def vectors(self) -> tuple:
-        """The k value columns as numpy vectors."""
-        return self._vectors()[3]
-
-    @property
-    def points(self) -> list[tuple[float, float]]:
-        x, y, ok, _ = self._vectors()
-        return list(zip(x[ok].tolist(), y[ok].tolist()))
+    def __init__(self, parts, k: int = 4):
+        filled = [p[3] for p in parts if p[3] is not None]
+        columns = [_join(c) for c in zip(*filled)] if filled else [np.empty(0)] * k
+        x, y, ok = ([p[i] for p in parts] for i in range(3))
+        self._x, self._y, self._ok = _join(x), _join(y), _join(ok, bool)
+        self.vectors = tuple(columns)
 
     @property
     def skipped(self) -> list[list[float]]:
-        x, y, ok, _ = self._vectors()
+        x, y, ok = self._x, self._y, self._ok
         return np.column_stack((x[~ok], y[~ok])).tolist()
 
-    @property
-    def columns(self) -> tuple[list, ...]:
-        return tuple(column.tolist() for column in self.vectors)
-
     def samples(self) -> list[ResidualSample]:
-        return [ResidualSample(*fields) for fields in zip(self.points, *self.columns)]
+        points = zip(self._x[self._ok].tolist(), self._y[self._ok].tolist())
+        return [ResidualSample(*f) for f in zip(points, *(v.tolist() for v in self.vectors))]
 
     def valid(self):
         """The normalized residuals of the non-degenerate samples, a numpy
@@ -441,7 +417,7 @@ class GridResiduals:
         reduced = reduce_samples(self.valid())
         if not reduced.samples:
             return None
-        x, y, ok, (_, _, _, degenerate) = self._vectors()
+        x, y, ok, degenerate = self._x, self._y, self._ok, self.vectors[3]
         return {
             "samples": reduced.samples,
             "max_normalized": reduced.largest,
@@ -496,12 +472,12 @@ def _sweep(grid: GridSpec, kernels, k: int = 4) -> list[GridResiduals]:
     gives the k values at a block's points, run through
     :meth:`~webgeo.exprlang.Block.run`.  Every kernel runs on a block
     before the next block is made, so they share its cache."""
-    results = [GridResiduals(k) for _ in kernels]
+    parts = [[] for _ in kernels]
     for block in grid.blocks():
-        for kernel, out in zip(kernels, results):
+        for kernel, out in zip(kernels, parts):
             values, ok = block.run(lambda ok: kernel(block, ok))
-            out.add_block(block, ok, values)
-    return results
+            out.append(_block_part(block, ok, values))
+    return [GridResiduals(p, k) for p in parts]
 
 
 def flex_sweep(f, grid: GridSpec) -> GridResiduals:

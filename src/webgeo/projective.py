@@ -49,6 +49,7 @@ from .geodesy import (
     GridSpec,
     ResidualSample,
     WebPresentation,
+    _block_part,
     _flex,
     _residual,
     _second_order,
@@ -400,12 +401,12 @@ def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
     is skipped for every function."""
     web = _require_web(web, at_least=5)
     rest = web.functions[4:]
-    series = [GridResiduals() for _ in rest]
+    parts = [[] for _ in rest]
     for block in grid.blocks():
         samples, ok = block.run(lambda ok: _dweb_residuals(web, block, ok))
-        for out, fields in zip(series, samples or [None] * len(rest)):
-            out.add_block(block, ok, fields)
-    return series
+        for out, fields in zip(parts, samples or [None] * len(rest)):
+            out.append(_block_part(block, ok, fields))
+    return [GridResiduals(p) for p in parts]
 
 
 @dataclass(frozen=True)

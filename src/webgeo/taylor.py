@@ -383,6 +383,26 @@ def per_lane(fn, *args):
     return np.fromiter(map(fn, *lanes), dtype=float, count=count)
 
 
+def per_lane_or_nan(fn, u):
+    """fn at u lane by lane (see `per_lane`), and NaN where `math` raises
+    (exp past its range, sin of inf), so the caller's non-finite check
+    fails that lane as the float path raises, and the error does not
+    escape :meth:`~webgeo.exprlang.Block.run`.  A block where fn raises
+    nowhere pays for no guard."""
+    try:
+        return per_lane(fn, u)
+    except (ValueError, OverflowError):
+        pass
+
+    def guarded(v):
+        try:
+            return fn(v)
+        except (ValueError, OverflowError):
+            return math.nan
+
+    return per_lane(guarded, u)
+
+
 def _exp_or_inf(u: float) -> float:
     try:
         return math.exp(u)
@@ -414,15 +434,7 @@ def _series(fn: str, u, n: int, p: float | None = None):
     elif fn == "pow_const":
         coeffs = [_power_or_inf(u, p)]
     elif fn == "exp":
-        if isinstance(u, float):
-            e = _exp_or_inf(u)
-        else:
-            # math.exp straight over the lanes; only a block where it
-            # overflows pays for the guard at every lane.
-            try:
-                e = per_lane(math.exp, u)
-            except OverflowError:
-                e = per_lane(_exp_or_inf, u)
+        e = _exp_or_inf(u) if isinstance(u, float) else per_lane_or_nan(math.exp, u)
         return [e / _FACTORIAL[k] for k in range(n + 1)]
     elif fn == "ln":
         coeffs = [per_lane(math.log, u), 1.0 / u]

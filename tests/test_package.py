@@ -8,10 +8,13 @@ an eager package: ``from webgeo import X``, ``from webgeo import *``,
 
 from __future__ import annotations
 
+import ast
 import importlib
+import importlib.metadata
 import inspect
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +24,7 @@ import pytest
 import webgeo
 
 SRC = Path(webgeo.__file__).resolve().parents[1]
+TESTS = Path(__file__).resolve().parent
 
 
 def test_every_public_name_is_the_object_its_module_defines():
@@ -49,16 +53,20 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
 
 
 #: Second spellings of operations that have one: the jet operators and
-#: methods, the sweeps that return their GridResiduals, and its columns.
+#: methods, the sweeps that return their GridResiduals, the guarded
+#: per-lane map that is taylor.per_lane_or_nan, and GridResiduals' list
+#: views of its samples and vectors and its block-by-block builder.
 ALIASES = {
     "taylor": (
         "jet_add", "jet_sub", "jet_mul", "jet_div", "_ARITH", "jet_arith",
         "derivative_jet", "truncate_jet",
     ),
-    "exprlang": ("_JET_OPS",),
+    "exprlang": ("_JET_OPS", "_math_lanes"),
     "projective": ("_fit_grid", "_symmetry_grid"),
 }
-COLUMN_ALIASES = ("raw", "normalized", "gradient_norm", "degenerate")
+COLUMN_ALIASES = (
+    "raw", "normalized", "gradient_norm", "degenerate", "points", "columns", "add_block",
+)
 
 
 def test_each_operation_has_one_spelling():
@@ -67,15 +75,16 @@ def test_each_operation_has_one_spelling():
         for name in names:
             assert not hasattr(module, name), (module.__name__, name)
             assert name not in webgeo.__all__ and name not in dir(webgeo), name
-    for name in COLUMN_ALIASES:
-        assert not hasattr(webgeo.geodesy.GridResiduals, name), name
     with pytest.raises(ImportError, match="truncate_jet"):
         exec("from webgeo import truncate_jet", {})
     grid = webgeo.GridSpec(0.5, 1.0, 0.5, 1.0, 2, 2)
     fitted = webgeo.projective.fit_sweep(["x", "y", "x + y", "x - y"], grid)
     symmetric = webgeo.projective.symmetry_sweep("x + y", "x - y^2", grid)
-    assert isinstance(fitted, webgeo.geodesy.GridResiduals) and len(fitted.columns) == 4
-    assert isinstance(symmetric, webgeo.geodesy.GridResiduals) and len(symmetric.columns) == 2
+    for name in COLUMN_ALIASES:
+        assert not hasattr(webgeo.geodesy.GridResiduals, name), name
+        assert not hasattr(fitted, name), name
+    assert isinstance(fitted, webgeo.geodesy.GridResiduals) and len(fitted.vectors) == 4
+    assert isinstance(symmetric, webgeo.geodesy.GridResiduals) and len(symmetric.vectors) == 2
 
 
 SCRIPT = """
@@ -154,3 +163,37 @@ def test_the_defaulted_public_parameters_are_the_recorded_ones():
         if parameter.default is not inspect.Parameter.empty
     }
     assert found == DEFAULTED_PARAMETERS
+
+
+def _distribution(requirement: str) -> str:
+    """The normalized distribution name of a requirement such as ``numpy>=1.24``."""
+    return re.sub(r"[-_.]+", "-", re.match(r"[A-Za-z0-9._-]+", requirement).group()).lower()
+
+
+def _third_party_imports() -> set[str]:
+    """The top-level modules the test files import that are neither in the
+    standard library nor webgeo nor a test file."""
+    local = {"webgeo"} | {path.stem for path in TESTS.rglob("*.py")}
+    found = set()
+    for path in TESTS.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    return found - local - set(sys.stdlib_module_names)
+
+
+def test_every_module_the_tests_import_is_a_declared_dependency():
+    """``pip install -e ".[test]"`` installs every module a test imports, so
+    no test module fails to collect on a fresh install."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(TESTS.parent / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {_distribution(r) for r in requirements}
+    distributions = importlib.metadata.packages_distributions()
+    modules = _third_party_imports()
+    assert {"numpy", "pytest", "hypothesis", "sympy"} <= modules
+    for module in sorted(modules):
+        assert {_distribution(d) for d in distributions.get(module, [module])} & declared, module

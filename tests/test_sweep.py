@@ -39,6 +39,7 @@ from webgeo.exprlang import (
     X,
     Y,
     evaluate,
+    evaluate_jet,
     parse,
     to_source,
 )
@@ -154,9 +155,9 @@ def loop(fn, grid: GridSpec):
 
 def assert_same(series, skipped, samples):
     assert series.skipped == skipped
-    assert series.points == [s.point for s in samples]
-    raw, normalized, _, degenerate = series.columns
-    assert degenerate == [s.degenerate for s in samples]
+    assert [s.point for s in series.samples()] == [s.point for s in samples]
+    raw, normalized, _, degenerate = series.vectors
+    assert degenerate.tolist() == [s.degenerate for s in samples]
     assert [bits(v) for v in raw] == [bits(s.raw) for s in samples]
     assert [bits(v) for v in normalized] == [bits(s.normalized) for s in samples]
 
@@ -259,32 +260,44 @@ def test_overflow_inside_a_node_is_not_hidden_by_a_zero_factor():
     assert_same(residual_sweep([f], grid, christoffels=FLAT)[0], skipped, samples)
 
 
+def lane_bits(value, k):
+    """The bits of lane k of a block value, or of each entry of a table; a
+    float stands for every lane."""
+    if isinstance(value, list):
+        return [lane_bits(v, k) for v in value]
+    return bits(value if isinstance(value, float) else value[k])
+
+
 @pytest.mark.parametrize(
-    "formula, xs, ys, message",
+    "formula, order, xs, ys, message",
     [
-        pytest.param("exp(800*x)", np.linspace(0.8, 1.0, 9), np.zeros(9), "math range error",
+        pytest.param("exp(800*x)", 0, np.linspace(0.8, 1.0, 9), np.zeros(9), "math range error",
                      id="exp-overflow"),
         # D[2,0] takes 2! times a coefficient of 1e308 (1 + y): inf at y = 1,
         # where math.sin raises
-        pytest.param(Call("sin", PartialDerivative(parse("5e307*x^2*(1+y)"), 2, 0)),
+        pytest.param(Call("sin", PartialDerivative(parse("5e307*x^2*(1+y)"), 2, 0)), 0,
                      [0.0, 0.0], [1.0, -1.0], "math domain error", id="sin-of-inf"),
+        # the exp series of a jet: math.exp overflows from x = 0.9 on, while
+        # at x = 0.85 every coefficient up to 800^2/2 exp(680) is finite
+        pytest.param("exp(800*x)", 2, np.linspace(0.8, 1.0, 5), np.zeros(5), "exp overflow",
+                     id="exp-series-overflow"),
     ],
 )
-def test_block_values_clear_the_lanes_where_math_raises(formula, xs, ys, message):
+def test_block_values_clear_the_lanes_where_math_raises(formula, order, xs, ys, message):
     """A `math` function that raises at some lanes sends the block value
-    walk lane by lane: it clears exactly the lanes where the single-point
-    value raises, and keeps the bits of the others."""
+    or jet walk lane by lane: it clears exactly the lanes where the
+    single-point value or jet raises, and keeps the bits of the others."""
     e = parse(formula) if isinstance(formula, str) else formula
-    values, ok = Block(xs, ys).evaluate(e, 0)
+    values, ok = Block(xs, ys).evaluate(e, order)
     raised = []
     for k, point in enumerate(zip(xs, ys)):
         try:
-            want = evaluate(e, point)
+            want = evaluate(e, point) if order == 0 else evaluate_jet(e, point, order).table
         except EvaluationError as exc:
             assert message in str(exc)
             raised.append(k)
             continue
-        assert bits(values[k]) == bits(want)
+        assert lane_bits(values, k) == lane_bits(want, k)
     assert 0 < len(raised) < len(xs)
     assert [k for k, valid in enumerate(ok) if not valid] == raised
 
@@ -318,7 +331,7 @@ def test_residual_sweep_runs_each_function_once_per_block(monkeypatch):
     grid = GridSpec(0.0, 1.0, 0.0, 1.0, 3, 3)
     with block_size(4):
         series = residual_sweep(["x^2 + y", "x*y", "sin(x) + y"], grid, christoffels=gammas)
-    assert [len(s.points) for s in series] == [9, 9, 9]
+    assert [len(s.samples()) for s in series] == [9, 9, 9]
     # the lists keep every block alive, so no two share an id
     blocks = list(dict.fromkeys(map(id, top_level)))
     assert len(blocks) == 3
@@ -351,7 +364,7 @@ def test_samples_keep_grid_order_across_blocks(block):
         (connected,) = residual_sweep([f], ROW_GAP_GRID, christoffels=FLAT)
     for out in (series, connected):
         assert_same(out, skipped, samples)
-        assert [bits(v) for v in out.columns[2]] == [bits(s.gradient_norm) for s in samples]
+        assert [bits(v) for v in out.vectors[2]] == [bits(s.gradient_norm) for s in samples]
         assert out.stats() == reference_stats(skipped, samples)
         assert out.valid().tolist() == [s.normalized for s in samples if not s.degenerate]
 
@@ -368,11 +381,11 @@ def test_fit_and_symmetry_sweeps_keep_grid_order_across_blocks():
         fitted = fit_sweep(FIT_GAP, ROW_GAP_GRID)
         symmetric = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
     assert fitted.skipped == skipped
-    assert [[bits(v) for v in c] for c in fitted.columns] == [
+    assert [[bits(v) for v in c] for c in fitted.vectors] == [
         [bits(v) for v in c] for c in zip(*values)
     ]
     assert symmetric.skipped == pair_skipped
-    r1, r2 = symmetric.columns
+    r1, r2 = symmetric.vectors
     assert [bits(v) for v in r1] == [bits(v[0]) for v in pairs]
     assert [bits(v) for v in r2] == [bits(v[1]) for v in pairs]
 
@@ -419,11 +432,9 @@ def test_public_views_hold_python_values():
         series = geodesy.flex_sweep(f, ROW_GAP_GRID)
         fitted = fit_sweep(FIT_GAP, ROW_GAP_GRID)
         symmetric = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
-    views = [series.points, series.skipped, series.columns, series.columns[3], series.samples()]
-    for view in views + [fitted.columns, fitted.skipped, symmetric.columns, symmetric.skipped]:
+    for view in [series.skipped, series.samples(), fitted.skipped, symmetric.skipped]:
         assert view and python_only(view), view
-    assert type(series.columns) is tuple
-    assert all(type(p) is tuple for p in series.points)
+    assert all(type(s.point) is tuple for s in series.samples())
     assert all(type(p) is list for p in series.skipped)
     stats = series.stats()
     assert python_only(stats["degenerate_points"]) and python_only(stats["skipped_points"])
@@ -569,8 +580,8 @@ def test_flat_plane_sweep_matches_the_point_kernel(data, grid, block):
             series = geodesy.flex_sweep(f, grid)
         except (OverflowError, ValueError):
             return
-    for point, raw in zip(series.points, series.columns[0]):
-        assert bits(raw) == bits(geodesy.flex(f, point)), point
+    for sample in series.samples():
+        assert bits(sample.raw) == bits(geodesy.flex(f, sample.point)), sample.point
 
 
 #: Formulas whose negated or divided-by-minus-one zero derivatives meet
@@ -610,7 +621,7 @@ def test_flex_csv_zero_sign_where_the_kernels_differ():
     rows = [f"0.0,{y!r},-0.0,-0.0,false" for y in grid.ys()]
     assert text.splitlines()[1:] == rows
     zero = residual_sweep([source], grid, christoffels=FLAT)[0]
-    assert [bits(v) for v in zero.columns[0]] == [bits(0.0)] * 3
+    assert [bits(v) for v in zero.vectors[0]] == [bits(0.0)] * 3
     assert [bits(geodesy.flex(source, p)) for p in grid.points()] == [bits(-0.0)] * 3
     json_argv = ["flex", f"--f={source}", f"--grid={grid_text(grid)}"]
     assert cli(json_argv) == reference_flex(source, grid, "json")
@@ -711,7 +722,7 @@ def test_fit_sweep_matches_fit_projective_structure(data, grid, block):
         fitted = fit_sweep(web, grid)
     assert fitted.skipped == skipped
     expected = list(zip(*values)) if values else [(), (), (), ()]
-    assert [[bits(v) for v in c] for c in fitted.columns] == [[bits(v) for v in c] for c in expected]
+    assert [[bits(v) for v in c] for c in fitted.vectors] == [[bits(v) for v in c] for c in expected]
 
 
 @SETTINGS
@@ -734,7 +745,7 @@ def test_symmetry_sweep_matches_symmetric_conditions_residual(data, grid, block)
     with block_size(block):
         symmetric = symmetry_sweep(f3, f4, grid)
     assert symmetric.skipped == skipped
-    r1, r2 = symmetric.columns
+    r1, r2 = symmetric.vectors
     assert [bits(v) for v in r1] == [bits(v[0]) for v in values]
     assert [bits(v) for v in r2] == [bits(v[1]) for v in values]
 
