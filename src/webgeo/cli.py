@@ -14,9 +14,9 @@ starts with "-", unless it names one of the subcommand's options.
 
 Every handler parses its input, runs one library sweep or call, and
 passes its results to one tail (`_finish`) that composes, writes and
-judges the report.  The grid commands take their numbers and verdicts
-from :func:`webgeo.geodesy.reduce_samples` and :func:`~webgeo.geodesy.judge`,
-so a NaN sample fails every verdict the same way.
+judges the report.  A grid command reads each column it reports from
+:meth:`webgeo.geodesy.GridResiduals.summary`, the one place a grid column
+is reduced, and every verdict comes from :func:`~webgeo.geodesy.judge`.
 
 The parser and :func:`run` import only argparse, math and sys, and the
 constants they read from the package itself.  Handlers and their helpers
@@ -190,23 +190,17 @@ def _finish(args, command, inputs, grid, results, *, csv=None, **extra) -> int:
     return 1
 
 
-def _grid_stats(series) -> dict:
-    stats = series.stats()
-    if stats is None:
-        raise webgeo.exprlang.EvaluationError("no valid samples on the requested grid")
-    return stats
-
-
 def _cmd_flex(args) -> int:
     f = _parse_expr(args.f, "--f")
     grid = _parse_grid(args.grid)
 
-    geodesy = webgeo.geodesy
-    series = geodesy.flex_sweep(f, grid)
-    stats = _grid_stats(series)
-    worst, verdict = geodesy.judge([stats["max_normalized"]], args.tol)
+    series = webgeo.geodesy.flex_sweep(f, grid)
+    summary = series.summary(1)
+    if not summary.samples:
+        raise webgeo.exprlang.EvaluationError("no valid samples on the requested grid")
+    worst, verdict = webgeo.geodesy.judge([summary.largest], args.tol)
     results = {
-        "per_foliation": [stats],
+        "per_foliation": [summary.foliation_fields()],
         "verdict": verdict,
         "max_normalized": worst,
         "tolerance": args.tol,
@@ -270,11 +264,12 @@ def _cmd_fit(args) -> int:
     else:
         grid_dict = grid.as_dict()
         series = projective.fit_sweep(web, grid)
-        columns = series.vectors
-        count = len(columns[0])
+        summary = series.summary(0)
+        count = summary.samples
         if count == 0:
             raise exprlang.EvaluationError("web is degenerate on the whole grid")
-        names = ("p1_22", "p1_12", "p2_12", "p2_11")
+        # A summary reduces magnitudes; pi keeps signed means and a spread.
+        columns, names = series.vectors, ("p1_22", "p1_12", "p2_12", "p2_11")
         sequential_sum = webgeo.geodesy.sequential_sum
         results = {
             "pi": {n: sequential_sum(c) / count for n, c in zip(names, columns)},
@@ -284,7 +279,7 @@ def _cmd_fit(args) -> int:
             # turns their -0.0 into +0.0 and leaves every other spread.
             "max_spread": max(0.0 + float(c.max() - c.min()) for c in columns),
             "points_used": count,
-            "skipped_points": series.skipped,
+            "skipped_points": summary.skipped_points,
         }
     return _finish(args, "fit", inputs, grid_dict, results)
 
@@ -295,26 +290,18 @@ def _cmd_dweb(args) -> int:
         raise _UsageError(f"--web: dweb needs at least 5 functions, got {len(web)}")
     grid = _parse_grid(args.grid)
 
-    exprlang, geodesy = webgeo.exprlang, webgeo.geodesy
-    to_source = exprlang.to_source
-    series = webgeo.projective.dweb_sweep(web, grid)
-    per_function = []
-    for idx, (f, samples) in enumerate(zip(web[4:], series)):
-        reduced = geodesy.reduce_samples(samples.valid())
-        per_function.append(
-            {
-                "index": idx + 5,
-                "function": to_source(f),
-                "max_normalized": reduced.largest,
-                "samples": reduced.samples,
-            }
-        )
-    if all(entry["samples"] == 0 for entry in per_function):
-        raise exprlang.EvaluationError("no valid samples on the requested grid")
-    worst, verdict = geodesy.judge([entry["max_normalized"] for entry in per_function], args.tol)
+    to_source = webgeo.exprlang.to_source
+    summaries = [s.summary(1) for s in webgeo.projective.dweb_sweep(web, grid)]
+    if not any(s.samples for s in summaries):
+        raise webgeo.exprlang.EvaluationError("no valid samples on the requested grid")
+    worst, verdict = webgeo.geodesy.judge([s.largest for s in summaries], args.tol)
     results = {
-        "per_function": per_function,
-        "skipped_points": series[0].skipped,
+        "per_function": [
+            {"index": idx + 5, "function": to_source(f), "max_normalized": s.largest,
+             "samples": s.samples}
+            for idx, (f, s) in enumerate(zip(web[4:], summaries))
+        ],
+        "skipped_points": summaries[0].skipped_points,
         "max_normalized": worst,
         "verdict": verdict,
         "tolerance": args.tol,
@@ -329,8 +316,7 @@ def _cmd_symcheck(args) -> int:
     grid = _parse_grid(args.grid)
 
     exprlang, geodesy = webgeo.exprlang, webgeo.geodesy
-    series = webgeo.projective.symmetry_sweep(f3, f4, grid)
-    r1, r2 = (geodesy.reduce_samples(v) for v in series.vectors)
+    r1, r2 = map(webgeo.projective.symmetry_sweep(f3, f4, grid).summary, (0, 1))
     if not r1.samples:
         raise exprlang.EvaluationError("no valid samples on the requested grid")
     _, verdict = geodesy.judge([r1.largest, r2.largest], args.tol, SYMMETRIC_VERDICTS)
@@ -338,7 +324,7 @@ def _cmd_symcheck(args) -> int:
         "r1": {"max": r1.largest, "mean": r1.mean},
         "r2": {"max": r2.largest, "mean": r2.mean},
         "samples": r1.samples,
-        "skipped_points": series.skipped,
+        "skipped_points": r1.skipped_points,
         "verdict": verdict,
         "tolerance": args.tol,
     }
@@ -362,7 +348,7 @@ def _cmd_symintegrate(args) -> int:
         raise _UsageError(f"--path: {exc}") from None
     result = projective.integrate_symmetric_connection(f3, f4, initial, path, step=args.step)
     curvature = projective.curvature_along(result.state, result.endpoint_alpha_beta)
-    verdict = PASS_FAIL_VERDICTS[0 if abs(result.constraint_residual) <= args.tol else 1]
+    _, verdict = webgeo.geodesy.judge([result.constraint_residual], args.tol, PASS_FAIL_VERDICTS)
     results = {
         "state": asdict(result.state),
         "endpoint": list(result.endpoint),
@@ -403,18 +389,20 @@ def _cmd_euler(args) -> int:
         else:
             value = eulerweb.connection_euler_residual(w, pi, point)
         inputs["point"] = list(point)
-        verdict = PASS_FAIL_VERDICTS[0 if abs(value) <= args.tol else 1]
+        _, verdict = webgeo.geodesy.judge([value], args.tol, PASS_FAIL_VERDICTS)
         results = {"residual": value, "verdict": verdict}
         return _finish(args, "euler", inputs, None, results)
 
     series = eulerweb.euler_sweep(w, grid, pi)
-    stats = _grid_stats(series)
-    worst, verdict = webgeo.geodesy.judge([stats["max_normalized"]], args.tol, PASS_FAIL_VERDICTS)
+    summary = series.summary(1)
+    if not summary.samples:
+        raise webgeo.exprlang.EvaluationError("no valid samples on the requested grid")
+    worst, verdict = webgeo.geodesy.judge([summary.largest], args.tol, PASS_FAIL_VERDICTS)
     results = {
         "max_residual": worst,
-        "mean_residual": stats["mean_normalized"],
-        "samples": stats["samples"],
-        "skipped_points": stats["skipped_points"],
+        "mean_residual": summary.mean,
+        "samples": summary.samples,
+        "skipped_points": summary.skipped_points,
         "verdict": verdict,
     }
     return _finish(args, "euler", inputs, grid.as_dict(), results, csv=series)

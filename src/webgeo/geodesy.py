@@ -25,11 +25,11 @@ structure once per block for all foliations, so every sample has the bits
 of the single-point call.  Every grid sweep collects each block's samples
 and skipped points as it goes, and builds one :class:`GridResiduals` from
 them when it ends, which keeps them as numpy vectors; they become Python
-values only in the lists a report reads.  :func:`reduce_samples` and
-:func:`judge` turn samples into the numbers and verdict of a report, for
-every grid command: a NaN sample makes the largest value NaN and fails the
-verdict, and a mean is a left-to-right sum, the same bits on every Python
-version.
+values only in the lists a report reads.  :meth:`GridResiduals.summary`
+is the one place a grid column is reduced, through :func:`reduce_samples`,
+and :func:`judge` gives every verdict: a NaN sample makes the largest value
+NaN and fails the verdict, and a mean is a left-to-right sum, the same bits
+on every Python version.
 """
 
 from __future__ import annotations
@@ -372,59 +372,67 @@ def _block_part(block: Block, ok, values):
     return block.x, block.y, ok, columns
 
 
+class Summary(NamedTuple):
+    """One column of a :class:`GridResiduals` as a report gives it."""
+
+    samples: int
+    largest: float
+    mean: float
+    skipped_points: list
+    degenerate_points: list
+
+    def foliation_fields(self) -> dict:
+        """Its fields in a `flex` or `geodesic` report's foliation."""
+        return {
+            "samples": self.samples,
+            "max_normalized": self.largest,
+            "mean_normalized": self.mean,
+            "degenerate_points": self.degenerate_points,
+            "skipped_points": self.skipped_points,
+        }
+
+
 class GridResiduals:
     """The samples of one computation over a grid, in grid order.
 
     Built once, when the sweep ends, from the `parts` it collected, one
     (x, y, ok, columns) per block in grid order (see :func:`_block_part`):
     they are joined into numpy vectors over the grid.  `vectors` holds the
-    k value columns at the valid points, and :meth:`valid` and
-    :meth:`stats` reduce them in numpy.  `skipped` lists the points, as
-    [x, y], where the computation is undefined, and :meth:`samples` the
-    others with their values, in Python floats, bools and tuples.
+    k value columns at the valid points; :meth:`summary` is the one place
+    a column is reduced.  `skipped` lists the points, as [x, y], where the
+    computation is undefined, and :meth:`samples` the others with their
+    values, in Python floats, bools and tuples.
 
     A residual's four columns are the fields of :class:`ResidualSample`
     after its point, read by index: ``vectors[0]`` raw, ``[1]`` normalized,
-    ``[2]`` gradient norm and ``[3]`` degenerate.  The fit's and the
-    symmetry conditions' columns are listed where they are swept.
+    ``[2]`` gradient norm and ``[3]`` degenerate, the samples a summary
+    leaves out.  The fit's and the symmetry conditions' columns are listed
+    where they are swept; a summary of theirs keeps every sample.
     """
 
     def __init__(self, parts, k: int = 4):
         filled = [p[3] for p in parts if p[3] is not None]
         columns = [_join(c) for c in zip(*filled)] if filled else [np.empty(0)] * k
         x, y, ok = ([p[i] for p in parts] for i in range(3))
-        self._x, self._y, self._ok = _join(x), _join(y), _join(ok, bool)
+        self._x, self._y, self._ok = x, y, ok = _join(x), _join(y), _join(ok, bool)
         self.vectors = tuple(columns)
-
-    @property
-    def skipped(self) -> list[list[float]]:
-        x, y, ok = self._x, self._y, self._ok
-        return np.column_stack((x[~ok], y[~ok])).tolist()
+        self.skipped = [] if ok.all() else np.column_stack((x[~ok], y[~ok])).tolist()
+        flags = columns[-1]  # bool only in the residual layout
+        self._left_out = flags if flags.dtype == bool and flags.any() else None
 
     def samples(self) -> list[ResidualSample]:
         points = zip(self._x[self._ok].tolist(), self._y[self._ok].tolist())
         return [ResidualSample(*f) for f in zip(points, *(v.tolist() for v in self.vectors))]
 
-    def valid(self):
-        """The normalized residuals of the non-degenerate samples, a numpy
-        vector."""
-        _, normalized, _, degenerate = self.vectors
-        return normalized[np.logical_not(degenerate)]
-
-    def stats(self) -> dict | None:
-        """Report fields over the non-degenerate samples; None when there
-        are none."""
-        reduced = reduce_samples(self.valid())
-        if not reduced.samples:
-            return None
-        x, y, ok, degenerate = self._x, self._y, self._ok, self.vectors[3]
-        return {
-            "samples": reduced.samples,
-            "max_normalized": reduced.largest,
-            "mean_normalized": reduced.mean,
-            "degenerate_points": np.column_stack((x[ok], y[ok]))[degenerate].tolist(),
-            "skipped_points": self.skipped,
-        }
+    def summary(self, i: int) -> Summary:
+        """Column `i` as a report gives it: :func:`reduce_samples` of its
+        samples but the degenerate ones, and the points it leaves out."""
+        column, left_out, degenerate = self.vectors[i], self._left_out, []
+        if left_out is not None:
+            x, y = self._x[self._ok], self._y[self._ok]
+            column, degenerate = column[~left_out], np.column_stack((x, y))[left_out].tolist()
+        r = reduce_samples(column)
+        return Summary(r.samples, r.largest, r.mean, self.skipped, degenerate)
 
 
 def sequential_sum(values) -> float:
@@ -461,9 +469,11 @@ def reduce_samples(values) -> Reduction:
 
 
 def judge(maxima, tolerance: float, labels=GEODESIC_VERDICTS) -> tuple[float, str]:
-    """(worst, verdict): the largest of the per-foliation or per-function
-    `maxima`, and labels[0] when it is within `tolerance`, else labels[1]."""
-    worst = reduce_samples(maxima).largest
+    """(worst, verdict): the largest |m| of `maxima` by the rule of
+    :func:`reduce_samples`, in plain Python so that a point loads no numpy,
+    and labels[0] when it is within `tolerance`, else labels[1]."""
+    magnitudes = [abs(float(m)) for m in maxima]
+    worst = math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes, default=0.0)
     return worst, labels[0] if worst <= tolerance else labels[1]
 
 
@@ -592,13 +602,14 @@ def geodesic_web_report(
     )
     per_foliation = []
     for index, (f, series) in enumerate(zip(funcs, sweep)):
-        stats = series.stats()
-        if stats is None:
+        summary = series.summary(1)
+        if not summary.samples:
             raise ValueError(
                 f"no valid grid samples for foliation {index + 1} "
                 f"('{to_source(f)}'): all points degenerate or out of domain"
             )
-        per_foliation.append({"index": index + 1, "function": to_source(f), **stats})
+        entry = {"index": index + 1, "function": to_source(f), **summary.foliation_fields()}
+        per_foliation.append(entry)
     worst, verdict = judge([entry["max_normalized"] for entry in per_foliation], tolerance)
     return {
         "per_foliation": per_foliation,

@@ -345,6 +345,15 @@ def test_non_finite_curvature_is_rejected(kappa):
 NAN = math.nan
 
 
+def assert_judge_matches_reduce_samples(maxima):
+    """judge reduces in plain Python to what the numpy reduction gives;
+    repr tells NaN, 0.0 and -0.0 apart."""
+    worst, verdict = judge(maxima, 1e-8)
+    expected = reduce_samples(maxima).largest
+    assert type(worst) is float and repr(worst) == repr(expected), maxima
+    assert verdict == ("geodesic" if expected <= 1e-8 else "non-geodesic"), maxima
+
+
 @pytest.mark.parametrize(
     "values", [[NAN, 2.0, 1.0], [1.0, NAN, 2.0], [2.0, 1.0, NAN]], ids=["first", "middle", "last"]
 )
@@ -355,16 +364,22 @@ def test_reduce_samples_nan_anywhere_makes_the_maximum_nan(values):
     worst, verdict = judge([0.0, reduced.largest], 1e-8)
     assert math.isnan(worst)
     assert verdict == "non-geodesic"
+    assert_judge_matches_reduce_samples(values)
 
 
 def test_reduce_samples_of_nothing_is_zero():
     assert reduce_samples([]) == (0.0, 0.0, 0)
+    assert judge([], 1e-8) == (0.0, "geodesic")
+    assert_judge_matches_reduce_samples([])
 
 
 def test_reduce_samples_takes_magnitudes():
     assert reduce_samples([-3.0, 1.0, -0.0]) == (3.0, 4.0 / 3.0, 3)
     assert judge([1e-9, 2e-9], 1e-8, ("pass", "fail")) == (2e-9, "pass")
     assert judge([1e-9, 2e-7], 1e-8, ("pass", "fail")) == (2e-7, "fail")
+    for maxima in ([-0.0], [-0.0, -0.0], [1e-9, -2e-9], [-3.0, 1.0, -0.0]):
+        assert_judge_matches_reduce_samples(maxima)
+    assert repr(judge([-0.0], 1e-8)[0]) == "0.0"
 
 
 def test_sums_run_left_to_right():

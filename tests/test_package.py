@@ -54,8 +54,9 @@ def test_an_unknown_name_raises_attribute_error_naming_it():
 
 #: Second spellings of operations that have one: the jet operators and
 #: methods, the sweeps that return their GridResiduals, the guarded
-#: per-lane map that is taylor.per_lane_or_nan, and GridResiduals' list
-#: views of its samples and vectors and its block-by-block builder.
+#: per-lane map that is taylor.per_lane_or_nan, GridResiduals' list
+#: views of its samples and vectors, its block-by-block builder, and the
+#: reductions that GridResiduals.summary replaced.
 ALIASES = {
     "taylor": (
         "jet_add", "jet_sub", "jet_mul", "jet_div", "_ARITH", "jet_arith",
@@ -66,6 +67,7 @@ ALIASES = {
 }
 COLUMN_ALIASES = (
     "raw", "normalized", "gradient_norm", "degenerate", "points", "columns", "add_block",
+    "stats", "valid",
 )
 
 

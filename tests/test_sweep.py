@@ -350,23 +350,58 @@ FIT_GAP = ["x", "y", "x + y", "x - y + (y*y - 1)^2/(y*y)"]
 SYMMETRY_GAP = ("exp(x) + y", "x + 2*y + 1/y")
 
 
+def reference_summary(skipped, samples):
+    """`reference_stats` as a :class:`geodesy.Summary`; with no valid
+    sample, 0.0 from 0 samples."""
+    stats = reference_stats(skipped, samples)
+    if stats is None:
+        degenerate = [list(s.point) for s in samples if s.degenerate]
+        return geodesy.Summary(0, 0.0, 0.0, skipped, degenerate)
+    return geodesy.Summary(
+        stats["samples"],
+        stats["max_normalized"],
+        stats["mean_normalized"],
+        stats["skipped_points"],
+        stats["degenerate_points"],
+    )
+
+
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 9])
 def test_samples_keep_grid_order_across_blocks(block):
     """With blocks of one row each, the middle block has no valid lane and
     its kernel gives None; the samples of the blocks around it, and the
-    report fields, keep the point-by-point order."""
+    report fields, keep the point-by-point order.  The two symmetry
+    columns leave no sample out, and a dweb function with no valid sample
+    (a constant, degenerate at every point) gives 0.0 from 0 samples."""
     f = parse(ROW_GAP)
     skipped, samples = loop(lambda p: geodesy._sample(f, p), ROW_GAP_GRID)
     assert skipped == [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
     assert [s.point for s in samples if s.degenerate] == [(0.0, -1.0), (0.0, 1.0)]
+    pairs, pair_skipped = point_loop(
+        lambda p: symmetric_conditions_residual(*SYMMETRY_GAP, p), ROW_GAP_GRID
+    )
+    points = [p for p in ROW_GAP_GRID.points() if list(p) not in pair_skipped]
+    web = [*FIT_GAP, ROW_GAP, "1"]
+    rows, row_skipped = point_loop(lambda p: dweb_geodesic_residuals(web, p), ROW_GAP_GRID)
+    assert len(points) == len(pairs) == 4 and len(rows) == 6
     with block_size(block):
         series = geodesy.flex_sweep(f, ROW_GAP_GRID)
         (connected,) = residual_sweep([f], ROW_GAP_GRID, christoffels=FLAT)
+        symmetric = symmetry_sweep(*SYMMETRY_GAP, ROW_GAP_GRID)
+        functions = dweb_sweep(web, ROW_GAP_GRID)
     for out in (series, connected):
         assert_same(out, skipped, samples)
         assert [bits(v) for v in out.vectors[2]] == [bits(s.gradient_norm) for s in samples]
-        assert out.stats() == reference_stats(skipped, samples)
-        assert out.valid().tolist() == [s.normalized for s in samples if not s.degenerate]
+        assert out.summary(1) == reference_summary(skipped, samples)
+    for i in (0, 1):
+        column = [
+            geodesy.ResidualSample(p, v[i], v[i], math.nan, False) for p, v in zip(points, pairs)
+        ]
+        expected = reference_summary(pair_skipped, column)
+        assert symmetric.summary(i) == expected and expected.degenerate_points == []
+    for i, out in enumerate(functions):
+        assert out.summary(1) == reference_summary(row_skipped, [row[i] for row in rows])
+    assert functions[1].summary(1)[:3] == (0, 0.0, 0.0)
 
 
 def test_fit_and_symmetry_sweeps_keep_grid_order_across_blocks():
@@ -436,10 +471,12 @@ def test_public_views_hold_python_values():
         assert view and python_only(view), view
     assert all(type(s.point) is tuple for s in series.samples())
     assert all(type(p) is list for p in series.skipped)
-    stats = series.stats()
-    assert python_only(stats["degenerate_points"]) and python_only(stats["skipped_points"])
-    assert type(stats["samples"]) is int
-    assert all(type(stats[k]) is float for k in ("max_normalized", "mean_normalized"))
+    summaries = [series.summary(1), fitted.summary(0), *map(symmetric.summary, (0, 1))]
+    for summary in summaries:
+        assert python_only(summary.degenerate_points) and python_only(summary.skipped_points)
+        assert type(summary.samples) is int
+        assert type(summary.largest) is float and type(summary.mean) is float
+    assert summaries[0].degenerate_points
 
 
 # ------------------------------------------------------- CLI report bytes
@@ -896,11 +933,10 @@ def test_fit_spread_has_the_bits_of_python_max_and_min(monkeypatch, column):
     values is +0.0, as Python's max and min give it, whichever zeros numpy
     picks."""
 
-    class Fitted:
-        vectors = tuple(np.array(column) for _ in range(4))
-        skipped = []
-
-    monkeypatch.setattr(webgeo.projective, "fit_sweep", lambda web, grid: Fitted())
+    lanes = len(column)
+    part = (np.zeros(lanes), np.zeros(lanes), np.ones(lanes, bool), [np.array(column)] * 4)
+    fitted = geodesy.GridResiduals([part])
+    monkeypatch.setattr(webgeo.projective, "fit_sweep", lambda web, grid: fitted)
     code, text = cli(["fit", "--web=x; y; x + y; x - y", "--grid=0:1:0:1:2:2"])
     assert code == 0
     spread = json.loads(text)["results"]["max_spread"]
