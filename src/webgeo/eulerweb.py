@@ -166,10 +166,6 @@ def euler_sweep(w, grid: GridSpec, pi: ThomasParameters | None = None) -> GridRe
     return out
 
 
-def _characteristic_g(datum: CauchyDatum, point, lam: float) -> float:
-    return point[1] + datum.value(lam) * point[0] - lam
-
-
 def _characteristic_g_prime(datum: CauchyDatum, point, lam: float) -> float:
     slope = partial_derivative(datum.slope_jet(lam), 0, 1)
     return slope * point[0] - 1.0
@@ -182,17 +178,23 @@ def characteristic_roots(datum: CauchyDatum, point) -> list[CharacteristicRoot]:
 
     A uniform scan of SCAN_COUNT parameter values locates sign changes of
     g, each bracket is bisected to width 1e-14 and polished with one
-    Newton step.  Root isolation is only as fine as the scan: a finer scan
-    never loses roots that a coarser one found.  An empty list is a valid
-    outcome (no characteristic through the point), not an error.  Raises
-    ValueError, before any evaluation, for a point that is not finite.
+    Newton step; each value of g is one call of w0's compiled value
+    function, fetched once.  A root is kept only where |g(lam)| <= 1e-8
+    (1 + |y| + |x w0(lam)| + |lam|), so a pole of w0, where g changes sign
+    too, is not one.  Root isolation is only as fine as the scan: a finer
+    scan never loses roots that a coarser one found.  An empty list is a
+    valid outcome (no characteristic through the point), not an error.
+    Raises ValueError, before any evaluation, for a point that is not
+    finite, and the EvaluationError of the first scanned value where w0 is
+    undefined.
     """
     x, y = float(point[0]), float(point[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"point {(x, y)} is not finite")
     lo, hi = datum.lambda_interval
+    value = _value_function(datum.w0)
     lams = [lo + (hi - lo) * k / (SCAN_COUNT - 1) for k in range(SCAN_COUNT)]
-    values = [_characteristic_g(datum, (x, y), lam) for lam in lams]
+    values = [y + value(0.0, lam) * x - lam for lam in lams]
 
     found: list[float] = []
 
@@ -203,7 +205,8 @@ def characteristic_roots(datum: CauchyDatum, point) -> list[CharacteristicRoot]:
                 return
         found.append(lam)
 
-    for k in range(SCAN_COUNT - 1):
+    # The brackets where g changes sign or is zero at an end.
+    for k in [k for k in range(SCAN_COUNT - 1) if not values[k] * values[k + 1] > 0.0]:
         a, b = lams[k], lams[k + 1]
         ga, gb = values[k], values[k + 1]
         if ga == 0.0:
@@ -213,11 +216,9 @@ def characteristic_roots(datum: CauchyDatum, point) -> list[CharacteristicRoot]:
             if k == SCAN_COUNT - 2:
                 record(b)
             continue
-        if ga * gb > 0.0:
-            continue
         while b - a > 1e-14 * max(1.0, abs(a), abs(b)):
             mid = 0.5 * (a + b)
-            gm = _characteristic_g(datum, (x, y), mid)
+            gm = y + value(0.0, mid) * x - mid
             if gm == 0.0:
                 a = b = mid
                 break
@@ -228,16 +229,19 @@ def characteristic_roots(datum: CauchyDatum, point) -> list[CharacteristicRoot]:
         root = 0.5 * (a + b)
         gprime = _characteristic_g_prime(datum, (x, y), root)
         if gprime != 0.0:
-            polished = root - _characteristic_g(datum, (x, y), root) / gprime
+            polished = root - (y + value(0.0, root) * x - root) / gprime
             if lo <= polished <= hi:
                 root = polished
         record(root)
 
     roots = []
     for lam in sorted(found):
+        w = value(0.0, lam)
+        if abs(y + w * x - lam) > 1e-8 * (1.0 + abs(y) + abs(x * w) + abs(lam)):
+            continue  # a pole of w0
         gprime = _characteristic_g_prime(datum, (x, y), lam)
         hint = "near_double" if abs(gprime) <= NEAR_DOUBLE_THRESHOLD * (1.0 + abs(x)) else "simple"
-        roots.append(CharacteristicRoot(lam=lam, w=datum.value(lam), multiplicity_hint=hint))
+        roots.append(CharacteristicRoot(lam=lam, w=w, multiplicity_hint=hint))
     return roots
 
 
@@ -325,24 +329,32 @@ class LinearWebSample:
         return leaves
 
 
-def _clip_line_to_rect(slope: float, intercept: float, rect: Rect):
-    """Clip y = intercept + slope * x to a rectangle; None when disjoint."""
-    x_lo, x_hi = rect.xmin, rect.xmax
-    if slope > 0.0:
-        x_lo = max(x_lo, (rect.ymin - intercept) / slope)
-        x_hi = min(x_hi, (rect.ymax - intercept) / slope)
-    elif slope < 0.0:
-        x_lo = max(x_lo, (rect.ymax - intercept) / slope)
-        x_hi = min(x_hi, (rect.ymin - intercept) / slope)
-    else:
-        if not rect.ymin <= intercept <= rect.ymax:
-            return None
-    if x_lo >= x_hi:
-        return None
-    return (
-        (x_lo, intercept + slope * x_lo),
-        (x_hi, intercept + slope * x_hi),
-    )
+def _lines_meeting(value, lams, rect: Rect):
+    """The lines y = lam - w0(lam) x that meet a rectangle, for the values
+    of `lams` where w0, given by its compiled value function, is defined:
+    (lam, slope, x_lo, x_hi) with slope = -w0(lam) and the line's x-span
+    in the rectangle.  Also the count of the values where w0 is undefined."""
+    xmin, xmax, ymin, ymax = rect.xmin, rect.xmax, rect.ymin, rect.ymax
+    lines, bad = [], 0
+    for lam in lams:
+        try:
+            slope = -value(0.0, lam)
+        except EvaluationError:
+            bad += 1
+            continue
+        if slope > 0.0:
+            a, b = (ymin - lam) / slope, (ymax - lam) / slope
+        elif slope < 0.0:
+            a, b = (ymax - lam) / slope, (ymin - lam) / slope
+        elif ymin <= lam <= ymax:
+            a, b = xmin, xmax
+        else:
+            continue
+        x_lo = a if a > xmin else xmin  # max(xmin, a) without the call
+        x_hi = b if b < xmax else xmax  # min(xmax, b)
+        if x_lo < x_hi:
+            lines.append((lam, slope, x_lo, x_hi))
+    return lines, bad
 
 
 def generate_linear_web(
@@ -355,10 +367,12 @@ def generate_linear_web(
     Each parameter value lam contributes the characteristic line
     y = lam - w0(lam) x; leaves sample lam uniformly over the part of the
     datum's interval whose lines meet the requested rectangle, clipped to
-    it.  Leaves are labeled by lam, not by branch.  A datum whose lines
-    never meet the rectangle yields an empty foliation with a warning
-    rather than an error.  Raises ValueError, before any evaluation, unless
-    leaves_per_foliation is an int (a bool is not one) from 1 to MAX_LEAVES.
+    it.  Leaves are labeled by lam, not by branch.  Probes and leaves call
+    w0's compiled value function, fetched once per datum, and clip their
+    lines in one pass each.  A datum whose lines never meet the rectangle
+    yields an empty foliation with a warning rather than an error.  Raises
+    ValueError, before any evaluation, unless leaves_per_foliation is an
+    int (a bool is not one) from 1 to MAX_LEAVES.
     """
     if not data:
         raise ValueError("no Cauchy data supplied")
@@ -377,18 +391,11 @@ def generate_linear_web(
     for index, datum in enumerate(data):
         lo, hi = datum.lambda_interval
         warnings = []
-        hits = []
-        bad = 0
         value = _value_function(datum.w0)
-        for k in range(PROBE_COUNT):
-            lam = lo + (hi - lo) * k / (PROBE_COUNT - 1)
-            try:
-                w0 = value(0.0, lam)
-            except EvaluationError:
-                bad += 1
-                continue
-            if _clip_line_to_rect(-w0, lam, domain) is not None:
-                hits.append(lam)
+        probes, bad = _lines_meeting(
+            value, [lo + (hi - lo) * k / (PROBE_COUNT - 1) for k in range(PROBE_COUNT)], domain
+        )
+        hits = [line[0] for line in probes]
         if bad:
             warnings.append(
                 f"datum '{datum.source()}' undefined at {bad}/{PROBE_COUNT} "
@@ -409,20 +416,13 @@ def generate_linear_web(
             ]
         leaves = []
         kept = []
-        for lam in lam_values:
-            try:
-                w0 = value(0.0, lam)
-            except EvaluationError:
-                continue
-            segment = _clip_line_to_rect(-w0, lam, domain)
-            if segment is None:
-                continue
+        for lam, slope, x_lo, x_hi in _lines_meeting(value, lam_values, domain)[0]:
             kept.append(lam)
             leaves.append(
                 LeafPolyline(
                     foliation_index=index,
                     level=lam,
-                    points=(segment[0], segment[1]),
+                    points=((x_lo, lam + slope * x_lo), (x_hi, lam + slope * x_hi)),
                 )
             )
         foliations.append(

@@ -408,15 +408,21 @@ class GridResiduals:
     ``[2]`` gradient norm and ``[3]`` degenerate, the samples a summary
     leaves out.  The fit's and the symmetry conditions' columns are listed
     where they are swept; a summary of theirs keeps every sample.
+
+    A result over the same blocks and lane masks as `points`, another
+    result, shares its point vectors and skipped list.
     """
 
-    def __init__(self, parts, k: int = 4):
+    def __init__(self, parts, k: int = 4, *, points: GridResiduals | None = None):
         filled = [p[3] for p in parts if p[3] is not None]
         columns = [_join(c) for c in zip(*filled)] if filled else [np.empty(0)] * k
-        x, y, ok = ([p[i] for p in parts] for i in range(3))
-        self._x, self._y, self._ok = x, y, ok = _join(x), _join(y), _join(ok, bool)
         self.vectors = tuple(columns)
-        self.skipped = [] if ok.all() else np.column_stack((x[~ok], y[~ok])).tolist()
+        if points is None:
+            x, y, ok = ([p[i] for p in parts] for i in range(3))
+            self._x, self._y, self._ok = x, y, ok = _join(x), _join(y), _join(ok, bool)
+            self.skipped = [] if ok.all() else np.column_stack((x[~ok], y[~ok])).tolist()
+        else:
+            self._x, self._y, self._ok, self.skipped = points._x, points._y, points._ok, points.skipped
         flags = columns[-1]  # bool only in the residual layout
         self._left_out = flags if flags.dtype == bool and flags.any() else None
 

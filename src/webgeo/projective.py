@@ -398,7 +398,8 @@ def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
     """The residuals of :func:`dweb_geodesic_residuals` over a grid, a
     block of points at a time: one series per function f5..fd, each sample
     bit for bit the single-point one.  A point where that function raises
-    is skipped for every function."""
+    is skipped for every function, so all series share one set of point
+    vectors and one skipped list."""
     web = _require_web(web, at_least=5)
     rest = web.functions[4:]
     parts = [[] for _ in rest]
@@ -406,7 +407,8 @@ def dweb_sweep(web, grid: GridSpec) -> list[GridResiduals]:
         samples, ok = block.run(lambda ok: _dweb_residuals(web, block, ok))
         for out, fields in zip(parts, samples or [None] * len(rest)):
             out.append(_block_part(block, ok, fields))
-    return [GridResiduals(p) for p in parts]
+    first = GridResiduals(parts[0])
+    return [first, *(GridResiduals(p, points=first) for p in parts[1:])]
 
 
 @dataclass(frozen=True)

@@ -774,6 +774,23 @@ def test_dweb_sweep_matches_dweb_geodesic_residuals(data, grid, block):
         assert_same(out, skipped, [row[index] for row in rows])
 
 
+@pytest.mark.parametrize("block", [1, 4, 40])
+def test_dweb_series_share_one_set_of_points(block):
+    """Every function's series of one dweb sweep holds the same point
+    vectors and skipped list, built once, whatever the blocks."""
+    web = [*FIT_GAP, ROW_GAP, "1", "x + 2*y"]
+    rows, skipped = point_loop(lambda p: dweb_geodesic_residuals(web, p), ROW_GAP_GRID)
+    assert skipped and rows
+    with block_size(block):
+        series = dweb_sweep(web, ROW_GAP_GRID)
+    assert len(series) == 3
+    for index, out in enumerate(series):
+        assert_same(out, skipped, [row[index] for row in rows])
+        assert out.skipped is series[0].skipped
+        assert out.summary(1).skipped_points is series[0].summary(1).skipped_points
+        assert [s.point for s in out.samples()] == [s.point for s in series[0].samples()]
+
+
 @SETTINGS
 @given(data=st.data(), grid=grids(), block=st.integers(1, 40))
 def test_symmetry_sweep_matches_symmetric_conditions_residual(data, grid, block):
