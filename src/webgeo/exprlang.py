@@ -37,10 +37,13 @@ call those compiled functions directly, with the point's floats.  Jets,
 at one point or at a :class:`Block` of points, and values at a block come
 from one tree walker, :class:`_Walker`, on the coefficient tables of
 :mod:`webgeo.taylor`; :func:`evaluate_jet` hands the table it builds to
-the jet it returns.  Every computation at a block, here and in
-the sweeps, runs through :meth:`Block.run`, and fails points through
-:func:`webgeo.taylor.fail`.  The residual kernels read formulas through
-one accessor, :func:`table_at`, at a point or at a block alike.
+the jet it returns.  The walker also gives the value at one point with
+every check of :func:`evaluate`, without compiling: the tracer takes each
+leaf's level from it, so a traced formula compiles only its gradient.
+Every computation at a block, here and in the sweeps, runs through
+:meth:`Block.run`, and fails points through :func:`webgeo.taylor.fail`.
+The residual kernels read formulas through one accessor,
+:func:`table_at`, at a point or at a block alike.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .taylor import (
     _check_order,
     _integer_power,
     _jet,
+    _non_finite,
     _power_or_inf,
 )
 
@@ -954,19 +958,22 @@ _CONTEXT = {**_ARITH_CONTEXT, "^": "pow_const"}
 
 class _Walker:
     """The tree walk: jets at one point or at a block of points, and values
-    at a block.
+    at a block or at one point.
 
     The coordinates `x`, `y` are floats (one point) or lane vectors (a
     block).  `jet` gives the coefficient table of the jet of a given order
-    (see :mod:`webgeo.taylor`), `value` the IEEE double value at a block
-    (values and gradients at one point run compiled code; see
-    :class:`_Compiler`).  Checks go through :func:`~webgeo.taylor.fail`:
-    at one point (`ok` None) a domain violation raises
-    :class:`EvaluationError` naming the subexpression; in a block it clears
-    the lanes where it holds in the boolean mask `ok` and the walk goes on.
-    `bindings`, when given,
-    maps variable names to the tables they stand for (substitution), in
-    place of coordinates.
+    (see :mod:`webgeo.taylor`), `value` the IEEE double value at a block,
+    or at one point the value :func:`evaluate` gives, after the same
+    checks in the same order (a failing one may word its message
+    differently).  The level-curve tracer reads that value at each seed,
+    so a traced formula compiles no value function; other values and
+    gradients at one point run compiled code (see :class:`_Compiler`).
+    A walk at one point loads no numpy.  Checks go through
+    :func:`~webgeo.taylor.fail`: at one point (`ok` None) a domain
+    violation raises :class:`EvaluationError` naming the subexpression; in
+    a block it clears the lanes where it holds in the boolean mask `ok` and
+    the walk goes on.  `bindings`, when given, maps variable names to the
+    tables they stand for (substitution), in place of coordinates.
     """
 
     def __init__(self, x, y, bindings=None):
@@ -1017,7 +1024,7 @@ class _Walker:
                 else:
                     self.fail(right == 0.0, ok, node, "division by zero")
                     value = left / right
-            self.fail(~np.isfinite(value), ok, node, "non-finite result")
+            self.fail(_non_finite(value), ok, node, "non-finite result")
             return value
         if isinstance(node, Call):
             u = self.value(node.arg, ok)
@@ -1031,7 +1038,7 @@ class _Walker:
                 value = np.sqrt(np.where(ok, u, 1.0))
             else:
                 value = per_lane_or_nan(_MATH_FUNCTIONS[node.func], np.where(ok, u, 1.0))
-            self.fail(~np.isfinite(value), ok, node, "non-finite result")
+            self.fail(_non_finite(value), ok, node, "non-finite result")
             return value
         # a derivative node
         if node.dx + node.dy == 0:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 
-from .exprlang import EvaluationError, _gradient_function, as_expression, evaluate
+from .exprlang import EvaluationError, _gradient_function, _Walker, as_expression
 
 #: Gradient norms below this (times 1 + |x| + |y|) refuse to seed a trace.
 SEED_DEGENERACY_COEFF = 1e-10
@@ -29,8 +29,8 @@ SEED_DEGENERACY_COEFF = 1e-10
 MAX_LEAF_STEPS = 20000
 
 #: Most leaf points the CLI's `render` traces over all its leaves; past
-#: it the run writes no SVG.  A million points take about 170 MB while
-#: they are traced and drawn.
+#: it the run writes no SVG.  A million points take about 155 MB at the
+#: peak while they are traced and drawn, of which the leaves hold 112 MB.
 MAX_RENDER_POINTS = 1_000_000
 
 #: The SVG canvas in pixels, and the blank margin around the domain.
@@ -96,8 +96,14 @@ class LeafPolyline:
         return len(self.points)
 
 
-class _Degenerate(Exception):
-    """The gradient vanishes (relative to the point) where a trace steps."""
+def _leaf(foliation_index: int, level: float, points) -> LeafPolyline:
+    """The leaf of the (float, float) tuples `points` that a trace made,
+    without the per-point copy of LeafPolyline's constructor."""
+    leaf = object.__new__(LeafPolyline)
+    object.__setattr__(leaf, "foliation_index", int(foliation_index))
+    object.__setattr__(leaf, "level", float(level))
+    object.__setattr__(leaf, "points", tuple(points))
+    return leaf
 
 
 def trace_level_curve(
@@ -112,8 +118,12 @@ def trace_level_curve(
     The polyline runs in both directions from the seed until it leaves the
     rectangle, closes a loop (the seed is then appended again so closed
     leaves end where they start), or has taken MAX_LEAF_STEPS steps in
-    that direction.  Raises ValueError for a step that is not finite and
-    positive.
+    that direction.  A step also ends the leaf where a stage's gradient
+    cannot be evaluated or is degenerate: |grad f| at most
+    SEED_DEGENERACY_COEFF * (1 + |x| + |y|).  The leaf's level is the
+    checked value of f at the seed.  Raises ValueError for a step that is
+    not finite and positive, a seed outside the domain or a degenerate
+    seed, and EvaluationError where the seed's gradient or value fails.
     """
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"step must be a finite positive number, got {step!r}")
@@ -123,57 +133,72 @@ def trace_level_curve(
         raise ValueError(f"seed {seed} lies outside the domain rectangle")
     gradient = _gradient_function(f)
     hypot = math.hypot
+    coeff = SEED_DEGENERACY_COEFF
     _, fx, fy = gradient(*seed)
     norm = hypot(fx, fy)
-    if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(seed[0]) + abs(seed[1])):
+    if norm <= coeff * (1.0 + abs(seed[0]) + abs(seed[1])):
         raise ValueError(f"degenerate seed {seed}: |grad f| = {norm!r}")
-    level = evaluate(f, seed)
-
-    def velocity(x, y, sign):
-        _, fx, fy = gradient(x, y)
-        norm = hypot(fx, fy)
-        if norm <= SEED_DEGENERACY_COEFF * (1.0 + abs(x) + abs(y)):
-            raise _Degenerate
-        return sign * fy / norm, sign * -fx / norm
+    level = _Walker(*seed).value(f, None)
 
     half, sixth = 0.5 * step, step / 6.0
     near, far = 0.9 * step, 2.0 * step
     xmin, xmax, ymin, ymax = domain.xmin, domain.xmax, domain.ymin, domain.ymax
     seed_x, seed_y = seed
+    # Every stage point lies within one step of the domain, so a norm above
+    # `floor`, twice the largest threshold there (a margin for rounding),
+    # passes the degeneracy test without the point's own threshold.
+    reach_x, reach_y = max(abs(xmin), abs(xmax)), max(abs(ymin), abs(ymax))
+    floor = 2.0 * coeff * (1.0 + reach_x + reach_y + 2.0 * step)
 
     def march(sign):
         points = [seed]
         x, y = seed
-        closed = False
         escaped_seed = False
-        for _ in range(MAX_LEAF_STEPS):
-            try:
-                k1x, k1y = velocity(x, y, sign)
-                k2x, k2y = velocity(x + half * k1x, y + half * k1y, sign)
-                k3x, k3y = velocity(x + half * k2x, y + half * k2y, sign)
-                k4x, k4y = velocity(x + step * k3x, y + step * k3y, sign)
-            except (_Degenerate, EvaluationError):
-                break
-            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            if not (xmin <= x <= xmax and ymin <= y <= ymax):
-                break
-            gap = hypot(x - seed_x, y - seed_y)
-            if not escaped_seed and gap > far:
-                escaped_seed = True
-            if escaped_seed and gap < near:
-                points.append(seed)
-                closed = True
-                break
-            points.append((x, y))
-        return points, closed
+        try:
+            for _ in range(MAX_LEAF_STEPS):
+                _, fx, fy = gradient(x, y)
+                norm = hypot(fx, fy)
+                if norm <= floor and norm <= coeff * (1.0 + abs(x) + abs(y)):
+                    break
+                k1x, k1y = sign * fy / norm, sign * -fx / norm
+                px, py = x + half * k1x, y + half * k1y
+                _, fx, fy = gradient(px, py)
+                norm = hypot(fx, fy)
+                if norm <= floor and norm <= coeff * (1.0 + abs(px) + abs(py)):
+                    break
+                k2x, k2y = sign * fy / norm, sign * -fx / norm
+                px, py = x + half * k2x, y + half * k2y
+                _, fx, fy = gradient(px, py)
+                norm = hypot(fx, fy)
+                if norm <= floor and norm <= coeff * (1.0 + abs(px) + abs(py)):
+                    break
+                k3x, k3y = sign * fy / norm, sign * -fx / norm
+                px, py = x + step * k3x, y + step * k3y
+                _, fx, fy = gradient(px, py)
+                norm = hypot(fx, fy)
+                if norm <= floor and norm <= coeff * (1.0 + abs(px) + abs(py)):
+                    break
+                k4x, k4y = sign * fy / norm, sign * -fx / norm
+                x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+                if not (xmin <= x <= xmax and ymin <= y <= ymax):
+                    break
+                gap = hypot(x - seed_x, y - seed_y)
+                if not escaped_seed and gap > far:
+                    escaped_seed = True
+                if escaped_seed and gap < near:
+                    points.append(seed)
+                    return points, True
+                points.append((x, y))
+        except EvaluationError:
+            pass
+        return points, False
 
     forward, closed = march(+1.0)
     if closed:
-        return LeafPolyline(foliation_index, level, forward)
+        return _leaf(foliation_index, level, forward)
     backward, _ = march(-1.0)
-    combined = list(reversed(backward[1:])) + forward
-    return LeafPolyline(foliation_index, level, combined)
+    return _leaf(foliation_index, level, backward[:0:-1] + forward)
 
 
 def render_svg(leaves, domain: Rect) -> str:
@@ -201,15 +226,15 @@ def render_svg(leaves, domain: Rect) -> str:
     for leaf in leaves:
         color = _PALETTE[leaf.foliation_index % len(_PALETTE)]
         path_data = "M " + " L ".join([
-            f"{SVG_MARGIN + (x - x0) * sx:.4f} {top - (y - y0) * sy:.4f}"
+            "%.4f %.4f" % (SVG_MARGIN + (x - x0) * sx, top - (y - y0) * sy)
             for x, y in leaf.points
         ])
         lines.append(
             f'<path d="{path_data}" fill="none" stroke="{color}" '
             'stroke-width="1.2"/>'
         )
-    lines.append("</svg>")
-    return "\n".join(lines) + "\n"
+    lines.append("</svg>\n")
+    return "\n".join(lines)
 
 
 def compose_report(

@@ -34,7 +34,7 @@ from webgeo import (
     to_source,
 )
 from webgeo.cli import run
-from webgeo.exprlang import FUNCTION_NAMES, MAX_DEPTH, MAX_NESTING, X, Y, _Compiler
+from webgeo.exprlang import FUNCTION_NAMES, MAX_DEPTH, MAX_NESTING, X, Y, _Compiler, _Walker
 from webgeo.taylor import MAX_ORDER, _integer_power, _power_or_inf
 from conftest import CORPUS, fd_partial, sample_point
 
@@ -785,6 +785,39 @@ def test_compiled_point_functions_match_the_walks(tree):
         assert outcome(evaluate_gradient, tree, point) == outcome(
             reference_gradient, tree, *point
         )
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(point_trees())
+def test_walked_value_is_the_value_where_the_gradient_returns(tree):
+    """The level-curve tracer takes a leaf's level from the value walk at
+    a seed whose gradient returned: there the walk gives what evaluate
+    gives, bits or error text, though its messages for a domain error or
+    an overflow inside `math` are worded differently elsewhere."""
+    for point in POINTS:
+        if isinstance(outcome(evaluate_gradient, tree, point)[0], type):
+            continue
+        walked = outcome(lambda: _Walker(*point).value(tree, None))
+        assert walked == outcome(evaluate, tree, point)
+
+
+@pytest.mark.parametrize(
+    "source", ["y + 1/(1e308*1e308)", "x + 1/sqrt(1e308*1e308)", "x*y - 1/ln(1e308*1e308)"]
+)
+def test_walked_value_checks_what_the_gradient_skips(source):
+    """The gradient code checks no value outside powers, so it returns here,
+    while the walk, like evaluate, raises at the overflowing product."""
+    tree = parse(source)
+    assert not isinstance(outcome(evaluate_gradient, tree, (0.5, 0.5))[0], type)
+    walked = outcome(lambda: _Walker(0.5, 0.5).value(tree, None))
+    assert walked == outcome(evaluate, tree, (0.5, 0.5))
+    assert walked == (EvaluationError, "non-finite result in '(1e+308 * 1e+308)'")
 
 
 def test_gradient_wraps_math_errors_of_an_overflowed_argument():

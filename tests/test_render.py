@@ -7,10 +7,11 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from webgeo import (
+    Call,
     Constant,
     EvaluationError,
     LeafPolyline,
@@ -28,7 +29,7 @@ from webgeo import (
 )
 from webgeo import render
 from webgeo.cli import run
-from webgeo.exprlang import X, Y
+from webgeo.exprlang import X, Y, to_source
 from webgeo.geodesy import ResidualSample
 from webgeo.render import (
     _PALETTE,
@@ -140,7 +141,7 @@ def test_render_svg_empty_error():
 
 # ------------------------------------------ the SVG writer against its reference
 #
-# `render_svg` writes each point with one f-string.  The reference below is
+# `render_svg` writes each point with one %-format.  The reference below is
 # the writer as it was before, with a viewport function, a list of pixel
 # coordinates per leaf and one "M"/"L" part per point: the documents must be
 # equal, character for character.
@@ -564,3 +565,98 @@ def test_tracer_matches_its_reference(problem, foliation_index):
     with mock.patch.object(render, "MAX_LEAF_STEPS", max_points):
         got = trace_outcome(trace_level_curve, *args, **kwargs)
     assert got == trace_outcome(reference_trace, *args, max_points=max_points, **kwargs)
+
+
+# The tracer tests a stage point's own degeneracy threshold only where the
+# gradient norm is at most a floor made from the domain and the step.  The
+# cases below put the norm within a factor of 2 of the threshold: on domains
+# far from the origin, on one whose floor overflows to inf, and with steps
+# larger than the domain, so that stage points lie far outside it.
+_BAND_DOMAINS = [
+    Rect(-1.0, 2.0, -1.0, 2.0),
+    Rect(1e6, 1e6 + 1.0, -1e6 - 1.0, -1e6),
+    Rect(-1e150, -0.9e150, 1e149, 2e149),
+    Rect(-1.5e308, 1.5e308, -1.5e308, 1.5e308),  # 1 + 1.5e308 + 1.5e308 = inf
+]
+_BAND_RATIOS = [0.5, 0.9, 1.0 - 1e-7, 1.0 + 1e-7, 1.1, 1.5, 1.999, 2.0, 2.001, 4.0, 8.0]
+
+
+@st.composite
+def band_problems(draw):
+    """(formula, seed, domain, step): |grad f| is `ratio` times the seed's
+    threshold SEED_DEGENERACY_COEFF * (1 + |x| + |y|)."""
+    domain = draw(st.sampled_from(_BAND_DOMAINS))
+    tx, ty = draw(st.sampled_from([0.5, 0.2, 0.9])), draw(st.sampled_from([0.5, 0.1, 0.7]))
+    width = domain.xmax - domain.xmin
+    if math.isfinite(width):
+        seed = (domain.xmin + tx * width, domain.ymin + ty * (domain.ymax - domain.ymin))
+    else:  # seeds near the origin, and leaves a few units long
+        width, seed = 4.0, (tx - 0.5, ty - 0.5)
+    threshold = SEED_DEGENERACY_COEFF * (1.0 + abs(seed[0]) + abs(seed[1]))
+    norm = draw(st.sampled_from(_BAND_RATIOS)) * threshold
+    kind = draw(st.sampled_from(["line", "saddle", "log"]))
+    if kind == "line":
+        angle = draw(st.sampled_from([0.3, 1.1, 2.0, 2.8, 4.0, 5.5]))
+        formula = Constant(norm * math.cos(angle)) * X + Constant(norm * math.sin(angle)) * Y
+    else:
+        # centred at distance r from the seed, scaled to the same norm there
+        r = draw(st.sampled_from([0.1, 0.5, 2.0])) * width
+        a, b = seed[0] + 0.6 * r, seed[1] - 0.8 * r
+        if kind == "saddle":
+            formula = Constant(norm / (2.0 * r)) * ((X - Constant(a)) ** 2 - (Y - Constant(b)) ** 2)
+        else:
+            # circles whose gradient shrinks away from the centre, so that
+            # a step larger than the domain can come back into it
+            square = (X - Constant(a)) ** 2 + (Y - Constant(b)) ** 2 + Constant(r * r)
+            formula = Constant(norm * r) * Call("ln", square)
+    # the largest steps are larger than the domain, but for the infinite one
+    step = draw(st.sampled_from([0.01, 0.2, 3.0, 5.0])) * width
+    return formula, seed, domain, step
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(band_problems())
+@example((parse("1e-10*x + 2e-10*y"), (0.5, 0.5), Rect(-1, 2, -1, 2), 0.01))
+@example((parse("1e-10*x + 2e-10*y"), (0.5, 0.5), Rect(0, 1, 0, 1), 3.0))
+@example((parse("1e-10*x + 2e-10*y"), (0.25, -0.5), _BAND_DOMAINS[-1], 0.1))
+# the leaf through the origin runs toward the saddle at (100, -100) and
+# ends where its norm falls below the threshold
+@example((parse("1e-12*((x-100)^2 - (y+100)^2)"), (0.0, 0.0), Rect(-40, 40, -40, 40), 0.5))
+@example((parse("1e-12*((x-100)^2 - (y+100)^2)"), (0.0, 0.0), Rect(-40, 40, -40, 40), 100.0))
+# a step larger than the domain that comes back into it, whose last stage
+# lies where only the floor's 2*step term covers the threshold
+@example((parse("2e-9*ln((x-0.5)^2 + y^2 + 1)"), (0.9, 0.5), Rect(-1, 1, -1, 1), 5.0))
+def test_tracer_degeneracy_floor_is_exact(problem):
+    formula, seed, domain, step = problem
+    with mock.patch.object(render, "MAX_LEAF_STEPS", 300):
+        got = trace_outcome(trace_level_curve, formula, seed, domain, step=step)
+    assert got == trace_outcome(reference_trace, formula, seed, domain, step=step, max_points=300)
+
+
+# ------------------------------------------ one compile per traced formula
+
+
+def test_trace_compiles_only_the_gradient():
+    f = parse("(x - 0.4)^2 + (y - 0.6)^2")
+    trace_level_curve(f, (0.5, 0.5), Rect(0, 1, 0, 1), step=0.01)
+    assert f._value_code is None
+    assert f._gradient_code is not None
+
+
+def test_render_compiles_each_formula_once(tmp_path, monkeypatch, capsys):
+    from webgeo import exprlang
+
+    compiled = []
+    compile_ = exprlang._compile
+
+    def counting(e, gradient):
+        compiled.append((to_source(e), gradient))
+        return compile_(e, gradient)
+
+    monkeypatch.setattr(exprlang, "_compile", counting)
+    code = run(["render", "--web", "x; y; (x-0.4)^2+(y-0.6)^2", "--domain", "0:1:0:1",
+                "--levels", "5", "--step", "0.01", "--svg", str(tmp_path / "web.svg")])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["results"]["leaves"] == 15
+    assert len(compiled) == 3
+    assert all(gradient for _, gradient in compiled)
