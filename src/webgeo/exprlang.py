@@ -70,7 +70,7 @@ from .taylor import (
     table_elementary,
     table_partial,
     variable_table,
-    _CONTEXT as _ARITH_CONTEXT,
+    _CONTEXT,
     _check_order,
     _integer_power,
     _jet,
@@ -952,10 +952,6 @@ def evaluate_jet_with(e: Expression, bindings: dict) -> TaylorJet:
     return _jet(_Walker(None, None, tables).jet(e, order, None), order, base)
 
 
-#: The error context of each binary operator: a TaylorJet operator's own.
-_CONTEXT = {**_ARITH_CONTEXT, "^": "pow_const"}
-
-
 class _Walker:
     """The tree walk: jets at one point or at a block of points, and values
     at a block or at one point.
@@ -963,11 +959,11 @@ class _Walker:
     The coordinates `x`, `y` are floats (one point) or lane vectors (a
     block).  `jet` gives the coefficient table of the jet of a given order
     (see :mod:`webgeo.taylor`), `value` the IEEE double value at a block,
-    or at one point the value :func:`evaluate` gives, after the same
-    checks in the same order (a failing one may word its message
-    differently).  The level-curve tracer reads that value at each seed,
-    so a traced formula compiles no value function; other values and
-    gradients at one point run compiled code (see :class:`_Compiler`).
+    or at one point the value or the error text :func:`evaluate` gives,
+    after the same checks in the same order.  The level-curve tracer reads
+    that value at each seed, so a traced formula compiles no value
+    function; other values and gradients at one point run compiled code
+    (see :class:`_Compiler`).
     A walk at one point loads no numpy.  Checks go through
     :func:`~webgeo.taylor.fail`: at one point (`ok` None) a domain
     violation raises :class:`EvaluationError` naming the subexpression; in
@@ -986,9 +982,16 @@ class _Walker:
         return self.jet(e, order, ok)
 
     @staticmethod
-    def fail(bad, ok, node, message):
-        """:func:`~webgeo.taylor.fail` with an error naming `node`."""
-        fail(bad, ok, lambda: EvaluationError(message, to_source(node)))
+    def fail(bad, ok, node, message, value=None):
+        """:func:`~webgeo.taylor.fail` with an error naming `node`, its
+        message followed by ``repr(value)`` when a value is given, as
+        :class:`_Compiler` words it (the error is made at one point only)."""
+
+        def error():
+            text = message if value is None else f"{message} {value!r}"
+            return EvaluationError(text, to_source(node))
+
+        fail(bad, ok, error)
 
     def value(self, node, ok):
         if isinstance(node, Constant):
@@ -1007,7 +1010,7 @@ class _Walker:
                         self.fail(left == 0.0, ok, node, "zero raised to a negative power")
                     value = _integer_power(left, n, 1.0)
                 else:
-                    self.fail(left < 0.0, ok, node, "fractional power of negative base")
+                    self.fail(left < 0.0, ok, node, "fractional power of negative base", left)
                     if p < 0.0:
                         self.fail(left == 0.0, ok, node, "zero raised to a negative power")
                     if not isinstance(left, float):
@@ -1029,11 +1032,14 @@ class _Walker:
         if isinstance(node, Call):
             u = self.value(node.arg, ok)
             if node.func == "sqrt":
-                self.fail(u < 0.0, ok, node, "sqrt of negative value")
+                self.fail(u < 0.0, ok, node, "sqrt of negative value", u)
             if node.func == "ln":
-                self.fail(u <= 0.0, ok, node, "ln of non-positive value")
+                self.fail(u <= 0.0, ok, node, "ln of non-positive value", u)
             if isinstance(u, float):
-                value = per_lane_or_nan(_MATH_FUNCTIONS[node.func], u)
+                try:
+                    value = _MATH_FUNCTIONS[node.func](u)
+                except (ValueError, OverflowError) as exc:  # math's text, as evaluate's
+                    raise EvaluationError(str(exc), to_source(node)) from None
             elif node.func == "sqrt":  # correctly rounded, as math.sqrt is
                 value = np.sqrt(np.where(ok, u, 1.0))
             else:
@@ -1069,15 +1075,12 @@ class _Walker:
                 table, context = [[0.0 - v for v in row] for row in child], "sub"
             elif isinstance(node, Binary):
                 left = self.jet(node.left, order, ok)
-                context = _CONTEXT[node.op]
-                if node.op == "^":
-                    table = table_elementary("pow_const", left, order, ok, node.right.value)
-                else:
-                    right = self.jet(node.right, order, ok)
-                    table = table_arith(node.op, left, right, order, ok)
+                if node.op == "^":  # checked by table_elementary
+                    return table_elementary("pow_const", left, order, ok, node.right.value)
+                right = self.jet(node.right, order, ok)
+                table, context = table_arith(node.op, left, right, order, ok), _CONTEXT[node.op]
             elif isinstance(node, Call):
-                arg = self.jet(node.arg, order, ok)
-                table, context = table_elementary(node.func, arg, order, ok), node.func
+                return table_elementary(node.func, self.jet(node.arg, order, ok), order, ok)
             else:  # a derivative node
                 if self.bindings is not None:
                     raise EvaluationError(

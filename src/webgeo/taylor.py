@@ -30,6 +30,12 @@ and square roots over lanes run `np.float_power` and `np.sqrt`, which
 give the bits of Python's ``**`` and `math.sqrt`.  So a jet formula (the
 order-4 to order-2 chain of the projective invariants) is written once
 and runs at a point or at a block.
+
+An entry that is the same at every point stays a float: products, quotients
+and derivatives keep the float entries of their operands, and skip or share
+exactly the float work that cannot change a bit (see `mul_table`,
+`div_table` and `table_derivative`), so a block pays for a lane vector only
+where the points differ.
 """
 
 from __future__ import annotations
@@ -219,7 +225,10 @@ class TaylorJet:
         if self.order < 2:
             raise JetError("derivative_jet would drop the order below 1")
         table = table_derivative(self.table, axis, self.order)
-        check_table(table, self.ok, "derivative_jet")
+        # Only the entries it multiplied by more than 1 can be new; the
+        # others are this jet's own, which are checked.
+        scaled = table[1:] if _as_axis(axis) == "x" else [row[1:] for row in table]
+        check_table(scaled, self.ok, "derivative_jet")
         return _jet(table, self.order - 1, self.base_point, self.ok)
 
     def truncate(self, order: int) -> "TaylorJet":
@@ -307,6 +316,8 @@ def mul_table(la, lb, n: int):
     each table they multiply.  Those checks move no failure: without the
     skip in `lb`, a non-finite entry of `la` meets b[0][0] (0.0 * inf is
     NaN) and reaches the final table, whose check fails the same way.
+    `div_table` skips zero factors by a narrower rule, as its sums start
+    from entries of the dividend, which may be -0.0.
     """
     out = [[0.0] * (n + 1 - i) for i in range(n + 1)]
     # The terms b[r][c] that are not a float zero, by degree r + c.
@@ -332,34 +343,85 @@ def mul_table(la, lb, n: int):
 
 def div_table(la, lb, n: int):
     """Truncated quotient of two coefficient tables, solved degree by
-    degree.  The divisor's constant term must be nonzero (callers check).
+    degree: out[i][j] is la[i][j] minus the products out[p][q] *
+    lb[i-p][j-q], (p, q) in lexicographic order, divided by lb[0][0].  The
+    divisor's constant term must be nonzero, `lb` must be finite in every
+    valid lane, and the caller checks the result (as `_arith`, the walker
+    and `table_elementary` do).
 
-    No zero factor is skipped, unlike in `mul_table`: a sum starts from an
-    entry of `la`, which may be -0.0, and -0.0 minus a product -0.0 is
-    +0.0, so a skip would give a point other bits than a lane."""
+    A product with a float zero factor is skipped where la[i][j] is a
+    float other than -0.0, so the quotient keeps the float entries of its
+    operands: ``(0.3*x + 0.7*y)/4`` holds one lane vector, not fifteen.
+    The skip changes no bit of a point or a lane:
+    - ``s - (±0.0)`` is `s` unless `s` is -0.0, and a difference is -0.0
+      only as ``(-0.0) - (+0.0)``, so a running value that does not start
+      at -0.0 never becomes -0.0;
+    - a skipped product is ±0.0 unless its other factor is not finite;
+      as `lb` is finite, that factor is out[p][q], a non-finite entry of
+      the result, which the caller's check fails at that point or lane
+      with the text it would give without the skip.
+    Where la[i][j] is -0.0, or a lane vector (which may hold -0.0 in some
+    lane), every product is subtracted: -0.0 minus a product -0.0 is +0.0.
+    """
     b00 = lb[0][0]
-    out = [[0.0] * (n + 1 - i) for i in range(n + 1)]
-    out[0][0] = la[0][0] / b00
-    for d in range(1, n + 1):
+    plan, rows = _QUOTIENT_PLANS[n]
+    a = [v for row in la for v in row]
+    b = [v for row in lb for v in row]
+    out = [0.0] * len(a)
+    # b and out with None for each float zero: the factors a skip drops.
+    sparse_b = [None if type(v) is float and v == 0.0 else v for v in b]
+    sparse_out = [None] * len(a)
+    for k, terms in plan:
+        s = a[k]
+        if type(s) is float and (s != 0.0 or math.copysign(1.0, s) > 0.0):
+            factors_out, factors_b = sparse_out, sparse_b
+        else:
+            factors_out, factors_b = out, b
+        for ko, kb in terms:
+            u = factors_out[ko]
+            if u is not None:
+                w = factors_b[kb]
+                if w is not None:
+                    s = s - u * w
+        v = out[k] = s / b00
+        if not (type(v) is float and v == 0.0):
+            sparse_out[k] = v
+    return [out[lo:hi] for lo, hi in rows]
+
+
+def _quotient_plan(n: int):
+    """The order of `div_table`'s work on flattened tables of order n:
+    [(k, [(ko, kb), ...]), ...] with k the index of (i, j), degree by
+    degree, and ko, kb those of out[p][q] and lb[i-p][j-q]; and the
+    (start, stop) of each row."""
+    index, rows = {}, []
+    for i in range(n + 1):
+        start = len(index)
+        for j in range(n + 1 - i):
+            index[i, j] = len(index)
+        rows.append((start, len(index)))
+    plan = []
+    for d in range(n + 1):
         for i in range(d + 1):
             j = d - i
-            s = la[i][j]
-            for p in range(i + 1):
-                row_out = out[p]
-                row_b = lb[i - p]
-                for q in range(j + 1):
-                    if p == i and q == j:
-                        continue
-                    s = s - row_out[q] * row_b[j - q]
-            out[i][j] = s / b00
-    return out
+            terms = [
+                (index[p, q], index[i - p, j - q])
+                for p in range(i + 1)
+                for q in range(j + 1)
+                if (p, q) != (i, j)
+            ]
+            plan.append((index[i, j], terms))
+    return plan, rows
+
+
+_QUOTIENT_PLANS = {n: _quotient_plan(n) for n in range(1, MAX_ORDER + 1)}
 
 
 def compose_table(h, series, n: int, ok, context: str):
     """Table of g(a) given the univariate Taylor coefficients of g at a's
     constant term, where `h` is a's table with its constant term zeroed
     (Horner evaluation).  The accumulator is checked before each product
-    (see `mul_table`); the caller checks the result."""
+    (see `mul_table`); `table_elementary` checks the result."""
     acc = [[0.0] * (n + 1 - i) for i in range(n + 1)]
     acc[0][0] = series[n]
     for k in range(n - 1, -1, -1):
@@ -495,7 +557,6 @@ def jet_elementary(fn: str, a: TaylorJet, exponent: float | None = None) -> Tayl
     if fn == "pow_const" and exponent is None:
         raise JetError("pow_const requires an exponent")
     table = table_elementary(fn, a.table, a.order, a.ok, exponent)
-    check_table(table, a.ok, fn)
     return _jet(table, a.order, a.base_point, a.ok)
 
 
@@ -594,7 +655,8 @@ def table_arith(op: str, a, b, order: int, ok):
 
 
 def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
-    """Table of an elementary function (or pow_const) of a table."""
+    """Table of an elementary function (or pow_const) of a table, checked:
+    every table it makes is checked once, with `fn` as the context."""
     u = a[0][0]
     p = None
     if fn == "pow_const":
@@ -625,15 +687,25 @@ def table_elementary(fn: str, a, order: int, ok, exponent: float | None = None):
     fail(_non_finite(series[0]), ok, lambda: JetDomainError(f"{overflow} at constant term {u!r}"))
     h = [list(row) for row in a]
     h[0][0] = 0.0
-    return compose_table(h, series, order, ok, fn)
+    return check_table(compose_table(h, series, order, ok, fn), ok, fn)
 
 
 def table_derivative(table, axis: str, order: int):
-    """Table of the partial derivative along `axis`, one order lower."""
+    """Table of the partial derivative along `axis`, one order lower.
+
+    The entries whose factor is 1, row 0 of an x-derivative and column 0
+    of a y-derivative, are the entries of `table` themselves: ``1 * v``
+    is `v` for every float.  Only the others are new, so a caller that
+    knows `table` is checked checks only those."""
     m = order - 1
     if _as_axis(axis) == "x":
-        return [[(i + 1) * table[i + 1][j] for j in range(m + 1 - i)] for i in range(m + 1)]
-    return [[(j + 1) * table[i][j + 1] for j in range(m + 1 - i)] for i in range(m + 1)]
+        return [table[1][: m + 1]] + [
+            [(i + 1) * table[i + 1][j] for j in range(m + 1 - i)] for i in range(1, m + 1)
+        ]
+    return [
+        [table[i][1]] + [(j + 1) * table[i][j + 1] for j in range(1, m + 1 - i)]
+        for i in range(m + 1)
+    ]
 
 
 def take_lanes(value, ok):

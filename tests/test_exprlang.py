@@ -798,8 +798,7 @@ def test_compiled_point_functions_match_the_walks(tree):
 def test_walked_value_is_the_value_where_the_gradient_returns(tree):
     """The level-curve tracer takes a leaf's level from the value walk at
     a seed whose gradient returned: there the walk gives what evaluate
-    gives, bits or error text, though its messages for a domain error or
-    an overflow inside `math` are worded differently elsewhere."""
+    gives, bits or error text."""
     for point in POINTS:
         if isinstance(outcome(evaluate_gradient, tree, point)[0], type):
             continue
@@ -818,6 +817,30 @@ def test_walked_value_checks_what_the_gradient_skips(source):
     walked = outcome(lambda: _Walker(0.5, 0.5).value(tree, None))
     assert walked == outcome(evaluate, tree, (0.5, 0.5))
     assert walked == (EvaluationError, "non-finite result in '(1e+308 * 1e+308)'")
+
+
+#: Formulas that fail at a point: a domain error with the value that
+#: violates it, an error of `math`, and the checks of operators.
+_FAILING_AT_A_POINT = [
+    (parse("sqrt(x - 1)"), (0.5, 0.5)),
+    (parse("ln(x - 1)"), (0.5, 0.5)),
+    (parse("ln(x - 0.5)"), (0.5, 0.5)),
+    (parse("(x - 1)^0.5"), (0.5, 0.5)),
+    (parse("exp(1000*x)"), (1.0, 0.5)),
+    (parse("1/(x - 0.5)"), (0.5, 0.5)),
+    (Binary("^", parse("x - 0.5"), Constant(-2.0)), (0.5, 0.5)),
+    (Binary("^", parse("x - 0.5"), Constant(-0.5)), (0.5, 0.5)),
+    (parse("y + (1e308*x)*1e308"), (0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize(
+    "tree, point", _FAILING_AT_A_POINT, ids=[to_source(t) for t, _ in _FAILING_AT_A_POINT]
+)
+def test_walked_value_words_every_error_as_evaluate(tree, point):
+    walked = outcome(lambda: _Walker(*point).value(tree, None))
+    assert walked[0] is EvaluationError
+    assert walked == outcome(evaluate, tree, point)
 
 
 def test_gradient_wraps_math_errors_of_an_overflowed_argument():

@@ -25,7 +25,7 @@ from webgeo import (
     partial_derivative,
 )
 from webgeo.exprlang import Block, parse
-from webgeo.taylor import _jet, fail, table_partial
+from webgeo.taylor import _jet, check_table, div_table, fail, table_partial
 
 
 def test_variable_seed_x():
@@ -646,3 +646,126 @@ def test_table_partial_skips_factorials_of_one_bit_for_bit():
                 with np.errstate(over="ignore"):
                     got, full = table_partial(lanes, i, j), lanes[i][j] * fi * fj
                 assert got.tobytes() == full.tobytes(), (i, j)
+
+
+# ---------------------------------------- the quotient against its reference
+#
+# `div_table` skips a product with a float zero factor where the running
+# value starts from a float other than -0.0.  The reference below is the
+# quotient as it was before, which subtracts every product: the two must
+# agree bit for bit wherever the reference's table is finite, at a point
+# and lane by lane, and fail the same points and lanes elsewhere.
+
+
+def reference_div_table(la, lb, n: int):
+    b00 = lb[0][0]
+    out = [[0.0] * (n + 1 - i) for i in range(n + 1)]
+    out[0][0] = la[0][0] / b00
+    for d in range(1, n + 1):
+        for i in range(d + 1):
+            j = d - i
+            s = la[i][j]
+            for p in range(i + 1):
+                row_out = out[p]
+                row_b = lb[i - p]
+                for q in range(j + 1):
+                    if p == i and q == j:
+                        continue
+                    s = s - row_out[q] * row_b[j - q]
+            out[i][j] = s / b00
+    return out
+
+
+_QUOTIENT_POOL = [0.0, -0.0, 1.0, -1.0, 1e-300, 1e300, -1e300, 1.0 / 3.0]
+
+
+def _checked(kernel, la, lb, n, ok):
+    """(table, ok) after `kernel` and the check its callers make, or the
+    error text where that check raises."""
+    try:
+        table = kernel(la, lb, n)
+        return check_table(table, ok, "div"), ok
+    except JetDomainError as exc:
+        return str(exc), ok
+
+
+def test_div_table_matches_its_reference_bit_for_bit():
+    rng = random.Random(29)
+    for trial in range(600):
+        n = 1 + trial % 4
+        lanes = rng.randint(1, 4)
+
+        def entry(nonzero=False):
+            pool = [v for v in _QUOTIENT_POOL if v != 0.0] if nonzero else _QUOTIENT_POOL
+            if rng.random() < 0.5:
+                return rng.choice(pool)
+            return np.array([rng.choice(pool) for _ in range(lanes)])
+
+        la = [[entry() for _ in range(n + 1 - i)] for i in range(n + 1)]
+        lb = [[entry(i == j == 0) for j in range(n + 1 - i)] for i in range(n + 1)]
+
+        def lane(table, k):
+            return [[v if isinstance(v, float) else float(v[k]) for v in row] for row in table]
+
+        with np.errstate(all="ignore"):
+            for k in range(lanes):
+                pa, pb = lane(la, k), lane(lb, k)
+                got, _ = _checked(div_table, pa, pb, n, None)
+                want, _ = _checked(reference_div_table, pa, pb, n, None)
+                if isinstance(want, str):
+                    assert got == want, (trial, k)
+                else:
+                    _assert_lane_bits(_jet(got, n, (0.0, 0.0)), 0, _jet(want, n, (0.0, 0.0)))
+            got, got_ok = _checked(div_table, la, lb, n, np.ones(lanes, dtype=bool))
+            want, want_ok = _checked(reference_div_table, la, lb, n, np.ones(lanes, dtype=bool))
+        if isinstance(want, str):
+            assert got == want, trial
+            continue
+        assert got_ok.tolist() == want_ok.tolist(), trial
+        for k in np.flatnonzero(want_ok):
+            _assert_lane_bits(_jet(got, n, (0.0, 0.0)), k, _jet(lane(want, k), n, (0.0, 0.0)))
+
+
+def test_a_quotient_keeps_the_float_entries_of_its_operands():
+    block = Block(np.linspace(0.0, 1.0, 7), np.linspace(1.0, 2.0, 7))
+    table, ok = block.evaluate(parse("(0.3*x + 0.7*y)/4"), 4)
+    assert ok.all()
+    entries = [v for row in table for v in row]
+    assert len(entries) == 15
+    assert sum(isinstance(v, float) for v in entries) == 14
+
+
+def test_a_derivative_shares_the_entries_whose_factor_is_one():
+    block_jet, ok, points = _lane_jets(
+        {(0, 0): [1.0, 2.0], (1, 0): [0.5, -0.0], (0, 1): [3.0, 0.25], (1, 1): [-1.0, 2.0],
+         (2, 0): [0.0, 1e-300], (0, 2): [4.0, -4.0]},
+        3,
+    )
+    for jet in [block_jet, *points]:
+        before = [[np.copy(v) if isinstance(v, np.ndarray) else v for v in row] for row in jet.table]
+        dx, dy = jet.derivative("x"), jet.derivative("y")
+        assert all(a is b for a, b in zip(dx.table[0], jet.table[1], strict=True))
+        assert all(row[0] is parent[1] for row, parent in zip(dy.table, jet.table))
+        with np.errstate(all="ignore"):
+            for d in (dx, dy):
+                d * d, d / (d + 7.0), -d, jet_elementary("exp", d), d**3.0, d.derivative("x")
+        for row, saved in zip(jet.table, before, strict=True):
+            for v, w in zip(row, saved, strict=True):
+                assert np.asarray(v).tobytes() == np.asarray(w).tobytes()
+
+
+def test_a_derivative_whose_scaled_entry_overflows_fails_derivative_jet():
+    # Row 1 of the x-derivative is 2 * 1e308 = inf at lane 0; row 0, the
+    # shared row, is finite.
+    block_jet, ok, points = _lane_jets({(0, 0): [1.0, 1.0], (2, 0): [1e308, 1.0]}, 2)
+    with pytest.raises(JetDomainError, match="^non-finite coefficient produced by derivative_jet$"):
+        points[0].derivative("x")
+    with np.errstate(all="ignore"):
+        block_jet.derivative("x")
+    assert ok.tolist() == [False, True]
+    block_jet, ok, points = _lane_jets({(0, 0): [1.0, 1.0], (0, 2): [1.0, -1e308]}, 2)
+    with pytest.raises(JetDomainError, match="^non-finite coefficient produced by derivative_jet$"):
+        points[1].derivative("y")
+    with np.errstate(all="ignore"):
+        block_jet.derivative("y")
+    assert ok.tolist() == [True, False]
